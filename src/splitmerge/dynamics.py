@@ -4,8 +4,12 @@ Ranks are frozen at the start of each step: coefficients are evaluated at the
 step-start ranking and held for the whole step (weak error O(dt), standard
 for rank-based diffusions). Ties rank the lower index better.
 
-All reductions over companies here and in the engine are explicit
-left-to-right accumulations; see :mod:`splitmerge.engine` for why.
+All reductions over companies here and in the engine run left to right
+in company order.  Here they are explicit loops; the batch engine holds
+caps company-major, ``(slots, paths)``, and reduces over axis 0, which
+numpy does row by row and hence in the same order, with an explicit loop
+for a single path, where numpy would sum pairwise.  See
+:mod:`splitmerge.engine` for the contract.
 """
 
 from __future__ import annotations

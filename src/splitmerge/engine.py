@@ -23,6 +23,19 @@ Paths are partitioned into fixed-size blocks of :data:`CHUNK` paths
 regardless of ``workers``, so the worker count can never change a
 single output byte; it only changes which process touches which block.
 
+Every sum over companies is the left-to-right accumulation
+``((0 + x_1) + x_2) + ...`` in company order, in both engines.  The
+batch engine keeps a block's caps *company-major*: one C-contiguous
+``(slots, paths)`` array, with company ``k`` of path ``p`` at ``[k, p]``
+and the slots past a path's company count held at exactly 0.0.  A sum
+over companies is then a reduction over axis 0 (:func:`_col_sum`),
+which numpy performs row by row into the output vector, i.e. in
+exactly the loop's order.  The one exception is a block of a single
+path: numpy collapses the ``(slots, 1)`` array to a 1-d reduction and
+sums that pairwise, which differs from the loop from about 9 slots up,
+so that case runs the loop explicitly.  A test pins the reduction
+against the loop byte for byte, nan and signed zeros included.
+
 Per step, an alive path with ``n`` companies consumes exactly ``n``
 standard normals from its noise stream and exactly one uniform from
 its clock stream (the uniform is consumed even on steps where a split
@@ -45,8 +58,9 @@ Boundary semantics at each step boundary, in order:
    (status 1), mirroring the theoretical possibility of explosion in
    the number of companies.
 
-Status codes: 0 ok, 1 company-count explosion, 2 numerical overflow
-of the total capitalization, 3 portfolio wealth hit zero or below.
+Status codes: 0 ok, 1 company-count explosion, 2 a cap or the total
+capitalization left ``(0, inf)`` (overflow or underflow), 3 portfolio
+wealth hit zero or below.
 """
 
 from __future__ import annotations
@@ -609,6 +623,23 @@ class EngineResult:
         return self.status == 0
 
 
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the company axis of a company-major array.
+
+    ``a`` has shape ``(k, p)``; the result is ``((0 + a[0]) + a[1]) + ...``
+    for every column.  With ``p > 1`` numpy reduces the outer axis one
+    row at a time into the output, which is that order.  A single column
+    collapses to a 1-d reduction that numpy sums pairwise, so that case
+    runs the loop explicitly.
+    """
+    if a.shape[1] == 1:
+        acc = np.zeros(1)
+        for row in a:
+            acc = acc + row
+        return acc
+    return np.add.reduce(a, axis=0, initial=0.0)
+
+
 def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dict:
     params = run.params
     rules = run.rules
@@ -620,9 +651,11 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
     n_max = params.n_max
     thr_eff = (1.0 - params.delta) * (1.0 - FILTER_SLACK)
 
+    # company-major: caps[k, p] is slot k of path p; the slots from
+    # n_arr[p] up are padding and hold exactly 0.0
     cap_k = min(n_max, n0 + 4)
-    caps2 = np.zeros((p_cnt, cap_k))
-    caps2[:, :n0] = np.asarray(run.initial_caps, dtype=np.float64)
+    caps = np.zeros((cap_k, p_cnt))
+    caps[:n0] = np.asarray(run.initial_caps, dtype=np.float64)[:, None]
     n_arr = np.full(p_cnt, n0, dtype=np.int64)
     max_n = np.full(p_cnt, n0, dtype=np.int64)
     status = np.zeros(p_cnt, dtype=np.int8)
@@ -634,6 +667,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
     ngens = [path_generator(run.seed, p, NOISE) for p in range(start, stop)]
     cgens = [path_generator(run.seed, p, CLOCK) for p in range(start, stop)]
     egens: list[np.random.Generator | None] = [None] * p_cnt
+    # the RNG buffers stay path-major because they are refilled per path
     nbuf = np.zeros((p_cnt, NOISE_BUF))
     npos = np.full(p_cnt, NOISE_BUF, dtype=np.int64)
     ubuf = np.ones((p_cnt, CLOCK_BUF))
@@ -658,11 +692,17 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             egens[p] = g
         return g
 
+    def _fail(p: int, code: int) -> None:
+        status[p] = code
+        act[p] = False
+        npos[p] = 0
+        upos[p] = 0
+
     def _resolve_paths(paths: np.ndarray, ring: np.ndarray, t: float) -> None:
-        nonlocal caps2, cap_k
+        nonlocal caps, cap_k
         for p in paths:
             n_p = int(n_arr[p])
-            caps_p = caps2[p, :n_p].copy()
+            caps_p = caps[:n_p, p].copy()
             pis_p = [rl.weights(MarketState(t=t, caps=caps_p)) for rl in rules]
             caps_p, exploded, had = _resolve_boundary(
                 caps_p, t, start + p, params, _ev_gen(p), bool(ring[p]),
@@ -671,18 +711,15 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             n_new = len(caps_p)
             if n_new > cap_k:
                 grow = min(n_max, max(n_new, cap_k + 4))
-                caps2 = np.hstack([caps2, np.zeros((p_cnt, grow - cap_k))])
+                caps = np.vstack([caps, np.zeros((grow - cap_k, p_cnt))])
                 cap_k = grow
-            caps2[p, :] = 0.0
-            caps2[p, :n_new] = caps_p
+            caps[:, p] = 0.0
+            caps[:n_new, p] = caps_p
             n_arr[p] = n_new
             if n_new > max_n[p]:
                 max_n[p] = n_new
             if exploded:
-                status[p] = 1
-                act[p] = False
-                npos[p] = 0
-                upos[p] = 0
+                _fail(p, 1)
 
     # entry resolution at t = 0 (same initial caps on every path, so the
     # check is done once; the per-path resolution still draws its own xi)
@@ -693,18 +730,18 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         )
 
     ar_rows = np.arange(p_cnt)
-    work_k = -1
     mu1 = np.zeros(p_cnt)
 
-    def _ensure_work(k: int):
-        nonlocal work_k, ranks_buf, ar_cols
-        if k != work_k:
-            work_k = k
-            ranks_buf = np.empty((p_cnt, k), dtype=np.int64)
-            ar_cols = np.arange(k, dtype=np.int64)[None, :]
-
-    ranks_buf = None
-    ar_cols = None
+    # flat views: table cell (n, rank + 1) is element n * width + rank + 1,
+    # buffer cell (p, i) is element p * BUF + i
+    width = tables.gdt.shape[1]
+    gdt_flat = tables.gdt.reshape(-1)
+    ssq_flat = tables.ssq.reshape(-1)
+    ths_flat = tables.ths.reshape(-1)
+    nflat = nbuf.reshape(-1)
+    uflat = ubuf.reshape(-1)
+    noise_row = ar_rows * NOISE_BUF
+    clock_row = ar_rows * CLOCK_BUF
 
     def _series_rows(step: int) -> None:
         t = float(step * dt)
@@ -728,20 +765,15 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         series_vm, series_vp = run.series_cols
 
     if run.stride > 0:
-        c_tot = np.zeros(p_cnt)
-        x_max = np.full(p_cnt, -np.inf)
-        for k in range(cap_k):
-            c_tot = c_tot + caps2[:, k]
-            x_max = np.maximum(x_max, caps2[:, k])
-        mu1 = x_max / c_tot
+        mu1 = caps.max(axis=0) / _col_sum(caps)
         _series_rows(0)
 
     step = 0
     while step < last:
         if not act.any():
             break
-        _ensure_work(cap_k)
         k_n = cap_k
+        ar_k = np.arange(k_n, dtype=np.int64)[:, None]
 
         # refill per-path buffers, preserving unconsumed values
         need = np.nonzero(act & (npos + k_n > NOISE_BUF))[0]
@@ -756,81 +788,66 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             ubuf[p] = cgens[p].random(CLOCK_BUF)
             upos[p] = 0
 
-        # ranks frozen over the step
-        order = np.argsort(-caps2, axis=1, kind="stable")
-        np.put_along_axis(ranks_buf, order, ar_cols, axis=1)
-        cols = ranks_buf + 1
-        rows = n_arr[:, None]
-        gdt = tables.gdt[rows, cols]
-        ssq = tables.ssq[rows, cols]
-        ths = tables.ths[rows, cols]
+        # ranks frozen over the step: ranks[order[j, p], p] = j
+        order = np.argsort(-caps, axis=0, kind="stable")
+        ranks = np.empty_like(order)
+        ranks[order, ar_rows] = ar_k
+        cell = (n_arr * width + 1) + ranks
+        gdt = gdt_flat.take(cell)
+        ssq = ssq_flat.take(cell)
+        ths = ths_flat.take(cell)
 
-        z = nbuf[ar_rows[:, None], npos[:, None] + ar_cols]
+        z = nflat.take((noise_row + npos) + ar_k)
         npos = npos + np.where(act, n_arr, 0)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            new_caps = caps2 * np.exp(gdt + ssq * z)
-        new_caps = np.where(act[:, None], new_caps, caps2)
+            new_caps = caps * np.exp(gdt + ssq * z)
+        new_caps = np.where(act, new_caps, caps)
 
-        pos = caps2 > 0.0
-        r = np.ones((p_cnt, k_n))
-        np.divide(new_caps, caps2, out=r, where=pos)
-        r = r - 1.0
+        pos = caps > 0.0
+        r = np.ones((k_n, p_cnt))
+        np.divide(new_caps, caps, out=r, where=pos)
+        r -= 1.0
+        # as in euler_step, a company whose cap falls to 0.0 fails the path
+        # (an infinite cap shows in c_tot below)
+        underflow = (pos & ~(new_caps > 0.0)).any(axis=0)
 
         step += 1
         t = float(step * dt)
 
         # wealth updates off the diffusion returns (pre-event weights)
         if n_rules:
-            c_pre = np.zeros(p_cnt)
-            for k in range(k_n):
-                c_pre = c_pre + caps2[:, k]
+            c_pre = _col_sum(caps)
         for idx, rl in enumerate(rules):
             if rl.kind == "cash":
                 continue
             if rl.kind == "market":
-                w_pre = caps2 / c_pre[:, None]
-                acc = np.zeros(p_cnt)
-                for k in range(k_n):
-                    acc = acc + w_pre[:, k] * r[:, k]
+                acc = _col_sum((caps / c_pre) * r)
             elif rl.kind == "equal":
                 # padded slots have r exactly 0.0, so no masking is needed
-                inv = 1.0 / n_arr
-                acc = np.zeros(p_cnt)
-                for k in range(k_n):
-                    acc = acc + inv * r[:, k]
+                acc = _col_sum((1.0 / n_arr) * r)
             elif rl.kind == "rank":
-                acc = r[ar_rows, order[:, rl.k]]
+                acc = r[order[rl.k], ar_rows]
             else:  # name
-                acc = r[:, rl.k]
+                acc = r[rl.k]
             v[idx] = v[idx] * np.where(act, 1.0 + acc, 1.0)
 
         # measure-change accumulators
-        dm = np.zeros(p_cnt)
-        for k in range(k_n):
-            dm = dm + ths[:, k] * z[:, k]
+        dm = _col_sum(ths * z)
         m_acc = m_acc + np.where(act, dm, 0.0)
         qv_acc = qv_acc + np.where(act, tables.qrow[n_arr], 0.0)
 
-        caps2 = np.where(act[:, None], new_caps, caps2)
+        caps = new_caps
+        c_tot = _col_sum(caps)
+        x_max = caps.max(axis=0)
 
-        c_tot = np.zeros(p_cnt)
-        x_max = np.full(p_cnt, -np.inf)
-        for k in range(k_n):
-            c_tot = c_tot + caps2[:, k]
-            x_max = np.maximum(x_max, caps2[:, k])
-
-        bad = act & ~(np.isfinite(c_tot) & (c_tot > 0.0))
-        if bad.any():
-            for p in np.nonzero(bad)[0]:
-                status[p] = 2
-                act[p] = False
-                npos[p] = 0
-                upos[p] = 0
+        bad = act & (underflow | ~(np.isfinite(c_tot) & (c_tot > 0.0)))
+        for p in np.nonzero(bad)[0]:
+            _fail(p, 2)
 
         split_flag = act & (x_max >= thr_eff * c_tot)
 
-        u = ubuf[ar_rows, upos]
+        u = uflat.take(clock_row + upos)
         upos = upos + np.where(act, 1, 0)
         ring = act & ~split_flag & (u < tables.pstep[n_arr])
 
@@ -843,7 +860,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             mu1 = x_max / c_tot    # nan on failed paths; masked by `quiet`
         for p in todo:
             if act[p]:
-                mu1[p] = _mu_top(caps2[p, : n_arr[p]])
+                mu1[p] = _mu_top(caps[: n_arr[p], p])
         quiet = act & ~split_flag & ~ring
         qmax = float(np.where(quiet, mu1, 0.0).max()) if quiet.any() else 0.0
         instr.max_sample_weight = max(instr.max_sample_weight, qmax)
@@ -852,9 +869,6 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             _series_rows(step)
 
     # finalize
-    c_tot = np.zeros(p_cnt)
-    for k in range(cap_k):
-        c_tot = c_tot + caps2[:, k]
     log_z = -m_acc - 0.5 * qv_acc
     out = {
         "v": v,
@@ -862,14 +876,14 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         "qv": qv_acc,
         "n": n_arr,
         "max_n": max_n,
-        "total": c_tot,
+        "total": _col_sum(caps),
         "status": status,
         "instr": instr,
         "series": series,
         "events": events_list,
     }
     if run.collect_final_caps:
-        out["caps"] = [caps2[p, : n_arr[p]].copy() for p in range(p_cnt)]
+        out["caps"] = [caps[: n_arr[p], p].copy() for p in range(p_cnt)]
     return out
 
 

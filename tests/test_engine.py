@@ -9,11 +9,15 @@ handling) follows from that plus the per-path stream derivation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from splitmerge.dynamics import MarketState
 from splitmerge.engine import (
     CHUNK,
     EngineRun,
+    _col_sum,
     reference_path,
     run_paths,
     run_until_event,
@@ -48,8 +52,11 @@ def assert_paths_match(
     params, caps0, horizon, seed, res, paths, rules=RULES, stride=50
 ):
     """Field-by-field bit comparison of the batch result against the
-    scalar reference for each path."""
-    for p in range(paths):
+    scalar reference for each path.
+
+    ``paths`` is a path count (paths 0..paths-1) or a list of indices.
+    """
+    for p in range(paths) if isinstance(paths, int) else paths:
         ref = reference_path(
             params, caps0, horizon, seed, p, rules=rules,
             stride=stride, series_cols=(0, 1),
@@ -136,6 +143,53 @@ class TestBitExactness:
             )
         )
         assert_paths_match(params, caps0, 0.3, 23, res, 4, stride=30)
+
+    # Markets wider than 8 slots: there numpy's pairwise sum and the
+    # left-to-right loop part ways, so these pin the reduction order.
+
+    def _wide_run(self, n_paths, horizon):
+        params = make_params(
+            drift=RankTable(-0.4, 0.8), vol=RankTable(1.2, -0.6),
+            clock_c=0.5,
+        )
+        caps0 = 1.0 + np.arange(16) % 5 * 0.5  # ties, so stable ranks matter
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=horizon,
+                n_paths=n_paths, seed=29, rules=RULES, stride=25,
+                series_cols=(0, 1), collect_events=True,
+                collect_final_caps=True,
+            )
+        )
+        return params, caps0, res
+
+    def test_wide_market_single_path(self):
+        params, caps0, res = self._wide_run(1, 0.3)
+        assert_paths_match(params, caps0, 0.3, 29, res, 1, stride=25)
+
+    def test_wide_market_one_path_tail_chunk(self):
+        # the last chunk of CHUNK + 1 paths holds a single path
+        params, caps0, res = self._wide_run(CHUNK + 1, 0.03)
+        assert_paths_match(params, caps0, 0.03, 29, res, [CHUNK], stride=25)
+
+    def test_splits_grow_slots_past_nine(self):
+        # five companies start in 9 slots; a volatile split-prone market
+        # pushes the count past that, so the slot array must grow
+        params = make_params(
+            drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
+            delta=0.16, eps0=0.01, clock_c=0.5,
+        )
+        caps0 = np.array([40.0, 1.0, 1.0, 1.0, 1.0])
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=0.5,
+                n_paths=6, seed=31, rules=RULES, stride=50,
+                series_cols=(0, 1), collect_events=True,
+                collect_final_caps=True,
+            )
+        )
+        assert res.max_n.max() > 9
+        assert_paths_match(params, caps0, 0.5, 31, res, 6)
 
 
 class TestDeterminism:
@@ -258,6 +312,27 @@ class TestFailureModes:
             ref = reference_path(params, caps0, 5.0, 2, p)
             assert ref["status"] == 2
 
+    def test_underflow_flags_status_two_like_reference(self):
+        # caps decay by e^-1 a step until one underflows to 0.0; both
+        # engines must stop the path there, not only when the total fails
+        params = make_params(
+            drift=RankTable(-1000.0, 0.0), vol=RankTable(3.0, 0.0),
+            clock_c=0.0,
+        )
+        caps0 = np.array([1.0, 1.0, 1.0])
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=1.0,
+                n_paths=8, seed=5,
+            )
+        )
+        for p in range(8):
+            ref = reference_path(params, caps0, 1.0, 5, p)
+            assert ref["status"] == int(res.status[p]), p
+            assert ref["n"] == int(res.final_n[p]), p
+            assert ref["max_n"] == int(res.max_n[p]), p
+        assert np.all(res.status == 2)
+
     def test_ok_mask(self):
         params = make_params(clock_c=0.0)
         res = run_paths(
@@ -332,3 +407,56 @@ class TestSeries:
         assert int(row[2]) == 2
         assert 0.0 <= float(row[3]) <= 1.0
         assert float(row[4]) == 1.0 and float(row[6]) == 1.0
+
+
+def _loop_sum(a):
+    """The left-to-right accumulation the column sum must reproduce."""
+    acc = np.zeros(a.shape[1])
+    for k in range(a.shape[0]):
+        acc = acc + a[k]
+    return acc
+
+
+# every float64 class the engine can meet: zeros of both signs,
+# subnormals, huge and tiny normals, infinities and nan
+SPECIAL = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e300, 1.7e308,
+     np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1, 1e16]
+)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+class TestColumnSum:
+    """``_col_sum`` must be the left-to-right loop byte for byte.
+
+    This pins the numpy behaviour the determinism contract rests on: an
+    axis-0 reduction of a company-major array adds rows in order.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 64), st.integers(1, 9)),
+            elements=st.one_of(SPECIAL, FLOATS),
+        )
+    )
+    def test_matches_loop_small(self, a):
+        with np.errstate(all="ignore"):
+            assert _col_sum(a).tobytes() == _loop_sum(a).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 64),
+        cols=st.sampled_from([255, 256, 257, 4095, 4096]),
+        pool=st.lists(st.one_of(SPECIAL, FLOATS), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_wide(self, rows, cols, pool, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.lognormal(0.0, 3.0, size=(rows, cols))
+        a *= rng.choice([-1.0, 1.0], size=a.shape)
+        mask = rng.random(a.shape) < 0.2
+        a[mask] = rng.choice(np.array(pool), size=int(mask.sum()))
+        with np.errstate(all="ignore"):
+            assert _col_sum(a).tobytes() == _loop_sum(a).tobytes()
