@@ -12,158 +12,26 @@ the verification criteria.
 """
 
 from .bounds import (
-    DoubleJumpCollector,
-    DoubleJumpStat,
-    ExplosionBound,
-    TailCurve,
-    TailEstimate,
-    double_jump_alpha1,
-    double_jump_bound,
-    double_jump_bound_ratio_form,
-    estimate_double_jump,
     estimate_split_before_clock,
-    explosion_bound_terms,
-    rate_domain_root,
-    rate_function,
-    rbm_hit_before_exp,
-    simulate_rbm_hit,
     split_before_clock_bound,
     tail_of_max_count,
-    wilson_interval,
 )
-from .config import ConfigError, RunConfig, RunSettings, load_config, parse_rule
-from .dynamics import (
-    MarketState,
-    RankAssignment,
-    assign_ranks,
-    euler_step,
-    excess_growth_rate,
-    market_weights,
-    total_cap,
-)
-from .engine import (
-    EngineResult,
-    EngineRun,
-    Instrumentation,
-    StepTables,
-    reference_path,
-    run_paths,
-    run_until_event,
-)
-from .events import (
-    EventRecord,
-    MergerClock,
-    apply_merger,
-    apply_split,
-    clock_rate,
-    detect_split,
-    draw_split_fraction,
-    merger_suppressed,
-    pair_count,
-    sample_merger_pair,
-    split_children,
-)
-from .girsanov import (
-    GirsanovState,
-    MartingaleResult,
-    martingale_test,
-    theta,
-    theta_row,
-)
-from .harness import (
-    CheckRow,
-    RunReport,
-    simulate_run,
-    verify_all,
-    write_events_jsonl,
-    write_series_csv,
-)
+from .engine import EngineResult, EngineRun, reference_path, run_paths
 from .params import ModelParams, RankTable, SplitDist
-from .portfolio import (
-    PortfolioRule,
-    WealthError,
-    money_market_weight,
-    relative_arbitrage_probe,
-    transfer_on_merger,
-    transfer_on_split,
-    wealth_step,
-)
-from .streams import ALGORITHM_ID, PathStreams, path_generator, path_key
+from .portfolio import PortfolioRule
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALGORITHM_ID",
-    "CheckRow",
-    "ConfigError",
-    "DoubleJumpCollector",
-    "DoubleJumpStat",
     "EngineResult",
     "EngineRun",
-    "EventRecord",
-    "ExplosionBound",
-    "GirsanovState",
-    "Instrumentation",
-    "MarketState",
-    "MartingaleResult",
-    "MergerClock",
     "ModelParams",
-    "PathStreams",
     "PortfolioRule",
-    "RankAssignment",
     "RankTable",
-    "RunConfig",
-    "RunReport",
-    "RunSettings",
     "SplitDist",
-    "StepTables",
-    "TailCurve",
-    "TailEstimate",
-    "WealthError",
-    "apply_merger",
-    "apply_split",
-    "assign_ranks",
-    "clock_rate",
-    "detect_split",
-    "double_jump_alpha1",
-    "double_jump_bound",
-    "double_jump_bound_ratio_form",
-    "draw_split_fraction",
-    "estimate_double_jump",
     "estimate_split_before_clock",
-    "euler_step",
-    "excess_growth_rate",
-    "explosion_bound_terms",
-    "load_config",
-    "market_weights",
-    "martingale_test",
-    "merger_suppressed",
-    "money_market_weight",
-    "pair_count",
-    "parse_rule",
-    "path_generator",
-    "path_key",
-    "rate_domain_root",
-    "rate_function",
-    "rbm_hit_before_exp",
     "reference_path",
-    "relative_arbitrage_probe",
     "run_paths",
-    "run_until_event",
-    "sample_merger_pair",
-    "simulate_rbm_hit",
-    "simulate_run",
     "split_before_clock_bound",
-    "split_children",
     "tail_of_max_count",
-    "theta",
-    "theta_row",
-    "total_cap",
-    "transfer_on_merger",
-    "transfer_on_split",
-    "verify_all",
-    "wealth_step",
-    "wilson_interval",
-    "write_events_jsonl",
-    "write_series_csv",
 ]

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import market_weights
+from .engine import StepTables, _col_sum, rank_step
 from .events import clock_rate
 from .params import ModelParams
 from .streams import PROBE, path_generator
@@ -159,13 +158,14 @@ def estimate_split_before_clock(
     params.require_valid()
     caps0 = np.asarray(initial_caps, dtype=np.float64)
     n = len(caps0)
+    if n > params.n_max:
+        raise ValueError("initial company count exceeds n_max")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0 and max_steps is None:
         raise ValueError("lam == 0 requires max_steps")
     dt = params.dt
-    gdt = params.drift.row(n) * dt
-    ssq = params.vol.row(n) * np.sqrt(np.float64(dt))
+    tables = StepTables.build(params)
     thr = 1.0 - params.delta
 
     hits = 0
@@ -177,25 +177,25 @@ def estimate_split_before_clock(
             eta_steps = np.ceil(eta / dt).astype(np.int64)
         else:
             eta_steps = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-        caps = np.tile(caps0, (m, 1))
+        # company-major, as in the batch engine: caps[k, p]
+        caps = np.repeat(caps0[:, None], m, axis=1)
         alive = np.arange(m)
         step = 0
         while alive.size:
             step += 1
             if max_steps is not None and step > max_steps:
                 break
-            z = gen.standard_normal((alive.size, n))
-            ranks = np.argsort(np.argsort(-caps, axis=1, kind="stable"), axis=1)
-            caps = caps * np.exp(gdt[ranks] + ssq[ranks] * z)
-            tot = caps.sum(axis=1)
-            mu1 = caps.max(axis=1) / tot
+            # path-major draws, transposed: the same stream values per path
+            z = gen.standard_normal((alive.size, n)).T
+            caps = rank_step(caps, n, tables, z)[0]
+            mu1 = caps.max(axis=0) / _col_sum(caps)
             ev = eta_steps[alive]
             hit_now = (mu1 >= thr) & (step <= ev)
             miss_now = ~hit_now & (step >= ev)
             hits += int(np.count_nonzero(hit_now))
             keep = ~(hit_now | miss_now)
             if not keep.all():
-                caps = caps[keep]
+                caps = caps[:, keep]
                 alive = alive[keep]
     return TailEstimate.from_counts(hits, n_paths)
 
@@ -405,27 +405,6 @@ def rate_function(s: float) -> float:
     if s <= 0.0:
         raise ValueError("s must be positive")
     return s - 1.0 - math.log(s)
-
-
-@lru_cache(maxsize=1)
-def rate_domain_root() -> float:
-    """The root s0 in (0, 1/2) of s - 1 - (1/2) log s.
-
-    ``H(s) >= -(1/2) log s`` holds exactly on (0, s0]; the inequality
-    fails beyond it (already at s = 1/2), which is what limits the
-    regime where the explosion tail decays by halving arguments.
-    """
-    f = lambda s: s - 1.0 - 0.5 * math.log(s)
-    lo, hi = 1e-12, 0.5
-    if not (f(lo) > 0.0 and f(hi) < 0.0):
-        raise AssertionError("bracketing failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

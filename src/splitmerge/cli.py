@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import math
 import sys
-import time
 
 from .bounds import (
     double_jump_alpha1,
@@ -31,33 +30,12 @@ from .bounds import (
 from .config import ConfigError, load_config
 from .events import clock_rate
 from .harness import (
-    RunReport,
-    check_conservation,
-    check_diversity,
-    check_double_jump,
-    check_market_identity,
+    ALL_CHECKS,
     check_martingale,
-    check_no_suppressed,
-    check_rbm_oracle,
-    check_split_race,
     check_tail_monotone,
-    check_workers,
-    run_shared,
     simulate_run,
     verify_all,
 )
-from .streams import ALGORITHM_ID
-
-SHARED_CHECKS = ("diversity", "conservation", "suppression", "market-identity")
-SOLO_CHECKS = (
-    "split-race",
-    "rbm-oracle",
-    "double-jump",
-    "tail-monotone",
-    "martingale",
-    "workers",
-)
-ALL_CHECKS = SHARED_CHECKS + SOLO_CHECKS
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -105,52 +83,15 @@ def _cmd_verify(args) -> int:
         if name not in ALL_CHECKS:
             print(f"unknown check {name!r}; choices: {', '.join(ALL_CHECKS)}")
             return 2
-    if not wanted and args.scale == 1.0:
-        report = verify_all(seed=seed, workers=workers)
-    else:
-        report = _verify_selected(
-            wanted or list(ALL_CHECKS), seed, args.scale, workers
-        )
+    report = verify_all(
+        seed=seed, scale=args.scale, workers=workers, checks=wanted or ALL_CHECKS
+    )
     text = report.render()
     print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     return 0 if report.all_passed else 1
-
-
-def _verify_selected(
-    names: list[str], seed: int, scale: float, workers: int
-) -> RunReport:
-    def n(base: int) -> int:
-        return max(256, int(base * scale))
-
-    t0 = time.perf_counter()
-    report = RunReport(seed=seed, algorithm=ALGORITHM_ID)
-    if any(name in SHARED_CHECKS for name in names):
-        params, _, res = run_shared(seed=seed, paths=n(10_000), workers=workers)
-        shared = {
-            "diversity": lambda: check_diversity(params, res),
-            "conservation": lambda: check_conservation(res),
-            "suppression": lambda: check_no_suppressed(params, res),
-            "market-identity": lambda: check_market_identity(res),
-        }
-        for name in SHARED_CHECKS:
-            if name in names:
-                report.rows.append(shared[name]())
-    solo = {
-        "split-race": lambda: check_split_race(seed + 2, n(100_000)),
-        "rbm-oracle": lambda: check_rbm_oracle(seed + 6, n(100_000)),
-        "double-jump": lambda: check_double_jump(seed + 8, n(30_000)),
-        "tail-monotone": lambda: check_tail_monotone(seed + 12, n(100_000), workers),
-        "martingale": lambda: check_martingale(seed + 18, n(100_000)),
-        "workers": lambda: check_workers(seed + 20, max(2 * 4096 + 512, n(10_240))),
-    }
-    for name in SOLO_CHECKS:
-        if name in names:
-            report.rows.append(solo[name]())
-    report.elapsed = time.perf_counter() - t0
-    return report
 
 
 def _cmd_bound_check(args) -> int:

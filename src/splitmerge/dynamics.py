@@ -4,6 +4,12 @@ Ranks are frozen at the start of each step: coefficients are evaluated at the
 step-start ranking and held for the whole step (weak error O(dt), standard
 for rank-based diffusions). Ties rank the lower index better.
 
+``euler_step`` is the scalar step of the reference engine.  The batch
+engine and the split-race probe use the one vectorized step,
+:func:`splitmerge.engine.rank_step`.  The two stay separate on purpose:
+the twin tests hold the vectorized step against this one, which they
+could not do if both ran the same code.
+
 All reductions over companies here and in the engine run left to right
 in company order.  Here they are explicit loops; the batch engine holds
 caps company-major, ``(slots, paths)``, and reduces over axis 0, which
@@ -27,7 +33,6 @@ __all__ = [
     "total_cap",
     "market_weights",
     "euler_step",
-    "excess_growth_rate",
 ]
 
 
@@ -103,21 +108,3 @@ def euler_step(
     if not np.all(np.isfinite(caps)) or not np.all(caps > 0.0):
         raise OverflowError("capitalization left the representable range")
     return MarketState(t=state.t + h, caps=caps)
-
-
-def excess_growth_rate(state: MarketState, params: ModelParams) -> float:
-    """gamma* = (1/2) sum_k sigma(N,k)^2 mu_(k) (1 - mu_(k)).
-
-    Under diversity (mu_(1) <= 1-delta) this is bounded below by
-    sigma0^2 * delta / 2: the ranked weights satisfy
-    sum mu(1-mu) = 1 - sum mu^2 >= 1 - mu_(1) >= delta.
-    """
-    n = state.n
-    w = market_weights(state.caps)
-    order = assign_ranks(state.caps).rank_to_index
-    s = params.vol.row(n)
-    acc = np.float64(0.0)
-    for k in range(n):
-        wk = w[order[k]]
-        acc = acc + s[k] * s[k] * wk * (1.0 - wk)
-    return float(0.5 * acc)

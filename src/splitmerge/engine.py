@@ -16,6 +16,13 @@ Two engines produce the paths:
     counter-based streams and perform floating-point reductions in the
     same order.  The test suite enforces the equality.
 
+:func:`rank_step` is the one vectorized frozen-rank step: the batch
+engine and the split-race probe of :mod:`splitmerge.bounds` both call
+it.  ``euler_step`` stays a separate scalar step on purpose: it is the
+oracle the twin tests hold ``rank_step`` against, and routing it
+through ``rank_step`` would make those tests compare the kernel with
+itself.
+
 Determinism contract
 --------------------
 Results depend only on ``(seed, path index)`` and the run parameters.
@@ -60,7 +67,10 @@ Boundary semantics at each step boundary, in order:
 
 Status codes: 0 ok, 1 company-count explosion, 2 a cap or the total
 capitalization left ``(0, inf)`` (overflow or underflow), 3 portfolio
-wealth hit zero or below.
+wealth hit zero or below.  Within a step a cap out of range is checked
+first, then wealth, then the total.  Long-only rules can reach status
+3: a cap that shrinks by more than a factor 2**-53 in one step has a
+return of exactly -1.0.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import MarketState, assign_ranks, euler_step, market_weights, total_cap
+from .dynamics import MarketState, euler_step, market_weights, total_cap
 from .events import (
     EventRecord,
     apply_merger,
@@ -145,6 +155,31 @@ class StepTables:
         lam = clock_rate_row(params)
         pstep = -np.expm1(-lam * dt)
         return cls(gdt=gdt, ssq=ssq, ths=ths, qrow=qrow, pstep=pstep)
+
+
+def rank_step(
+    caps: np.ndarray, n, tables: StepTables, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frozen-rank diffusion step of a company-major block of paths.
+
+    ``caps`` and ``z`` are ``(slots, paths)``; ``n`` is the company count
+    of each path (an array, or one int for all).  Slots past a path's
+    count must hold 0.0: they rank last and gather the zero padding of
+    ``tables``.  Returns ``(new_caps, order, cell)``: ``order[j, p]`` is
+    the slot holding 0-based rank ``j`` of path ``p`` (stable sort, so
+    ties rank the lower slot better), and ``cell`` is each slot's flat
+    index ``n * width + 1 + rank`` into the raveled ``tables`` arrays.
+    Caps that overflow come back as inf; callers check the range.
+    """
+    order = np.argsort(-caps, axis=0, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[order, np.arange(caps.shape[1])] = np.arange(
+        caps.shape[0], dtype=np.int64
+    )[:, None]
+    cell = (n * tables.gdt.shape[1] + 1) + ranks
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_caps = caps * np.exp(tables.gdt.take(cell) + tables.ssq.take(cell) * z)
+    return new_caps, order, cell
 
 
 # ---------------------------------------------------------------------------
@@ -265,40 +300,27 @@ def _resolve_boundary(
     at this boundary.
     """
     split_fired = False
+    merge_pending = rang
     while True:
         w = market_weights(caps)
         i = detect_split(w, params.delta)
-        if i is None:
+        if i is not None:
+            caps = _apply_one_split(
+                caps, i, float(w[i]), t, path, params, ev_gen, rules, pis, instr, emit
+            )
+            split_fired = True
+            if len(caps) >= params.n_max:
+                return caps, True, True
+            continue
+        if not merge_pending or split_fired:
             break
-        caps = _apply_one_split(
-            caps, i, float(w[i]), t, path, params, ev_gen, rules, pis, instr, emit
-        )
-        split_fired = True
-        if len(caps) >= params.n_max:
-            return caps, True, True
-
-    had_event = split_fired
-    if rang and not split_fired:
-        had_event = True
-        w = market_weights(caps)
+        merge_pending = False
         i, j = sample_merger_pair(caps, ev_gen)
         if merger_suppressed(w, i, j, params.delta):
             instr.suppressed += 1
-            if emit is not None:
-                emit(
-                    EventRecord(
-                        path=path,
-                        t=t,
-                        kind="suppressed_merger",
-                        i=i + 1,
-                        j=j + 1,
-                        xi=None,
-                        n_before=len(caps),
-                        n_after=len(caps),
-                    )
-                )
+            kind, new_caps = "suppressed_merger", caps
         else:
-            new_caps = apply_merger(caps, i, j)
+            kind, new_caps = "merger", apply_merger(caps, i, j)
             instr.mergers += 1
             instr.max_conservation = max(
                 instr.max_conservation, _conservation_err(caps, new_caps)
@@ -309,42 +331,25 @@ def _resolve_boundary(
                     instr.max_transfer, _transfer_err(pis[r], pi_after)
                 )
                 pis[r] = pi_after
-            if emit is not None:
-                emit(
-                    EventRecord(
-                        path=path,
-                        t=t,
-                        kind="merger",
-                        i=i + 1,
-                        j=j + 1,
-                        xi=None,
-                        n_before=len(caps),
-                        n_after=len(new_caps),
-                    )
+        if emit is not None:
+            emit(
+                EventRecord(
+                    path=path,
+                    t=t,
+                    kind=kind,
+                    i=i + 1,
+                    j=j + 1,
+                    xi=None,
+                    n_before=len(caps),
+                    n_after=len(new_caps),
                 )
-            caps = new_caps
-            # defensively re-check the split threshold after the merger;
-            # under delta < 1/6 a merged non-top pair can never reach it
-            while True:
-                w = market_weights(caps)
-                i2 = detect_split(w, params.delta)
-                if i2 is None:
-                    break
-                caps = _apply_one_split(
-                    caps,
-                    i2,
-                    float(w[i2]),
-                    t,
-                    path,
-                    params,
-                    ev_gen,
-                    rules,
-                    pis,
-                    instr,
-                    emit,
-                )
-                if len(caps) >= params.n_max:
-                    return caps, True, True
+            )
+        if kind == "suppressed_merger":
+            break
+        # defensively loop once more to re-check the split threshold after
+        # the merger; under delta < 1/6 a merged non-top pair never reaches it
+        caps = new_caps
+    had_event = split_fired or rang
     if had_event:
         instr.max_sample_weight = max(
             instr.max_sample_weight, float(np.max(market_weights(caps)))
@@ -365,82 +370,6 @@ def _mu_top(caps: np.ndarray) -> float:
         if caps[k] > m:
             m = caps[k]
     return float(m / c)
-
-
-# ---------------------------------------------------------------------------
-# public scalar operation: advance one path until the next event
-
-
-def run_until_event(
-    state: MarketState,
-    params: ModelParams,
-    streams: PathStreams,
-    horizon: float,
-    on_step: Callable[[float, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
-    tables: StepTables | None = None,
-    path: int = 0,
-    instr: Instrumentation | None = None,
-) -> tuple[MarketState, EventRecord | None]:
-    """Advance a single path until its next event or the horizon.
-
-    Applies at most one event and returns ``(new_state, record)``;
-    ``record`` is None when the horizon is reached first.  If the
-    entry state already violates the diversity threshold the split is
-    applied at the entry time without consuming any step randomness
-    (so a freshly constructed concentrated market splits at t=0+, and
-    cascades resolve through repeated calls).
-
-    ``on_step`` is called after each diffusion step as
-    ``on_step(t_after, caps_before, caps_after, noise)`` before any
-    event at that boundary is applied.
-    """
-    params.require_valid()
-    if tables is None:
-        tables = StepTables.build(params)
-    if instr is None:
-        instr = Instrumentation()
-    caps = np.array(state.caps, dtype=np.float64)
-    records: list[EventRecord] = []
-    pis: list[np.ndarray] = []
-
-    w = market_weights(caps)
-    i = detect_split(w, params.delta)
-    if i is not None:
-        caps = _apply_one_split(
-            caps, i, float(w[i]), state.t, path, params, streams.events,
-            (), pis, instr, records.append,
-        )
-        return MarketState(t=state.t, caps=caps), records[0]
-
-    dt = params.dt
-    step = int(round(state.t / dt))
-    last = int(round(horizon / dt))
-    while step < last:
-        n = len(caps)
-        z = streams.noise.standard_normal(n)
-        new_caps = euler_step(MarketState(t=step * dt, caps=caps), params, z).caps
-        step += 1
-        t = step * dt
-        u = float(streams.clock.random())
-        if on_step is not None:
-            on_step(t, caps, new_caps, z)
-        caps = new_caps
-        w = market_weights(caps)
-        i = detect_split(w, params.delta)
-        if i is not None:
-            caps = _apply_one_split(
-                caps, i, float(w[i]), t, path, params, streams.events,
-                (), pis, instr, records.append,
-            )
-            return MarketState(t=t, caps=caps), records[0]
-        if u < tables.pstep[n]:
-            caps, _, _ = _resolve_boundary(
-                caps, t, path, params, streams.events, True,
-                (), pis, instr, records.append,
-            )
-            if records:
-                return MarketState(t=t, caps=caps), records[0]
-    return MarketState(t=last * dt, caps=caps), None
 
 
 # ---------------------------------------------------------------------------
@@ -732,11 +661,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
     ar_rows = np.arange(p_cnt)
     mu1 = np.zeros(p_cnt)
 
-    # flat views: table cell (n, rank + 1) is element n * width + rank + 1,
-    # buffer cell (p, i) is element p * BUF + i
-    width = tables.gdt.shape[1]
-    gdt_flat = tables.gdt.reshape(-1)
-    ssq_flat = tables.ssq.reshape(-1)
+    # flat views: buffer cell (p, i) is element p * BUF + i
     ths_flat = tables.ths.reshape(-1)
     nflat = nbuf.reshape(-1)
     uflat = ubuf.reshape(-1)
@@ -788,20 +713,10 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             ubuf[p] = cgens[p].random(CLOCK_BUF)
             upos[p] = 0
 
-        # ranks frozen over the step: ranks[order[j, p], p] = j
-        order = np.argsort(-caps, axis=0, kind="stable")
-        ranks = np.empty_like(order)
-        ranks[order, ar_rows] = ar_k
-        cell = (n_arr * width + 1) + ranks
-        gdt = gdt_flat.take(cell)
-        ssq = ssq_flat.take(cell)
-        ths = ths_flat.take(cell)
-
         z = nflat.take((noise_row + npos) + ar_k)
         npos = npos + np.where(act, n_arr, 0)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_caps = caps * np.exp(gdt + ssq * z)
+        new_caps, order, cell = rank_step(caps, n_arr, tables, z)
+        ths = ths_flat.take(cell)
         new_caps = np.where(act, new_caps, caps)
 
         pos = caps > 0.0
@@ -809,7 +724,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         np.divide(new_caps, caps, out=r, where=pos)
         r -= 1.0
         # as in euler_step, a company whose cap falls to 0.0 fails the path
-        # (an infinite cap shows in c_tot below)
+        # (an infinite cap shows in x_max below)
         underflow = (pos & ~(new_caps > 0.0)).any(axis=0)
 
         step += 1
@@ -841,7 +756,14 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         c_tot = _col_sum(caps)
         x_max = caps.max(axis=0)
 
-        bad = act & (underflow | ~(np.isfinite(c_tot) & (c_tot > 0.0)))
+        # the reference's order within a step: a cap out of range gives
+        # status 2, else a rule's wealth that is not > 0 gives status 3,
+        # else a total out of range gives status 2
+        cap_out = underflow | (x_max == np.inf)
+        broke = act & ~cap_out & ~(v > 0.0).all(axis=0)
+        bad = act & ~broke & (cap_out | ~(np.isfinite(c_tot) & (c_tot > 0.0)))
+        for p in np.nonzero(broke)[0]:
+            _fail(p, 3)
         for p in np.nonzero(bad)[0]:
             _fail(p, 2)
 

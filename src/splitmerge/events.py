@@ -30,7 +30,6 @@ from .params import ModelParams
 
 __all__ = [
     "EventRecord",
-    "MergerClock",
     "clock_rate",
     "clock_rate_row",
     "detect_split",
@@ -59,19 +58,6 @@ def clock_rate_row(params: ModelParams) -> np.ndarray:
     for n in range(3, params.n_max + 1):
         lam[n] = clock_rate(n, params)
     return lam
-
-
-@dataclass(frozen=True)
-class MergerClock:
-    """Exponential merger clock at rate lambda_N, realized stepwise."""
-
-    rate: float
-
-    def step_ring_probability(self, dt: float) -> float:
-        return float(-np.expm1(-self.rate * dt))
-
-    def rings(self, u: float, dt: float) -> bool:
-        return u < self.step_ring_probability(dt)
 
 
 @dataclass(frozen=True)
@@ -186,9 +172,3 @@ def apply_merger(caps: np.ndarray, i: int, j: int) -> np.ndarray:
     merged = float(caps[i]) + float(caps[j])
     keep = np.concatenate([caps[:i], caps[i + 1 : j], caps[j + 1 :]])
     return np.concatenate([keep, [merged]])
-
-
-def post_split_weight_cap(params: ModelParams) -> float:
-    """1 - delta0: the largest weight reachable immediately after a split at
-    the exact boundary (children <= (1-eps0)(1-delta), others <= delta)."""
-    return (1.0 - params.delta) * (1.0 - params.eps0)

@@ -33,28 +33,10 @@ from .dynamics import MarketState, assign_ranks
 from .params import ModelParams
 
 __all__ = [
-    "theta",
     "theta_row",
-    "theta_table_bound",
     "GirsanovState",
     "accumulate",
-    "martingale_test",
-    "MartingaleResult",
 ]
-
-
-def theta(params: ModelParams, n: int, rank: int, mode: str | None = None) -> float:
-    """Market price of risk for 0-based ``rank`` at company count n."""
-    g = params.drift.value(n, rank)
-    s = params.vol.value(n, rank)
-    if s == 0.0:
-        raise ValueError("theta undefined at sigma = 0")
-    m = params.theta_mode if mode is None else mode
-    if m == "growth":
-        return g / s
-    if m == "martingale":
-        return (g + 0.5 * s * s) / s
-    raise ValueError(f"unknown theta mode {m!r}")
 
 
 def theta_row(params: ModelParams, n: int, mode: str | None = None) -> np.ndarray:
@@ -69,14 +51,6 @@ def theta_row(params: ModelParams, n: int, mode: str | None = None) -> np.ndarra
     if m == "martingale":
         return (g + 0.5 * s * s) / s
     raise ValueError(f"unknown theta mode {m!r}")
-
-
-def theta_table_bound(params: ModelParams, mode: str | None = None) -> float:
-    """C = max |theta| over the whole table; <M>(T) <= C^2 T max N(t)."""
-    c = 0.0
-    for n in range(2, params.n_max + 1):
-        c = max(c, float(np.abs(theta_row(params, n, mode)).max()))
-    return c
 
 
 @dataclass(frozen=True)
@@ -119,56 +93,3 @@ def accumulate(
     for k in range(n):
         dq = dq + th2[k]
     return GirsanovState(m=float(gs.m + dm), qv=float(gs.qv + dq))
-
-
-@dataclass(frozen=True)
-class MartingaleResult:
-    rule_name: str
-    mode: str
-    estimate: float
-    stderr: float
-    paths: int
-
-    @property
-    def within_3se(self) -> bool:
-        return abs(self.estimate - 1.0) <= 3.0 * self.stderr
-
-
-def martingale_test(
-    params: ModelParams,
-    initial_caps,
-    rule,
-    horizon: float,
-    paths: int,
-    seed: int,
-    workers: int = 1,
-) -> MartingaleResult:
-    """Sample mean and standard error of Z(T) V^pi(T) across paths.
-
-    Under the martingale mode the no-arbitrage identity predicts a mean of
-    V^pi(0) = 1 for every bounded rule; the cash rule reduces to the density
-    normalization E[Z(T)] = 1.
-    """
-    from .engine import EngineRun, run_paths
-
-    run = run_paths(
-        EngineRun(
-            params=params,
-            initial_caps=np.asarray(initial_caps, dtype=np.float64),
-            horizon=horizon,
-            n_paths=paths,
-            seed=seed,
-            rules=(rule,),
-            workers=workers,
-        )
-    )
-    zv = np.exp(run.final_log_z) * run.final_wealth[0]
-    est = float(np.mean(zv))
-    se = float(np.std(zv, ddof=1) / math.sqrt(paths))
-    return MartingaleResult(
-        rule_name=rule.name,
-        mode=params.theta_mode,
-        estimate=est,
-        stderr=se,
-        paths=paths,
-    )

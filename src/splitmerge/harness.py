@@ -560,28 +560,49 @@ def check_workers(seed: int = 11, paths: int = 10_240) -> CheckRow:
 # orchestration
 
 
+# the checks that read the shared run, then the ones that make their own
+SHARED_CHECKS = ("diversity", "conservation", "suppression", "market-identity")
+ALL_CHECKS = SHARED_CHECKS + (
+    "split-race",
+    "rbm-oracle",
+    "double-jump",
+    "tail-monotone",
+    "martingale",
+    "workers",
+)
+
+
 def verify_all(
-    seed: int = 11, scale: float = 1.0, workers: int = 1
+    seed: int = 11,
+    scale: float = 1.0,
+    workers: int = 1,
+    checks: tuple[str, ...] | list[str] = ALL_CHECKS,
 ) -> RunReport:
-    """Run every check.  ``scale`` multiplies path counts (use < 1 for a
-    quick smoke run; acceptance uses 1.0)."""
+    """Run the named ``checks`` (default: all) in :data:`ALL_CHECKS`
+    order.  ``scale`` multiplies path counts (use < 1 for a quick smoke
+    run; acceptance uses 1.0).  The shared run is made only when a check
+    that reads it is selected."""
 
     def n(base: int) -> int:
         return max(256, int(base * scale))
 
     t0 = time.perf_counter()
     report = RunReport(seed=seed, algorithm=ALGORITHM_ID)
-    params, _, res = run_shared(seed=seed, paths=n(10_000), workers=workers)
-    report.rows.append(check_diversity(params, res))
-    report.rows.append(check_conservation(res))
-    report.rows.append(check_no_suppressed(params, res))
-    report.rows.append(check_market_identity(res))
-    report.rows.append(check_split_race(seed + 2, n(100_000)))
-    report.rows.append(check_rbm_oracle(seed + 6, n(100_000)))
-    report.rows.append(check_double_jump(seed + 8, n(30_000)))
-    report.rows.append(check_tail_monotone(seed + 12, n(100_000), workers))
-    report.rows.append(check_martingale(seed + 18, n(100_000)))
-    report.rows.append(check_workers(seed + 20, max(2 * 4096 + 512, n(10_240))))
+    if any(name in SHARED_CHECKS for name in checks):
+        params, _, res = run_shared(seed=seed, paths=n(10_000), workers=workers)
+    table = {
+        "diversity": lambda: check_diversity(params, res),
+        "conservation": lambda: check_conservation(res),
+        "suppression": lambda: check_no_suppressed(params, res),
+        "market-identity": lambda: check_market_identity(res),
+        "split-race": lambda: check_split_race(seed + 2, n(100_000)),
+        "rbm-oracle": lambda: check_rbm_oracle(seed + 6, n(100_000)),
+        "double-jump": lambda: check_double_jump(seed + 8, n(30_000)),
+        "tail-monotone": lambda: check_tail_monotone(seed + 12, n(100_000), workers),
+        "martingale": lambda: check_martingale(seed + 18, n(100_000)),
+        "workers": lambda: check_workers(seed + 20, max(2 * 4096 + 512, n(10_240))),
+    }
+    report.rows = [table[name]() for name in ALL_CHECKS if name in checks]
     report.elapsed = time.perf_counter() - t0
     return report
 

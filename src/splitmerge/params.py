@@ -164,8 +164,9 @@ class ModelParams:
 
     @property
     def delta0(self) -> float:
-        """Largest possible market weight immediately after a split at the
-        exact boundary: 1 - (1-delta)(1-eps0)."""
+        """1 - (1-delta)(1-eps0): the largest possible market weight
+        immediately after a split at the exact boundary is 1 - delta0
+        (a child holds at most (1-eps0)(1-delta))."""
         return 1.0 - (1.0 - self.delta) * (1.0 - self.eps0)
 
     def sigma_range(self) -> tuple[float, float]:

@@ -30,12 +30,9 @@ __all__ = [
     "PortfolioRule",
     "WealthError",
     "RULE_KINDS",
-    "money_market_weight",
     "wealth_step",
     "transfer_on_merger",
     "transfer_on_split",
-    "relative_arbitrage_probe",
-    "ArbitrageProbe",
 ]
 
 RULE_KINDS = ("cash", "market", "equal", "rank", "name")
@@ -97,14 +94,6 @@ class PortfolioRule:
         return pi
 
 
-def money_market_weight(pi: np.ndarray) -> float:
-    """pi_0 = 1 - sum_i pi_i (left-to-right sum)."""
-    acc = np.float64(0.0)
-    for k in range(pi.shape[0]):
-        acc = acc + pi[k]
-    return float(1.0 - acc)
-
-
 def wealth_step(v: float, pi: np.ndarray, returns: np.ndarray) -> float:
     """V' = V * (1 + sum pi_i r_i); raises WealthError if V' <= 0."""
     acc = np.float64(0.0)
@@ -145,54 +134,3 @@ def transfer_on_split(
     first = pi[i] * (caps_after[n - 1] / caps_before[i])
     second = pi[i] - first
     return np.concatenate([pi[:i], pi[i + 1 :], [first, second]])
-
-
-@dataclass(frozen=True)
-class ArbitrageProbe:
-    """Empirical comparison of two rules over a fixed horizon."""
-
-    p_ge: float
-    p_gt: float
-    ci_ge: tuple[float, float]
-    ci_gt: tuple[float, float]
-    paths: int
-
-
-def relative_arbitrage_probe(
-    params,
-    initial_caps,
-    rule: PortfolioRule,
-    other: PortfolioRule,
-    horizon: float,
-    paths: int,
-    seed: int,
-) -> ArbitrageProbe:
-    """Monte Carlo frequencies of V^pi(T) >= V^rho(T) and strict >.
-
-    Purely diagnostic: no bounded rule is expected to dominate another with
-    probability one over a finite horizon.
-    """
-    from .bounds import wilson_interval
-    from .engine import EngineRun, run_paths
-
-    run = run_paths(
-        EngineRun(
-            params=params,
-            initial_caps=np.asarray(initial_caps, dtype=np.float64),
-            horizon=horizon,
-            n_paths=paths,
-            seed=seed,
-            rules=(rule, other),
-        )
-    )
-    va = run.final_wealth[0]
-    vb = run.final_wealth[1]
-    ge = int(np.count_nonzero(va >= vb))
-    gt = int(np.count_nonzero(va > vb))
-    return ArbitrageProbe(
-        p_ge=ge / paths,
-        p_gt=gt / paths,
-        ci_ge=wilson_interval(ge, paths),
-        ci_gt=wilson_interval(gt, paths),
-        paths=paths,
-    )

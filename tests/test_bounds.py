@@ -17,7 +17,6 @@ from splitmerge.bounds import (
     estimate_double_jump,
     estimate_split_before_clock,
     explosion_bound_terms,
-    rate_domain_root,
     rate_function,
     rbm_hit_before_exp,
     simulate_rbm_hit,
@@ -196,6 +195,26 @@ class TestSplitRaceEstimator:
                 make_params(), np.array([1.0, 1.0]), 0.0, 10, seed=0
             )
 
+    @pytest.mark.parametrize(
+        "caps0, lam, n_paths, seed, max_steps, hits",
+        [
+            ((3.0, 2.0, 1.0), 4.0, 5000, 1, None, 25),
+            ((3.0, 2.0, 1.0), 0.0, 5000, 2, 3000, 1442),
+            # 4097 paths: the last block holds one path, so the total
+            # runs through the one-column branch of the company sum
+            ((6.0, 1.0, 1.0, 1.0, 1.0, 1.0), 2.0, 4097, 3, None, 64),
+        ],
+    )
+    def test_golden_rank_dependent(self, caps0, lam, n_paths, seed, max_steps, hits):
+        # drift and vol vary by rank, so a wrong rank gather moves the count
+        params = make_params(
+            drift=RankTable(0.0, 0.5), vol=RankTable(1.0, -0.4), delta=0.13
+        )
+        est = estimate_split_before_clock(
+            params, np.array(caps0), lam, n_paths, seed, max_steps=max_steps
+        )
+        assert est.hits == hits
+
 
 class TestDoubleJumpBound:
     def test_frozen_value(self):
@@ -284,17 +303,6 @@ class TestRateFunction:
     def test_positive_elsewhere(self):
         for s in (0.1, 0.5, 0.9, 1.1, 3.0):
             assert rate_function(s) > 0.0
-
-    def test_domain_root(self):
-        s0 = rate_domain_root()
-        assert 0.20 < s0 < 0.21
-        f = lambda s: s - 1.0 - 0.5 * math.log(s)
-        assert abs(f(s0)) < 1e-12
-        # H(s) >= -(1/2) log s holds up to s0 and fails beyond
-        for s in (1e-6, 0.05, s0 * (1.0 - 1e-9)):
-            assert rate_function(s) >= -0.5 * math.log(s) - 1e-12
-        for s in (s0 * 1.01, 0.5):
-            assert rate_function(s) < -0.5 * math.log(s)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from splitmerge.dynamics import (
     MarketState,
     assign_ranks,
     euler_step,
-    excess_growth_rate,
     market_weights,
     total_cap,
 )
@@ -132,27 +131,3 @@ class TestEulerStep:
         s = MarketState(0.0, np.array([1e300, 1.0]))
         with pytest.raises(OverflowError):
             euler_step(s, p, np.zeros(2))
-
-
-class TestExcessGrowth:
-    def test_two_name_equal_weights(self):
-        p = make_params()
-        s = MarketState(0.0, np.array([1.0, 1.0]))
-        assert excess_growth_rate(s, p) == pytest.approx(0.25)
-
-    def test_three_name_example(self):
-        p = make_params()
-        s = MarketState(0.0, np.array([0.5, 0.3, 0.2]))
-        assert excess_growth_rate(s, p) == pytest.approx(0.31)
-
-    def test_diverse_lower_bound(self):
-        p = make_params(vol=RankTable(0.7, 0.6), delta=0.1)
-        s0, _ = p.sigma_range()
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            caps = rng.uniform(0.5, 2.0, size=rng.integers(2, 8))
-            w = market_weights(caps)
-            if w.max() > 1.0 - p.delta:
-                continue
-            g = excess_growth_rate(MarketState(0.0, caps), p)
-            assert g >= s0 * s0 * p.delta / 2.0 - 1e-12

@@ -13,18 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splitmerge.dynamics import MarketState
 from splitmerge.engine import (
     CHUNK,
     EngineRun,
     _col_sum,
     reference_path,
     run_paths,
-    run_until_event,
 )
 from splitmerge.params import ModelParams, RankTable, SplitDist
 from splitmerge.portfolio import PortfolioRule
-from splitmerge.streams import PathStreams
 
 RULES = (
     PortfolioRule("market"),
@@ -231,53 +228,30 @@ class TestDeterminism:
         assert a.instr.mergers == b.instr.mergers
 
 
-class TestRunUntilEvent:
-    def test_no_event_reaches_horizon(self):
-        params = make_params(clock_c=0.0)
-        state = MarketState(0.0, np.array([1.0, 1.0, 1.0]))
-        out, rec = run_until_event(
-            state, params, PathStreams.for_path(2, 0), horizon=0.05
-        )
-        assert rec is None
-        assert out.t == pytest.approx(0.05)
-        assert out.n == 3
-
-    def test_forced_initial_split_fires_at_time_zero(self):
+class TestFirstEvent:
+    def test_first_event_follows_the_model(self):
+        # a concentrated entry market splits first, at t = 0
         params = make_params()
-        state = MarketState(0.0, np.array([19.0, 0.5, 0.5]))  # mu_1 = 0.95
-        out, rec = run_until_event(
-            state, params, PathStreams.for_path(2, 1), horizon=1.0
+        caps0 = np.array([19.0, 0.5, 0.5])  # mu_1 = 0.95
+        first = reference_path(params, caps0, 0.01, 2, 1)["events"][0]
+        assert (first.kind, first.t, first.n_before, first.n_after) == (
+            "split", 0.0, 3, 4,
         )
-        assert rec is not None
-        assert rec.kind == "split"
-        assert rec.t == 0.0
-        assert rec.n_before == 3 and rec.n_after == 4
-        assert out.n == 4
-
-    def test_huge_clock_rate_makes_first_event_a_merger(self):
-        params = make_params(clock_c=1e6 / 3.0, clock_alpha=1.0)
-        hits = 0
-        trials = 400
-        for p in range(trials):
-            state = MarketState(0.0, np.array([1.0, 1.0, 1.0]))
-            _, rec = run_until_event(
-                state, params, PathStreams.for_path(7, p), horizon=1.0
-            )
-            assert rec is not None
-            hits += rec.kind == "merger"
-        assert hits / trials >= 0.99
-
-    def test_zero_rate_only_splits(self):
+        # no clock: every event is a split
         params = make_params(clock_c=0.0)
         kinds = set()
-        for p in range(50):
-            state = MarketState(0.0, np.array([8.0, 0.6, 0.4]))
-            _, rec = run_until_event(
-                state, params, PathStreams.for_path(9, p), horizon=2.0
-            )
-            if rec is not None:
-                kinds.add(rec.kind)
+        for p in range(20):
+            ref = reference_path(params, np.array([8.0, 0.6, 0.4]), 0.5, 9, p)
+            kinds.update(rec.kind for rec in ref["events"])
         assert kinds == {"split"}
+        # a clock that rings almost surely in the first step: a merger first
+        params = make_params(clock_c=1e6 / 3.0, clock_alpha=1.0)
+        caps0 = np.array([1.0, 1.0, 1.0])
+        firsts = [
+            reference_path(params, caps0, 0.002, 7, p)["events"][0].kind
+            for p in range(400)
+        ]
+        assert firsts.count("merger") / len(firsts) >= 0.99
 
 
 class TestFailureModes:
@@ -332,6 +306,40 @@ class TestFailureModes:
             assert ref["n"] == int(res.final_n[p]), p
             assert ref["max_n"] == int(res.max_n[p]), p
         assert np.all(res.status == 2)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            PortfolioRule("rank", 0),
+            PortfolioRule("market"),
+            PortfolioRule("equal"),
+            PortfolioRule("name", 1),
+        ],
+    )
+    @pytest.mark.parametrize("drift, vol, want", [(-40.0, 1.0, 3), (-1000.0, 3.0, 2)])
+    def test_wealth_at_zero_flags_status_three_like_reference(
+        self, rule, drift, vol, want
+    ):
+        # a cap that shrinks by more than a factor 2**-53 in one step has a
+        # return of exactly -1.0, so a long-only rule's wealth reaches 0.0
+        # (status 3); a cap that underflows to 0.0 is checked first (status 2)
+        params = make_params(
+            drift=RankTable(drift, 0.0), vol=RankTable(vol, 0.0), eps0=0.3,
+            clock_c=0.0, dt=1.0,
+        )
+        caps0 = np.array([1.0, 1.0, 1.0])
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=2.0,
+                n_paths=6, seed=5, rules=(rule,),
+            )
+        )
+        for p in range(6):
+            ref = reference_path(params, caps0, 2.0, 5, p, rules=(rule,))
+            assert ref["status"] == int(res.status[p]), p
+            assert ref["n"] == int(res.final_n[p]), p
+            assert ref["max_n"] == int(res.max_n[p]), p
+        assert np.all(res.status == want)
 
     def test_ok_mask(self):
         params = make_params(clock_c=0.0)

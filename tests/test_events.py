@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from splitmerge.engine import StepTables
 from splitmerge.events import (
     EventRecord,
-    MergerClock,
     apply_merger,
     apply_split,
     clock_rate,
@@ -44,12 +44,11 @@ class TestClockRate:
             clock_rate(1, make_params())
 
     def test_ring_probability(self):
-        c = MergerClock(rate=3.0)
-        assert c.step_ring_probability(1e-3) == pytest.approx(
-            -math.expm1(-3e-3)
-        )
-        assert c.rings(0.0, 1e-3)
-        assert not c.rings(0.5, 1e-3)
+        # the engines ring when a step's uniform falls below pstep[N]
+        p = make_params(clock_c=1.0, clock_alpha=1.0, dt=1e-3)
+        pstep = StepTables.build(p).pstep
+        assert pstep[3] == pytest.approx(-math.expm1(-3e-3))
+        assert pstep[2] == 0.0
 
 
 class TestDetectSplit:

@@ -5,14 +5,8 @@ import pytest
 
 from splitmerge.dynamics import MarketState
 from splitmerge.engine import EngineRun, run_paths
-from splitmerge.girsanov import (
-    GirsanovState,
-    accumulate,
-    martingale_test,
-    theta,
-    theta_row,
-    theta_table_bound,
-)
+from splitmerge.girsanov import GirsanovState, accumulate, theta_row
+from splitmerge.harness import _zv_stats
 from splitmerge.params import ModelParams, RankTable
 from splitmerge.portfolio import PortfolioRule
 
@@ -26,33 +20,30 @@ def make_params(**kw):
 class TestTheta:
     def test_growth_mode_is_drift_over_vol(self):
         p = make_params(theta_mode="growth")
-        assert theta(p, 3, 0) == 0.0
+        assert theta_row(p, 3).tolist() == [0.0, 0.0, 0.0]
 
     def test_martingale_mode_includes_ito_term(self):
         p = make_params(theta_mode="martingale")
-        assert theta(p, 3, 0) == 0.5
+        assert theta_row(p, 3).tolist() == [0.5, 0.5, 0.5]
 
     def test_log_drift_cancels_ito_correction(self):
         p = make_params(drift=RankTable(-0.5, 0.0), theta_mode="martingale")
-        assert theta(p, 4, 1) == 0.0
+        assert theta_row(p, 4)[1] == 0.0
 
     def test_mode_override_argument(self):
         p = make_params(theta_mode="martingale")
-        assert theta(p, 3, 0, mode="growth") == 0.0
+        assert theta_row(p, 3, mode="growth").tolist() == [0.0, 0.0, 0.0]
 
     def test_row_matches_scalar(self):
+        # each entry is the scalar formula at that rank, in either mode
         p = make_params(
             drift=RankTable(0.1, 0.3), vol=RankTable(0.8, 0.4)
         )
-        row = theta_row(p, 5)
-        for k in range(5):
-            assert row[k] == theta(p, 5, k)
-
-    def test_table_bound_dominates(self):
-        p = make_params(drift=RankTable(0.1, 0.3), vol=RankTable(0.8, 0.4))
-        c = theta_table_bound(p)
-        for n in range(2, p.n_max + 1):
-            assert np.all(np.abs(theta_row(p, n)) <= c + 1e-15)
+        for k, th in enumerate(theta_row(p, 5, mode="growth")):
+            assert th == p.drift.value(5, k) / p.vol.value(5, k)
+        for k, th in enumerate(theta_row(p, 5)):
+            g, s = p.drift.value(5, k), p.vol.value(5, k)
+            assert th == (g + 0.5 * s * s) / s
 
 
 class TestAccumulate:
@@ -69,7 +60,7 @@ class TestAccumulate:
 
     def test_qv_pathwise_bound(self):
         p = make_params(drift=RankTable(0.2, 0.1), vol=RankTable(0.9, 0.2))
-        c = theta_table_bound(p)
+        c = max(np.abs(theta_row(p, n)).max() for n in range(2, p.n_max + 1))
         gs = GirsanovState()
         rng = np.random.default_rng(1)
         state = MarketState(0.0, np.array([2.0, 1.0, 3.0, 0.5]))
@@ -129,21 +120,25 @@ class TestLognormalZ:
         np.testing.assert_allclose(res.final_qv, var_want, rtol=1e-12)
 
 
+def _zv_estimate(rule, seed):
+    """E[Z V] and its standard error for one rule in an event-active market."""
+    p = make_params(clock_c=2.0, clock_alpha=1.0, eps0=4.0 / 9.0)
+    assert p.theta_mode == "martingale"
+    res = run_paths(
+        EngineRun(
+            params=p, initial_caps=np.array([1.0, 1.0, 2.0]), horizon=0.5,
+            n_paths=4000, seed=seed, rules=(rule,),
+        )
+    )
+    assert res.ok.all()
+    return _zv_stats(res)[1][1:]
+
+
 class TestMartingaleTest:
     def test_cash_rule_estimates_density_normalization(self):
-        p = make_params(clock_c=2.0, clock_alpha=1.0, eps0=4.0 / 9.0)
-        r = martingale_test(
-            p, np.array([1.0, 1.0, 2.0]), PortfolioRule("cash"),
-            horizon=0.5, paths=4000, seed=9,
-        )
-        assert r.rule_name == "cash"
-        assert r.mode == "martingale"
-        assert r.within_3se, (r.estimate, r.stderr)
+        est, se = _zv_estimate(PortfolioRule("cash"), 9)
+        assert abs(est - 1.0) <= 3.0 * se, (est, se)
 
     def test_market_rule(self):
-        p = make_params(clock_c=2.0, clock_alpha=1.0, eps0=4.0 / 9.0)
-        r = martingale_test(
-            p, np.array([1.0, 1.0, 2.0]), PortfolioRule("market"),
-            horizon=0.5, paths=4000, seed=10,
-        )
-        assert r.within_3se, (r.estimate, r.stderr)
+        est, se = _zv_estimate(PortfolioRule("market"), 10)
+        assert abs(est - 1.0) <= 3.0 * se, (est, se)

@@ -5,27 +5,13 @@ import pytest
 
 from splitmerge.dynamics import MarketState, market_weights
 from splitmerge.events import apply_split
-from splitmerge.params import ModelParams, RankTable
 from splitmerge.portfolio import (
     PortfolioRule,
     WealthError,
-    money_market_weight,
-    relative_arbitrage_probe,
     transfer_on_merger,
     transfer_on_split,
     wealth_step,
 )
-
-
-def make_params(**kw):
-    base = dict(
-        drift=RankTable(0.0, 0.0),
-        vol=RankTable(1.0, 0.0),
-        clock_c=2.0,
-        clock_alpha=1.0,
-    )
-    base.update(kw)
-    return ModelParams(**base)
 
 
 STATE = MarketState(0.0, np.array([5.0, 1.0, 4.0]))
@@ -41,12 +27,10 @@ class TestRules:
     def test_cash(self):
         pi = PortfolioRule("cash").weights(STATE)
         assert pi.tolist() == [0.0, 0.0, 0.0]
-        assert money_market_weight(pi) == 1.0
 
     def test_market(self):
         pi = PortfolioRule("market").weights(STATE)
         np.testing.assert_allclose(pi, [0.5, 0.1, 0.4])
-        assert abs(money_market_weight(pi)) <= 1e-12
 
     def test_equal(self):
         pi = PortfolioRule("equal").weights(STATE)
@@ -143,30 +127,3 @@ class TestTransfers:
         spread = transfer_on_split(pi, 1, caps, after)
         back = transfer_on_merger(spread, 2, 3)
         assert sorted(back.tolist()) == sorted(pi.tolist())
-
-
-class TestArbitrageProbe:
-    def test_rule_against_itself(self):
-        p = make_params()
-        probe = relative_arbitrage_probe(
-            p, np.array([1.0, 1.0, 2.0]), PortfolioRule("market"),
-            PortfolioRule("market"), horizon=0.05, paths=64, seed=3,
-        )
-        assert probe.p_ge == 1.0
-        assert probe.p_gt == 0.0
-
-    def test_market_vs_cash_mixed(self):
-        p = make_params()
-        probe = relative_arbitrage_probe(
-            p, np.array([1.0, 1.0, 2.0]), PortfolioRule("market"),
-            PortfolioRule("cash"), horizon=0.5, paths=2000, seed=4,
-        )
-        assert 0.0 < probe.p_gt <= probe.p_ge < 1.0
-
-    def test_no_rule_dominates_market(self):
-        p = make_params()
-        probe = relative_arbitrage_probe(
-            p, np.array([1.0, 1.0, 2.0]), PortfolioRule("equal"),
-            PortfolioRule("market"), horizon=0.5, paths=2000, seed=5,
-        )
-        assert probe.p_ge < 1.0
