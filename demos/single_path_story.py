@@ -31,11 +31,11 @@ out = reference_path(
 print("t        event               N   detail")
 for rec in out["events"]:
     if rec.kind == "split":
-        detail = f"company {rec.i + 1} splits, xi = {rec.xi:.3f}"
+        detail = f"company {rec.i} splits, xi = {rec.xi:.3f}"
     elif rec.kind == "merger":
-        detail = f"companies {rec.i + 1} and {rec.j + 1} merge"
+        detail = f"companies {rec.i} and {rec.j} merge"
     else:
-        detail = f"merger of {rec.i + 1}, {rec.j + 1} suppressed"
+        detail = f"merger of {rec.i}, {rec.j} suppressed"
     print(f"{rec.t:<8.3f} {rec.kind:<18}  {rec.n_after:<3} {detail}")
 
 caps = np.sort(out["caps"])[::-1]

@@ -20,7 +20,9 @@ here quantifies that race:
 Each closed form ships with a Monte Carlo estimator that measures the
 same probability by simulation, so the bounds can be verified rather
 than trusted (``estimate_split_before_clock``, ``simulate_rbm_hit``,
-``estimate_double_jump``, ``tail_of_max_count``).
+``estimate_double_jump``, ``tail_of_max_count``).  The engine-driven
+estimators read only the engine's result (``max_n``, or the events it
+collects), so they run at any worker count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .params import ModelParams
 from .streams import PROBE, path_generator
 
 PROBE_BLOCK = 4096  # paths per probe block; one generator per block
+DOUBLE_JUMP_LEVELS = (3, 4, 5)  # company counts whose entry splits are scored
+DOUBLE_JUMP_MARGIN = 10.0  # a segment opens no later than horizon - this / lambda_N
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +78,10 @@ class TailEstimate:
     ci_high: float
 
     @classmethod
-    def from_counts(cls, hits: int, paths: int, z: float = 3.0) -> "TailEstimate":
+    def from_counts(cls, hits: int, paths: int) -> "TailEstimate":
         phat = hits / paths
         se = math.sqrt(phat * (1.0 - phat) / paths)
-        lo, hi = wilson_interval(hits, paths, z)
+        lo, hi = wilson_interval(hits, paths)
         return cls(hits=hits, paths=paths, phat=phat, se=se, ci_low=lo, ci_high=hi)
 
 
@@ -208,52 +212,45 @@ def simulate_rbm_hit(
     n_paths: int,
     dt: float,
     seed: int,
-    bridge: bool = True,
-    max_steps: int | None = None,
 ) -> TailEstimate:
     """Monte Carlo oracle for :func:`rbm_hit_before_exp`.
 
     Simulates the unreflected walk ``b += sigma_bar sqrt(2 dt) Z`` (the
     reflected process is |b|, so hitting y from inside means exiting
     the interval (-y, y)) and an independent per-step kill with
-    probability ``1 - exp(-lam dt)``.  With ``bridge=True`` a Brownian
-    bridge correction catches within-step crossings of either barrier,
-    removing the O(sqrt(dt)) discretization bias of boundary sampling;
-    ``bridge=False`` keeps the plain biased-low scheme for comparison.
-    Hits take precedence over kills within a step (an O(dt) bias).
+    probability ``1 - exp(-lam dt)``, which needs ``lam > 0`` to end.  The
+    pinned Brownian path between a step's endpoints catches within-step
+    crossings of either barrier, removing the O(sqrt(dt)) discretization
+    bias of boundary sampling.  Hits take precedence over kills within a
+    step (an O(dt) bias).
     """
     if not 0.0 <= x < y:
         raise ValueError("need 0 <= x < y")
     if sigma_bar <= 0.0 or dt <= 0.0:
         raise ValueError("sigma_bar and dt must be positive")
-    if lam <= 0.0 and max_steps is None:
-        raise ValueError("lam <= 0 requires max_steps")
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
     sd = sigma_bar * math.sqrt(2.0 * dt)
     var_step = 2.0 * sigma_bar * sigma_bar * dt
-    pkill = -math.expm1(-lam * dt) if lam > 0.0 else 0.0
+    pkill = -math.expm1(-lam * dt)
 
     hits = 0
     for blk, blk_start in enumerate(range(0, n_paths, PROBE_BLOCK)):
         m = min(PROBE_BLOCK, n_paths - blk_start)
         gen = path_generator(seed, blk, PROBE)
         b = np.full(m, float(x))
-        step = 0
         while b.size:
-            step += 1
-            if max_steps is not None and step > max_steps:
-                break
             z = gen.standard_normal(b.size)
             u_kill = gen.random(b.size)
             u_bridge = gen.random(b.size)
             b_new = b + sd * z
             crossed = np.abs(b_new) >= y
-            if bridge:
-                inside = ~crossed
-                with np.errstate(over="ignore"):
-                    p_up = np.exp(-2.0 * (y - b) * (y - b_new) / var_step)
-                    p_dn = np.exp(-2.0 * (y + b) * (y + b_new) / var_step)
-                    p_cross = 1.0 - (1.0 - p_up) * (1.0 - p_dn)
-                crossed = crossed | (inside & (u_bridge < p_cross))
+            inside = ~crossed
+            with np.errstate(over="ignore"):
+                p_up = np.exp(-2.0 * (y - b) * (y - b_new) / var_step)
+                p_dn = np.exp(-2.0 * (y + b) * (y + b_new) / var_step)
+                p_cross = 1.0 - (1.0 - p_up) * (1.0 - p_dn)
+            crossed = crossed | (inside & (u_bridge < p_cross))
             killed = u_kill < pkill
             hit_now = crossed
             miss_now = ~crossed & killed
@@ -324,51 +321,42 @@ class DoubleJumpStat:
         return math.sqrt(p * (1.0 - p) / self.segments)
 
 
-class DoubleJumpCollector:
-    """Event-sink that scores consecutive-split races.
+def score_double_jumps(
+    events, horizon: float, params: ModelParams
+) -> dict[int, DoubleJumpStat]:
+    """Score consecutive-split races in an engine's event log.
 
-    A segment opens when a path enters level N (one of ``targets``) via
-    a split no later than ``horizon - margin[N]``; it closes at that
+    A segment opens when a path enters level N (one of
+    :data:`DOUBLE_JUMP_LEVELS`) via a split no later than
+    ``horizon - DOUBLE_JUMP_MARGIN / lambda_N``; it closes at that
     path's next event: another split scores a double jump, a merger or
-    a suppressed merger means the clock won.  Segments still open when
-    the run ends are censored and excluded (the margin keeps them
-    rare).  Feed it to ``EngineRun(event_sink=...)`` with workers=1.
+    a suppressed merger means the clock won.  Segments still open at the
+    end of the log are censored and excluded (the margin keeps them
+    rare).  Paths may interleave in ``events``, but each path's records
+    must be in time order, as :attr:`EngineResult.events` holds them.
     """
-
-    def __init__(
-        self,
-        targets: tuple[int, ...],
-        horizon: float,
-        params: ModelParams,
-        margin_factor: float = 10.0,
-    ) -> None:
-        self.stats = {n: DoubleJumpStat(level=n) for n in targets}
-        self.horizon = horizon
-        self.margins = {
-            n: margin_factor / clock_rate(n, params) for n in targets
-        }
-        self._open: dict[int, int] = {}  # path -> level of open segment
-
-    def __call__(self, rec) -> None:
-        path = rec.path
-        lvl = self._open.pop(path, None)
+    stats = {n: DoubleJumpStat(level=n) for n in DOUBLE_JUMP_LEVELS}
+    latest = {
+        n: horizon - DOUBLE_JUMP_MARGIN / clock_rate(n, params)
+        for n in DOUBLE_JUMP_LEVELS
+    }
+    open_level: dict[int, int] = {}  # path -> level of its open segment
+    for rec in events:
+        lvl = open_level.pop(rec.path, None)
         if lvl is not None:
-            st = self.stats[lvl]
+            st = stats[lvl]
             st.segments += 1
             if rec.kind == "split":
                 st.doubles += 1
         if (
             rec.kind == "split"
-            and rec.n_after in self.stats
-            and rec.t <= self.horizon - self.margins[rec.n_after]
+            and rec.n_after in stats
+            and rec.t <= latest[rec.n_after]
         ):
-            self._open[path] = rec.n_after
-
-    def finalize(self) -> dict[int, DoubleJumpStat]:
-        for lvl in self._open.values():
-            self.stats[lvl].censored += 1
-        self._open.clear()
-        return self.stats
+            open_level[rec.path] = rec.n_after
+    for lvl in open_level.values():
+        stats[lvl].censored += 1
+    return stats
 
 
 def estimate_double_jump(
@@ -377,23 +365,23 @@ def estimate_double_jump(
     horizon: float,
     n_paths: int,
     seed: int,
-    targets: tuple[int, ...] = (3, 4, 5),
+    workers: int = 1,
 ) -> dict[int, DoubleJumpStat]:
-    """Run the engine and harvest consecutive-split frequencies."""
+    """Run the engine and score its consecutive-split frequencies."""
     from .engine import EngineRun, run_paths
 
-    collector = DoubleJumpCollector(targets, horizon, params)
-    run_paths(
+    res = run_paths(
         EngineRun(
             params=params,
             initial_caps=np.asarray(initial_caps, dtype=np.float64),
             horizon=horizon,
             n_paths=n_paths,
             seed=seed,
-            event_sink=collector,
+            workers=workers,
+            collect_events=True,
         )
     )
-    return collector.finalize()
+    return score_double_jumps(res.events, horizon, params)
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +403,8 @@ class ExplosionBound:
     lam_high: float  # max clock rate over levels 3 .. 2L-1
 
     @property
-    def sigma1(self) -> float:
-        return math.exp(self.log_sigma1)
-
-    @property
-    def sigma2(self) -> float:
-        return math.exp(self.log_sigma2)
-
-    @property
     def log_total(self) -> float:
         return float(np.logaddexp(self.log_sigma1, self.log_sigma2))
-
-    @property
-    def total(self) -> float:
-        return math.exp(self.log_total)
 
 
 def explosion_bound_terms(
@@ -450,7 +426,8 @@ def explosion_bound_terms(
 
     valid when ``u`` exceeds both ``L`` and ``T lam_high`` (so the
     argument of H lies in (0, 1)).  Everything is computed in logs via
-    ``lgamma``; exponentiation is left to the caller's properties.
+    ``lgamma``, and the sum is ``log_total``; exponentiation is left to
+    the caller.
     """
     params.require_valid()
     if L < 2:

@@ -5,11 +5,12 @@ Subcommands:
     simulate     run the configured market and write series/event files
     verify       run the verification checks (exit 0 iff all pass)
     bound-check  evaluate the closed-form bounds and their identities
-    martingale   run the change-of-measure checks only
-    tail         estimate the tail of the running company count
 
-Every subcommand accepts ``--config PATH`` (INI file, see
-:mod:`splitmerge.config`); command line flags override the file.
+``simulate`` and ``bound-check`` read ``--config PATH`` (INI file, see
+:mod:`splitmerge.config`).  Their other run flags override keys of that
+file: each value is written into the file's text before it is parsed,
+so it passes exactly the checks a value in the file passes.  ``verify``
+builds its own configurations and takes no config file.
 """
 
 from __future__ import annotations
@@ -27,42 +28,35 @@ from .bounds import (
     rate_function,
     split_before_clock_bound,
 )
-from .config import ConfigError, load_config
+from .config import ConfigError, RunConfig, load_config
 from .events import clock_rate
-from .harness import (
-    ALL_CHECKS,
-    check_martingale,
-    check_tail_monotone,
-    simulate_run,
-    verify_all,
-)
+from .harness import ALL_CHECKS, simulate_run, verify_all
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# flags that override a config key: flag name -> (section, key)
+OVERRIDES = {
+    "seed": ("run", "seed"),
+    "paths": ("run", "paths"),
+    "horizon": ("run", "horizon"),
+    "dt": ("model", "dt"),
+    "workers": ("run", "workers"),
+}
+
+
+def _add_config(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--config", help="INI configuration file")
-    p.add_argument("--seed", type=int, help="base seed override")
-    p.add_argument("--paths", type=int, help="path count override")
-    p.add_argument("--horizon", type=float, help="time horizon override")
-    p.add_argument("--dt", type=float, help="step size override")
-    p.add_argument("--workers", type=int, help="process count override")
-    p.add_argument("--out", help="output directory (or report file)")
+    for flag in flags:
+        section, key = OVERRIDES[flag]
+        p.add_argument(f"--{flag}", help=f"override [{section}] {key}")
 
 
-def _load(args) -> "RunConfig":
-    cfg = load_config(args.config)
-    run = cfg.run
-    params = cfg.params
-    if args.seed is not None:
-        run = dataclasses.replace(run, seed=args.seed)
-    if args.paths is not None:
-        run = dataclasses.replace(run, paths=args.paths)
-    if args.horizon is not None:
-        run = dataclasses.replace(run, horizon=args.horizon)
-    if args.workers is not None:
-        run = dataclasses.replace(run, workers=args.workers)
-    if args.dt is not None:
-        params = dataclasses.replace(params, dt=args.dt)
-    return dataclasses.replace(cfg, params=params, run=run)
+def _load(args) -> RunConfig:
+    overrides: dict[str, dict[str, str]] = {}
+    for flag, (section, key) in OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides.setdefault(section, {})[key] = value
+    return load_config(args.config, overrides)
 
 
 def _cmd_simulate(args) -> int:
@@ -76,15 +70,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else 11
-    workers = args.workers if args.workers is not None else 1
+    if args.seed < 0 or args.workers < 1:
+        print("--seed must be nonnegative and --workers at least 1", file=sys.stderr)
+        return 2
     wanted = [s.strip() for s in args.only.split(",")] if args.only else []
     for name in wanted:
         if name not in ALL_CHECKS:
             print(f"unknown check {name!r}; choices: {', '.join(ALL_CHECKS)}")
             return 2
     report = verify_all(
-        seed=seed, scale=args.scale, workers=workers, checks=wanted or ALL_CHECKS
+        seed=args.seed, scale=args.scale, workers=args.workers,
+        checks=wanted or ALL_CHECKS,
     )
     text = report.render()
     print(text)
@@ -151,23 +147,6 @@ def _cmd_bound_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_martingale(args) -> int:
-    seed = args.seed if args.seed is not None else 29
-    paths = args.paths if args.paths is not None else 100_000
-    row = check_martingale(seed=seed, paths=paths)
-    print(row.render())
-    return 0 if row.passed else 1
-
-
-def _cmd_tail(args) -> int:
-    seed = args.seed if args.seed is not None else 23
-    paths = args.paths if args.paths is not None else 100_000
-    workers = args.workers if args.workers is not None else 1
-    row = check_tail_monotone(seed=seed, paths=paths, workers=workers)
-    print(row.render())
-    return 0 if row.passed else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="splitmerge",
@@ -177,11 +156,16 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the configured market")
-    _add_common(p)
+    _add_config(p, "seed", "paths", "horizon", "dt", "workers")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the verification checks")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=11, help="base seed (default 11)")
+    p.add_argument(
+        "--workers", type=int, default=1, help="process count (default 1)"
+    )
+    p.add_argument("--out", help="report file")
     p.add_argument(
         "--scale",
         type=float,
@@ -195,16 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bound-check", help="evaluate the closed-form bounds")
-    _add_common(p)
+    _add_config(p, "horizon")
     p.set_defaults(func=_cmd_bound_check)
-
-    p = sub.add_parser("martingale", help="change-of-measure checks")
-    _add_common(p)
-    p.set_defaults(func=_cmd_martingale)
-
-    p = sub.add_parser("tail", help="tail of the running company count")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tail)
 
     args = parser.parse_args(argv)
     try:

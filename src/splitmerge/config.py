@@ -218,10 +218,17 @@ def parse_config(cp: configparser.ConfigParser) -> RunConfig:
     return RunConfig(params=params, initial_caps=caps, run=run)
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Read an INI file (or use every default when path is None)."""
+def load_config(
+    path: str | None, overrides: dict[str, dict[str, str]] | None = None
+) -> RunConfig:
+    """Read an INI file (or use every default when path is None).
+
+    ``overrides`` maps section -> key -> text; each value replaces the
+    file's before parsing, so it passes the same checks.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if path is not None:
         with open(path) as fh:
             cp.read_file(fh)
+    cp.read_dict(overrides or {})
     return parse_config(cp)

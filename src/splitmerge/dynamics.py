@@ -89,7 +89,6 @@ def euler_step(
     state: MarketState,
     params: ModelParams,
     noise: np.ndarray,
-    dt: float | None = None,
 ) -> MarketState:
     """One frozen-rank update of all log-caps; N and ranks inputs unchanged.
 
@@ -99,7 +98,7 @@ def euler_step(
     n = state.n
     if noise.shape != (n,):
         raise ValueError(f"noise must have shape ({n},)")
-    h = params.dt if dt is None else dt
+    h = params.dt
     ranks = assign_ranks(state.caps).index_to_rank
     g = params.drift.row(n)[ranks]
     s = params.vol.row(n)[ranks]

@@ -386,7 +386,6 @@ def reference_path(
     tables: StepTables | None = None,
     stride: int = 0,
     series_cols: tuple[int, int] | None = None,
-    emit: Callable[[EventRecord], None] | None = None,
 ) -> dict:
     """Simulate one full path with the scalar loop.
 
@@ -401,12 +400,6 @@ def reference_path(
     streams = PathStreams.for_path(seed, path)
     instr = Instrumentation()
     events: list[EventRecord] = []
-
-    def _emit(rec: EventRecord) -> None:
-        events.append(rec)
-        if emit is not None:
-            emit(rec)
-
     caps = np.array(initial_caps, dtype=np.float64)
     rules = tuple(rules)
     v = np.ones(len(rules))
@@ -420,7 +413,8 @@ def reference_path(
     # entry resolution: a concentrated initial market splits at t = 0+
     pis = [rl.weights(MarketState(t=0.0, caps=caps)) for rl in rules]
     caps, exploded, _ = _resolve_boundary(
-        caps, 0.0, path, params, streams.events, False, rules, pis, instr, _emit
+        caps, 0.0, path, params, streams.events, False, rules, pis, instr,
+        events.append,
     )
     max_n = max(max_n, len(caps))
     if exploded:
@@ -432,8 +426,7 @@ def reference_path(
             vm, vp = 1.0, 1.0
         else:
             vm, vp = v[series_cols[0]], v[series_cols[1]]
-        logz = -gs.m - 0.5 * gs.qv
-        z = np.exp(np.float64(logz))
+        z = np.exp(np.float64(gs.log_z))
         return (
             f"{path},{float(step * dt)!r},{len(caps)},{float(mu1)!r},"
             f"{float(vm)!r},{float(vp)!r},{float(z)!r}"
@@ -476,7 +469,8 @@ def reference_path(
 
         pis = [rl.weights(MarketState(t=t, caps=caps)) for rl in rules]
         caps, exploded, had = _resolve_boundary(
-            caps, t, path, params, streams.events, ring, rules, pis, instr, _emit
+            caps, t, path, params, streams.events, ring, rules, pis, instr,
+            events.append,
         )
         max_n = max(max_n, len(caps))
         if exploded:
@@ -487,13 +481,12 @@ def reference_path(
         if stride > 0 and (step % stride == 0 or step == last):
             series.append(_row(step))
 
-    logz = -gs.m - 0.5 * gs.qv
     return {
         "caps": caps,
         "n": len(caps),
         "max_n": max_n,
         "v": v,
-        "log_z": float(logz),
+        "log_z": float(gs.log_z),
         "qv": gs.qv,
         "status": status,
         "events": events,
@@ -514,8 +507,10 @@ class EngineRun:
     ``rules`` are evaluated on every path in one pass.  ``stride > 0``
     collects CSV series rows every ``stride`` steps; ``series_cols``
     picks which two rules fill the market / portfolio value columns.
-    ``event_sink`` receives every EventRecord as it happens (single
-    worker only); ``collect_events`` gathers them into the result.
+    ``collect_events`` gathers every EventRecord into the result: block
+    by block, and within a block step by step in path order, so each
+    path's records are in time order and the list is the same at any
+    worker count.  Without it no record is built.
     """
 
     params: ModelParams
@@ -528,7 +523,6 @@ class EngineRun:
     stride: int = 0
     series_cols: tuple[int, int] | None = None
     collect_events: bool = False
-    event_sink: object = None
     collect_final_caps: bool = False
 
 
@@ -604,14 +598,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
 
     instr = Instrumentation()
     events_list: list[EventRecord] = []
-    sink = run.event_sink
-
-    def _emit(rec: EventRecord) -> None:
-        if run.collect_events:
-            events_list.append(rec)
-        if sink is not None:
-            sink(rec)
-
+    emit = events_list.append if run.collect_events else None
     series: list[str] = []
 
     def _ev_gen(p: int) -> np.random.Generator:
@@ -635,7 +622,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             pis_p = [rl.weights(MarketState(t=t, caps=caps_p)) for rl in rules]
             caps_p, exploded, had = _resolve_boundary(
                 caps_p, t, start + p, params, _ev_gen(p), bool(ring[p]),
-                rules, pis_p, instr, _emit,
+                rules, pis_p, instr, emit,
             )
             n_new = len(caps_p)
             if n_new > cap_k:
@@ -835,8 +822,6 @@ def run_paths(run: EngineRun) -> EngineResult:
     for rl in run.rules:
         if rl.kind in ("rank", "name") and rl.k >= len(caps0):
             raise ValueError(f"rule {rl.name} targets a missing company")
-    if run.event_sink is not None and run.workers > 1:
-        raise ValueError("event_sink requires workers=1")
     if run.series_cols is not None:
         for idx in run.series_cols:
             if not 0 <= idx < len(run.rules):

@@ -39,13 +39,13 @@ __all__ = [
 ]
 
 
-def theta_row(params: ModelParams, n: int, mode: str | None = None) -> np.ndarray:
-    """theta for ranks 1..n (index 0 = rank 1) as a float64 array."""
+def theta_row(params: ModelParams, n: int) -> np.ndarray:
+    """theta in ``params.theta_mode`` for ranks 1..n (index 0 = rank 1)."""
     g = params.drift.row(n)
     s = params.vol.row(n)
     if np.any(s == 0.0):
         raise ValueError("theta undefined at sigma = 0")
-    m = params.theta_mode if mode is None else mode
+    m = params.theta_mode
     if m == "growth":
         return g / s
     if m == "martingale":
@@ -75,12 +75,11 @@ def accumulate(
     state: MarketState,
     params: ModelParams,
     noise: np.ndarray,
-    dt: float | None = None,
 ) -> GirsanovState:
     """Advance the density by one step driven by the same noise vector that
     euler_step consumes on the same pre-step state."""
     n = state.n
-    h = params.dt if dt is None else dt
+    h = params.dt
     ranks = assign_ranks(state.caps).index_to_rank
     th = theta_row(params, n)
     ths = th[ranks] * np.sqrt(h)

@@ -82,12 +82,6 @@ class RankTable:
         k = np.arange(n, dtype=np.float64)
         return self.a + self.b * (k / max(n - 1, 1))
 
-    def value(self, n: int, rank: int) -> float:
-        """Coefficient for 0-based ``rank`` (0 = largest company) at count n."""
-        if not 0 <= rank < n:
-            raise ValueError(f"rank {rank} out of range for N={n}")
-        return float(self.row(n)[rank])
-
     def padded(self, n_max: int) -> np.ndarray:
         """Dense (n_max+1, n_max+2) lookup with zeros outside valid cells.
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from splitmerge.bounds import (
-    DoubleJumpCollector,
     DoubleJumpStat,
     ExplosionBound,
     TailCurve,
@@ -19,11 +18,13 @@ from splitmerge.bounds import (
     explosion_bound_terms,
     rate_function,
     rbm_hit_before_exp,
+    score_double_jumps,
     simulate_rbm_hit,
     split_before_clock_bound,
     tail_of_max_count,
     wilson_interval,
 )
+from splitmerge.engine import CHUNK
 from splitmerge.events import EventRecord, clock_rate
 from splitmerge.params import ModelParams, RankTable
 
@@ -248,7 +249,7 @@ class TestDoubleJumpBound:
             double_jump_bound(0.1, 0.5, 1.0, -1.0)
 
 
-class TestDoubleJumpCollector:
+class TestDoubleJumpScore:
     def rec(self, path, t, kind, n_after):
         return EventRecord(
             path=path, t=t, kind=kind, i=0, j=None, xi=None,
@@ -258,16 +259,17 @@ class TestDoubleJumpCollector:
 
     def test_scores_segments(self):
         params = make_params()  # rate(3) = 6, margin = 10/6
-        col = DoubleJumpCollector((3,), horizon=10.0, params=params)
-        col(self.rec(0, 1.0, "split", 3))          # opens
-        col(self.rec(0, 2.0, "split", 4))          # closes: double
-        col(self.rec(1, 3.0, "split", 3))          # opens
-        col(self.rec(1, 4.0, "merger", 2))         # closes: clock won
-        col(self.rec(4, 1.0, "split", 3))          # opens
-        col(self.rec(4, 2.0, "suppressed_merger", 3))  # closes: clock won
-        col(self.rec(2, 9.0, "split", 3))          # too close to the end
-        col(self.rec(3, 5.0, "split", 3))          # opens, never closes
-        stats = col.finalize()[3]
+        events = [
+            self.rec(0, 1.0, "split", 3),          # opens
+            self.rec(0, 2.0, "split", 4),          # closes: double
+            self.rec(1, 3.0, "split", 3),          # opens
+            self.rec(1, 4.0, "merger", 2),         # closes: clock won
+            self.rec(4, 1.0, "split", 3),          # opens
+            self.rec(4, 2.0, "suppressed_merger", 3),  # closes: clock won
+            self.rec(2, 9.0, "split", 3),          # too close to the end
+            self.rec(3, 5.0, "split", 3),          # opens, never closes
+        ]
+        stats = score_double_jumps(events, 10.0, params)[3]
         assert stats.segments == 3
         assert stats.doubles == 1
         assert stats.censored == 1
@@ -286,7 +288,6 @@ class TestDoubleJumpCollector:
             horizon=2.0,
             n_paths=400,
             seed=41,
-            targets=(4,),
         )[4]
         assert stats.segments >= 300
         bound = double_jump_bound(
@@ -294,6 +295,17 @@ class TestDoubleJumpCollector:
             clock_rate(4, params),
         )
         assert stats.phat <= bound + 3.0 * max(stats.se, 1e-3)
+
+    def test_estimator_is_worker_invariant(self):
+        # two chunks, so workers=2 spreads them over two processes; the
+        # fast clock keeps the margin 10 / lambda_N below the horizon, and
+        # the high volatility makes double jumps common enough to count
+        params = make_params(vol=RankTable(4.0, 0.0), clock_c=10.0)
+        args = (params, np.array([14.0, 0.5, 0.5]), 0.3, CHUNK + 100, 43)
+        one = estimate_double_jump(*args, workers=1)
+        two = estimate_double_jump(*args, workers=2)
+        assert one == two
+        assert one[4].doubles > 0 and one[5].doubles > 0
 
 
 class TestRateFunction:
@@ -317,9 +329,12 @@ class TestExplosionBound:
         assert eb.lam_low == 3.0 and eb.lam_high == 3.0
         assert eb.log_sigma1 == pytest.approx(3.3763727870505065, rel=1e-12)
         assert eb.log_sigma2 == pytest.approx(-0.5794415416798359, rel=1e-12)
-        assert eb.total == pytest.approx(29.824641183196153, rel=1e-12)
+        assert math.exp(eb.log_total) == pytest.approx(
+            29.824641183196153, rel=1e-12
+        )
         assert eb.log_total == pytest.approx(
-            math.log(eb.sigma1 + eb.sigma2), rel=1e-12
+            math.log(math.exp(eb.log_sigma1) + math.exp(eb.log_sigma2)),
+            rel=1e-12,
         )
 
     def test_decays_with_level_for_fast_clocks(self):

@@ -106,15 +106,54 @@ class TestBoundCheck:
 
 class TestMartingale:
     def test_small_run_passes(self, capsys):
-        rc = main(["martingale", "--paths", "2000"])
+        rc = main(["verify", "--only", "martingale", "--scale", "0.02"])
         out = capsys.readouterr().out
-        assert "martingale" in out
+        assert "PASS  martingale" in out
         assert rc == 0, out
 
 
 class TestTail:
     def test_small_run_passes(self, capsys):
-        rc = main(["tail", "--paths", "2000"])
+        rc = main(["verify", "--only", "tail-monotone", "--scale", "0.02"])
         out = capsys.readouterr().out
-        assert "tail" in out
+        assert "PASS  tail-monotone" in out
         assert rc == 0, out
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["simulate", "--horizon", "-1"], "horizon must be positive"),
+            (["simulate", "--paths", "0"], "paths must be positive"),
+            (["simulate", "--paths", "many"], "[run] paths = 'many'"),
+            (["simulate", "--dt", "-1"], "dt must be > 0"),
+            (["simulate", "--seed", "-3"], "seed must be nonnegative"),
+            (["simulate", "--workers", "0"], "workers must be at least 1"),
+            (["verify", "--config", "x"], "unrecognized arguments: --config"),
+            (["verify", "--seed", "-3"], "--seed must be nonnegative"),
+            (["bound-check", "--paths", "5"], "unrecognized arguments: --paths"),
+            (["martingale"], "invalid choice: 'martingale'"),
+            (["tail"], "invalid choice: 'tail'"),
+        ],
+    )
+    def test_bad_flag_exits_two_naming_the_problem(self, argv, problem, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line itself
+            rc = exc.code
+        assert rc == 2
+        assert problem in capsys.readouterr().err
+
+    def test_flag_equals_the_same_value_in_the_file(self, tmp_path, capsys):
+        flags = write_cfg(tmp_path, TINY)
+        assert main(["simulate", "--config", flags, "--seed", "9",
+                     "--horizon", "0.03", "--dt", "0.002"]) == 0
+        via_flags = capsys.readouterr().out
+        text = TINY.replace("seed = 5", "seed = 9").replace(
+            "horizon = 0.05", "horizon = 0.03"
+        ).replace("[model]", "[model]\ndt = 0.002")
+        p = tmp_path / "same.cfg"
+        p.write_text(text)
+        assert main(["simulate", "--config", str(p)]) == 0
+        assert capsys.readouterr().out == via_flags

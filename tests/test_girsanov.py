@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,19 +31,22 @@ class TestTheta:
         p = make_params(drift=RankTable(-0.5, 0.0), theta_mode="martingale")
         assert theta_row(p, 4)[1] == 0.0
 
-    def test_mode_override_argument(self):
+    def test_mode_follows_params(self):
         p = make_params(theta_mode="martingale")
-        assert theta_row(p, 3, mode="growth").tolist() == [0.0, 0.0, 0.0]
+        growth = dataclasses.replace(p, theta_mode="growth")
+        assert theta_row(growth, 3).tolist() == [0.0, 0.0, 0.0]
 
     def test_row_matches_scalar(self):
         # each entry is the scalar formula at that rank, in either mode
         p = make_params(
             drift=RankTable(0.1, 0.3), vol=RankTable(0.8, 0.4)
         )
-        for k, th in enumerate(theta_row(p, 5, mode="growth")):
-            assert th == p.drift.value(5, k) / p.vol.value(5, k)
+        growth = dataclasses.replace(p, theta_mode="growth")
+        g_row, s_row = p.drift.row(5), p.vol.row(5)
+        for k, th in enumerate(theta_row(growth, 5)):
+            assert th == g_row[k] / s_row[k]
         for k, th in enumerate(theta_row(p, 5)):
-            g, s = p.drift.value(5, k), p.vol.value(5, k)
+            g, s = g_row[k], s_row[k]
             assert th == (g + 0.5 * s * s) / s
 
 
@@ -54,7 +58,7 @@ class TestAccumulate:
         rng = np.random.default_rng(0)
         state = MarketState(0.0, np.array([2.0, 1.0, 3.0]))
         for _ in range(50):
-            gs = accumulate(gs, state, p, rng.standard_normal(3), p.dt)
+            gs = accumulate(gs, state, p, rng.standard_normal(3))
         assert gs.log_z == 0.0
         assert gs.z == 1.0
 
@@ -66,7 +70,7 @@ class TestAccumulate:
         state = MarketState(0.0, np.array([2.0, 1.0, 3.0, 0.5]))
         steps = 200
         for _ in range(steps):
-            gs = accumulate(gs, state, p, rng.standard_normal(4), p.dt)
+            gs = accumulate(gs, state, p, rng.standard_normal(4))
         horizon = steps * p.dt
         assert gs.qv <= c * c * horizon * 4 + 1e-12
         assert gs.qv > 0.0
@@ -79,7 +83,7 @@ class TestAccumulate:
             gs = GirsanovState()
             rng = np.random.default_rng(7)
             for _ in range(20):
-                gs = accumulate(gs, state, p, rng.standard_normal(2), p.dt)
+                gs = accumulate(gs, state, p, rng.standard_normal(2))
             return gs
 
         a, b = run(), run()

@@ -131,10 +131,25 @@ class TestSimulateRun:
         cfg = self.cfg(tmp_path)
         _, summary = simulate_run(cfg, None)
         assert set(summary) == {
-            "paths", "ok_paths", "exploded", "overflowed", "splits",
-            "mergers", "suppressed", "mean_final_n", "mean_v_market",
-            "mean_v_portfolio",
+            "paths", "ok_paths", "exploded", "overflowed", "wealth_zero",
+            "splits", "mergers", "suppressed", "mean_final_n",
+            "mean_v_market", "mean_v_portfolio",
         }
+
+    def test_status_counts_add_up_with_wealth_at_zero(self, tmp_path):
+        # a cap that shrinks by more than 2**-53 in one step has a return
+        # of exactly -1.0, so the equal-weight wealth hits 0.0 (status 3)
+        p = tmp_path / "broke.cfg"
+        p.write_text(
+            "[model]\ndrift_a = -40\nvol_a = 1\ndelta = 0.1\neps0 = 0.3\n"
+            "clock_c = 0\ndt = 1.0\n[initial]\ncaps = 1, 1, 1\n"
+            "[run]\nhorizon = 2\npaths = 6\nseed = 5\nportfolio = equal\n"
+        )
+        _, summary = simulate_run(load_config(str(p)), None)
+        assert summary["wealth_zero"] == 6
+        assert summary["ok_paths"] + summary["exploded"] + summary[
+            "overflowed"
+        ] + summary["wealth_zero"] == summary["paths"]
 
     def test_wealth_columns_start_at_one(self, tmp_path):
         out = tmp_path / "out2"

@@ -31,13 +31,6 @@ class TestRankTable:
         with pytest.raises(ValueError):
             RankTable(0.0, 0.0, overrides={3: (1.0, 2.0)}).row(3)
 
-    def test_value_bounds(self):
-        t = RankTable(1.0, 1.0)
-        assert t.value(3, 0) == 1.0
-        assert t.value(3, 2) == 2.0
-        with pytest.raises(ValueError):
-            t.value(3, 3)
-
     def test_padded_layout(self):
         t = RankTable(1.0, 1.0)
         tab = t.padded(5)
