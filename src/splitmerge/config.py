@@ -23,7 +23,7 @@ minimal valid file is empty::
     caps = 1, 1, 1         ; or: n = 3 (that many unit caps)
 
     [run]
-    horizon = 1.0
+    horizon = 1.0          ; a whole number of steps of dt
     paths = 1000
     seed = 7
     workers = 1
@@ -37,6 +37,7 @@ All problems are collected and reported together in a single
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +198,20 @@ def parse_config(cp: configparser.ConfigParser) -> RunConfig:
         stride=gr("stride", _to_int, 0),
         portfolio=rule,
     )
-    if run.horizon <= 0.0:
+    if not run.horizon > 0.0:
         problems.append("[run] horizon must be positive")
+    elif params.dt > 0.0:
+        # the engines run round(horizon / dt) steps; a horizon that is not
+        # a whole number of steps would be rounded silently
+        ratio = run.horizon / params.dt
+        if not math.isfinite(ratio):
+            problems.append("[run] horizon must be finite")
+        elif round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
+            problems.append(
+                f"[run] horizon = {run.horizon!r} is not a whole number of "
+                f"steps of dt = {params.dt!r}; it would round to "
+                f"{round(ratio)} steps"
+            )
     if run.paths <= 0:
         problems.append("[run] paths must be positive")
     if run.workers < 1:
@@ -224,11 +237,18 @@ def load_config(
     """Read an INI file (or use every default when path is None).
 
     ``overrides`` maps section -> key -> text; each value replaces the
-    file's before parsing, so it passes the same checks.
+    file's before parsing, so it passes the same checks.  A file that
+    cannot be opened is a :class:`ConfigError` naming it.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if path is not None:
-        with open(path) as fh:
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise ConfigError(
+                [f"cannot read config file {path!r}: {exc.strerror}"]
+            ) from exc
+        with fh:
             cp.read_file(fh)
     cp.read_dict(overrides or {})
     return parse_config(cp)

@@ -21,6 +21,7 @@ for a single path, where numpy would sum pairwise.  See
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,14 +39,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarketState:
-    """Time t and the strictly positive capitalization vector X_1..X_N."""
+    """Time t and the strictly positive capitalization vector X_1..X_N.
+
+    ``caps`` is an array for :func:`euler_step` and :meth:`check`, and a
+    list of Python floats where events are resolved.
+    """
 
     t: float
-    caps: np.ndarray
+    caps: Sequence[float] | np.ndarray
 
     @property
     def n(self) -> int:
-        return int(self.caps.shape[0])
+        return len(self.caps)
 
     def check(self) -> "MarketState":
         if self.caps.ndim != 1 or self.n < 2:
@@ -72,17 +77,22 @@ def assign_ranks(caps: np.ndarray) -> RankAssignment:
     return RankAssignment(rank_to_index=rti, index_to_rank=itr)
 
 
-def total_cap(caps: np.ndarray) -> np.float64:
-    """Left-to-right sum of caps (bit-stable reduction order)."""
-    acc = np.float64(0.0)
-    for k in range(caps.shape[0]):
-        acc = acc + caps[k]
+def total_cap(caps: Sequence[float]) -> float:
+    """Left-to-right sum of caps (bit-stable reduction order).
+
+    An explicit loop from 0.0: the built-in ``sum()`` of Python 3.12 and
+    later compensates rounding, which would change the bits.
+    """
+    acc = 0.0
+    for x in caps:
+        acc = acc + x
     return acc
 
 
-def market_weights(caps: np.ndarray) -> np.ndarray:
+def market_weights(caps: Sequence[float]) -> list[float]:
     """mu_i = X_i / sum_j X_j."""
-    return caps / total_cap(caps)
+    c = total_cap(caps)
+    return [x / c for x in caps]
 
 
 def euler_step(

@@ -43,6 +43,24 @@ sums that pairwise, which differs from the loop from about 9 slots up,
 so that case runs the loop explicitly.  A test pins the reduction
 against the loop byte for byte, nan and signed zeros included.
 
+Events are resolved on lists of Python floats, in both engines, by the
+one resolver :func:`_resolve_boundary` and the helpers it calls: a
+boundary touches a handful of companies, where a numpy call on a tiny
+array costs more than the arithmetic.  The batch engine reads the
+columns it resolves into lists and writes them back in one block per
+step.  The results stay bit-identical to array arithmetic because the
+same IEEE operations run in the same order:
+
+* totals are explicit left-to-right loops from ``0.0``, never the
+  built-in ``sum()``, which from Python 3.12 compensates rounding;
+* the top company is the first maximum, ``xs.index(max(xs))``, as
+  ``argmax`` picks it;
+* the ``rank`` rule orders companies by
+  ``sorted(range(n), key=caps.__getitem__, reverse=True)``; a reverse
+  sort keeps ties in index order, as a stable argsort of ``-caps`` does;
+* the overshoot keeps ``np.log``/``np.log1p`` and the conservation
+  audit ``np.spacing``.
+
 Per step, an alive path with ``n`` companies consumes exactly ``n``
 standard normals from its noise stream and exactly one uniform from
 its clock stream (the uniform is consumed even on steps where a split
@@ -222,15 +240,15 @@ class Instrumentation:
         self.max_transfer = max(self.max_transfer, other.max_transfer)
 
 
-def _conservation_err(before: np.ndarray, after: np.ndarray) -> float:
+def _conservation_err(before: list[float], after: list[float]) -> float:
     """Total-cap change across an event, in units of ulp(total before)."""
-    sb = math.fsum(before.tolist())
-    sa = math.fsum(after.tolist())
+    sb = math.fsum(before)
+    sa = math.fsum(after)
     return abs(sa - sb) / np.spacing(sb)
 
 
-def _transfer_err(pi_before: np.ndarray, pi_after: np.ndarray) -> float:
-    return abs(math.fsum(pi_after.tolist()) - math.fsum(pi_before.tolist()))
+def _transfer_err(pi_before: list[float], pi_after: list[float]) -> float:
+    return abs(math.fsum(pi_after) - math.fsum(pi_before))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +256,7 @@ def _transfer_err(pi_before: np.ndarray, pi_after: np.ndarray) -> float:
 
 
 def _apply_one_split(
-    caps: np.ndarray,
+    caps: list[float],
     i: int,
     w_i: float,
     t: float,
@@ -246,10 +264,10 @@ def _apply_one_split(
     params: ModelParams,
     ev_gen: np.random.Generator,
     rules: Sequence[PortfolioRule],
-    pis: list[np.ndarray],
+    pis: list[list[float]],
     instr: Instrumentation,
     emit: Callable[[EventRecord], None] | None,
-) -> np.ndarray:
+) -> list[float]:
     instr.max_overshoot = max(
         instr.max_overshoot, float(np.log(w_i) - np.log1p(-params.delta))
     )
@@ -280,19 +298,20 @@ def _apply_one_split(
 
 
 def _resolve_boundary(
-    caps: np.ndarray,
+    caps: list[float],
     t: float,
     path: int,
     params: ModelParams,
     ev_gen: np.random.Generator,
     rang: bool,
     rules: Sequence[PortfolioRule],
-    pis: list[np.ndarray],
+    pis: list[list[float]],
     instr: Instrumentation,
     emit: Callable[[EventRecord], None] | None,
-) -> tuple[np.ndarray, bool, bool]:
+) -> tuple[list[float], bool, bool]:
     """Resolve all events at one step boundary.
 
+    ``caps`` is a list of Python floats, and so is each of ``pis``.
     Returns ``(caps, exploded, had_event)``.  ``pis`` (per-rule portfolio
     weight vectors in company order) is mutated in place alongside the
     renaming.  Splits cascade until the top weight is below the
@@ -306,7 +325,7 @@ def _resolve_boundary(
         i = detect_split(w, params.delta)
         if i is not None:
             caps = _apply_one_split(
-                caps, i, float(w[i]), t, path, params, ev_gen, rules, pis, instr, emit
+                caps, i, w[i], t, path, params, ev_gen, rules, pis, instr, emit
             )
             split_fired = True
             if len(caps) >= params.n_max:
@@ -352,24 +371,35 @@ def _resolve_boundary(
     had_event = split_fired or rang
     if had_event:
         instr.max_sample_weight = max(
-            instr.max_sample_weight, float(np.max(market_weights(caps)))
+            instr.max_sample_weight, max(market_weights(caps))
         )
     return caps, False, had_event
 
 
-def _mu_top(caps: np.ndarray) -> float:
+def _mu_top(caps: Sequence[float]) -> float:
     """Top market weight as max(caps)/total, both via explicit loops.
 
     This is the exact expression the batch engine evaluates per step, so
     the scalar engine uses it too wherever the value is recorded.
     """
-    c = np.float64(0.0)
-    m = np.float64(-np.inf)
-    for k in range(len(caps)):
-        c = c + caps[k]
-        if caps[k] > m:
-            m = caps[k]
+    c = 0.0
+    m = -math.inf
+    for x in caps:
+        c = c + x
+        if x > m:
+            m = x
     return float(m / c)
+
+
+def _step_count(horizon: float, dt: float) -> int:
+    """Steps a run takes: ``horizon / dt`` rounded, and at least one."""
+    last = int(round(horizon / dt))
+    if last < 1:
+        raise ValueError(
+            f"horizon {horizon!r} is under half a step of dt = {dt!r}, "
+            "so no step would run"
+        )
+    return last
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +436,20 @@ def reference_path(
     gs = GirsanovState()
     status = 0
     dt = params.dt
-    last = int(round(horizon / dt))
+    last = _step_count(horizon, dt)
     max_n = len(caps)
     series: list[str] = []
 
-    # entry resolution: a concentrated initial market splits at t = 0+
-    pis = [rl.weights(MarketState(t=0.0, caps=caps)) for rl in rules]
-    caps, exploded, _ = _resolve_boundary(
-        caps, 0.0, path, params, streams.events, False, rules, pis, instr,
+    # entry resolution: a concentrated initial market splits at t = 0+;
+    # events are resolved on lists, the diffusion runs on arrays
+    caps_l = caps.tolist()
+    state = MarketState(t=0.0, caps=caps_l)
+    pis = [rl.weights(state) for rl in rules]
+    caps_l, exploded, _ = _resolve_boundary(
+        caps_l, 0.0, path, params, streams.events, False, rules, pis, instr,
         events.append,
     )
+    caps = np.array(caps_l)
     max_n = max(max_n, len(caps))
     if exploded:
         status = 1
@@ -441,7 +475,7 @@ def reference_path(
         state_before = MarketState(t=step * dt, caps=caps)
         # the rules are functions of the current state; rebalance happens
         # every step, so weights are recomputed rather than carried
-        pis = [rl.weights(state_before) for rl in rules]
+        pis = [np.array(rl.weights(state_before)) for rl in rules]
         z = streams.noise.standard_normal(n)
         try:
             new_caps = euler_step(state_before, params, z).caps
@@ -467,11 +501,14 @@ def reference_path(
             status = 2
             break
 
-        pis = [rl.weights(MarketState(t=t, caps=caps)) for rl in rules]
-        caps, exploded, had = _resolve_boundary(
-            caps, t, path, params, streams.events, ring, rules, pis, instr,
+        caps_l = caps.tolist()
+        state = MarketState(t=t, caps=caps_l)
+        pis = [rl.weights(state) for rl in rules]
+        caps_l, exploded, had = _resolve_boundary(
+            caps_l, t, path, params, streams.events, ring, rules, pis, instr,
             events.append,
         )
+        caps = np.array(caps_l)
         max_n = max(max_n, len(caps))
         if exploded:
             status = 1
@@ -568,7 +605,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
     rules = run.rules
     n_rules = len(rules)
     dt = params.dt
-    last = int(round(run.horizon / dt))
+    last = _step_count(run.horizon, dt)
     p_cnt = stop - start
     n0 = len(run.initial_caps)
     n_max = params.n_max
@@ -614,32 +651,47 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         npos[p] = 0
         upos[p] = 0
 
-    def _resolve_paths(paths: np.ndarray, ring: np.ndarray, t: float) -> None:
+    def _resolve_paths(
+        paths: np.ndarray, ring: np.ndarray, t: float
+    ) -> list[float]:
+        """Resolve the boundary of each path in ``paths``, in order.
+
+        The columns are read into lists in one batch and written back in
+        one block.  Returns each path's top weight after the boundary.
+        """
         nonlocal caps, cap_k
-        for p in paths:
-            n_p = int(n_arr[p])
-            caps_p = caps[:n_p, p].copy()
-            pis_p = [rl.weights(MarketState(t=t, caps=caps_p)) for rl in rules]
-            caps_p, exploded, had = _resolve_boundary(
-                caps_p, t, start + p, params, _ev_gen(p), bool(ring[p]),
+        cols = caps[:, paths].T.tolist()
+        done: list[list[float]] = []
+        mu: list[float] = []
+        for p, caps_p, n_p, rang in zip(
+            paths.tolist(), cols, n_arr[paths].tolist(), ring[paths].tolist()
+        ):
+            del caps_p[n_p:]
+            state = MarketState(t=t, caps=caps_p)
+            pis_p = [rl.weights(state) for rl in rules]
+            caps_p, exploded, _ = _resolve_boundary(
+                caps_p, t, start + p, params, _ev_gen(p), rang,
                 rules, pis_p, instr, emit,
             )
-            n_new = len(caps_p)
-            if n_new > cap_k:
-                grow = min(n_max, max(n_new, cap_k + 4))
-                caps = np.vstack([caps, np.zeros((grow - cap_k, p_cnt))])
-                cap_k = grow
-            caps[:, p] = 0.0
-            caps[:n_new, p] = caps_p
-            n_arr[p] = n_new
-            if n_new > max_n[p]:
-                max_n[p] = n_new
             if exploded:
                 _fail(p, 1)
+            done.append(caps_p)
+            mu.append(_mu_top(caps_p))
+        n_new = np.array([len(c) for c in done])
+        widest = int(n_new.max())
+        if widest > cap_k:
+            grow = min(n_max, max(widest, cap_k + 4))
+            caps = np.vstack([caps, np.zeros((grow - cap_k, p_cnt))])
+            cap_k = grow
+        block = [c + [0.0] * (cap_k - len(c)) for c in done]
+        caps[:, paths] = np.array(block).T
+        n_arr[paths] = n_new
+        max_n[paths] = np.maximum(max_n[paths], n_new)
+        return mu
 
     # entry resolution at t = 0 (same initial caps on every path, so the
     # check is done once; the per-path resolution still draws its own xi)
-    w0 = market_weights(np.asarray(run.initial_caps, dtype=np.float64))
+    w0 = market_weights(caps[:n0, 0].tolist())
     if detect_split(w0, params.delta) is not None:
         _resolve_paths(
             np.arange(p_cnt), np.zeros(p_cnt, dtype=bool), 0.0
@@ -760,16 +812,13 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         upos = upos + np.where(act, 1, 0)
         ring = act & ~split_flag & (u < tables.pstep[n_arr])
 
-        todo = np.nonzero(split_flag | ring)[0]
-        if todo.size:
-            _resolve_paths(todo, ring, t)
-            # ranks/caps changed for those paths; recompute their mu1 below
-
         with np.errstate(invalid="ignore"):
             mu1 = x_max / c_tot    # nan on failed paths; masked by `quiet`
-        for p in todo:
-            if act[p]:
-                mu1[p] = _mu_top(caps[: n_arr[p], p])
+        todo = np.nonzero(split_flag | ring)[0]
+        if todo.size:
+            # caps changed on those paths (a path that exploded is
+            # failed, so its value is never read)
+            mu1[todo] = _resolve_paths(todo, ring, t)
         quiet = act & ~split_flag & ~ring
         qmax = float(np.where(quiet, mu1, 0.0).max()) if quiet.any() else 0.0
         instr.max_sample_weight = max(instr.max_sample_weight, qmax)
@@ -815,6 +864,7 @@ def run_paths(run: EngineRun) -> EngineResult:
     run.params.require_valid()
     if run.n_paths <= 0:
         raise ValueError("n_paths must be positive")
+    _step_count(run.horizon, run.params.dt)
     caps0 = np.asarray(run.initial_caps, dtype=np.float64)
     MarketState(t=0.0, caps=caps0).check()
     if len(caps0) >= run.params.n_max:

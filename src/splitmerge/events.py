@@ -4,8 +4,12 @@ Renaming keeps the written 1-based position semantics: a split at position i
 removes that company and appends its two children at positions N and N+1
 (sizes xi*X_i and the exact remainder X_i - xi*X_i); a merger of i < j
 removes both and appends their sum at position N-1. Positions between shift
-left to close the gaps. Arrays here are 0-based; the event log serializes
+left to close the gaps. Indices here are 0-based; the event log serializes
 1-based positions.
+
+The helpers take sequences of Python floats (lists, in the engines) and
+return lists: a boundary touches a handful of companies, where a numpy
+call on so small an array costs more than the arithmetic.
 
 The exact-remainder child makes total capitalization conservation exact: with
 xi in [1/2, 1-eps0] the subtraction X_i - xi*X_i is exact (Sterbenz), so the
@@ -23,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -90,13 +95,13 @@ class EventRecord:
         )
 
 
-def detect_split(weights: np.ndarray, delta: float) -> int | None:
+def detect_split(weights: Sequence[float], delta: float) -> int | None:
     """0-based index of the (unique) company with mu_i >= 1 - delta, if any.
 
     At most one index can qualify since 1 - delta > 1/2. Detection is
     post-step first crossing, so the weight may overshoot by O(sqrt(dt)).
     """
-    i = int(np.argmax(weights))
+    i = weights.index(max(weights))
     if weights[i] >= 1.0 - delta:
         return i
     return None
@@ -115,13 +120,13 @@ def split_children(cap: float, xi: float) -> tuple[float, float]:
     return first, cap - first
 
 
-def apply_split(caps: np.ndarray, i: int, xi: float) -> np.ndarray:
+def apply_split(caps: Sequence[float], i: int, xi: float) -> list[float]:
     """Replace company i by children of fractions xi and 1 - xi (appended)."""
-    n = caps.shape[0]
+    n = len(caps)
     if not 0 <= i < n:
         raise ValueError(f"split position {i} out of range for N={n}")
-    c1, c2 = split_children(float(caps[i]), xi)
-    return np.concatenate([caps[:i], caps[i + 1 :], [c1, c2]])
+    c1, c2 = split_children(caps[i], xi)
+    return [*caps[:i], *caps[i + 1 :], c1, c2]
 
 
 def pair_count(n: int) -> int:
@@ -130,17 +135,17 @@ def pair_count(n: int) -> int:
 
 
 def sample_merger_pair(
-    caps: np.ndarray, rng: np.random.Generator
+    caps: Sequence[float], rng: np.random.Generator
 ) -> tuple[int, int]:
     """Uniform pair of distinct non-top companies (0-based, i < j).
 
     The excluded company is the top-ranked one, ties resolved to the lowest
     index. Consumes exactly one integer draw.
     """
-    n = caps.shape[0]
+    n = len(caps)
     if n < 3:
         raise ValueError(f"merger pairs need N >= 3, got N={n}")
-    top = int(np.argmax(caps))
+    top = caps.index(max(caps))
     eligible = [k for k in range(n) if k != top]
     r = int(rng.integers(pair_count(n)))
     m = len(eligible)
@@ -153,7 +158,7 @@ def sample_merger_pair(
 
 
 def merger_suppressed(
-    weights: np.ndarray, i: int, j: int, delta: float
+    weights: Sequence[float], i: int, j: int, delta: float
 ) -> bool:
     """True iff the merged company would itself reach the split threshold.
 
@@ -164,11 +169,9 @@ def merger_suppressed(
     return weights[i] + weights[j] >= 1.0 - delta
 
 
-def apply_merger(caps: np.ndarray, i: int, j: int) -> np.ndarray:
+def apply_merger(caps: Sequence[float], i: int, j: int) -> list[float]:
     """Replace companies i < j by one of cap X_i + X_j (appended)."""
-    n = caps.shape[0]
+    n = len(caps)
     if not 0 <= i < j < n:
         raise ValueError(f"bad merger pair ({i}, {j}) for N={n}")
-    merged = float(caps[i]) + float(caps[j])
-    keep = np.concatenate([caps[:i], caps[i + 1 : j], caps[j + 1 :]])
-    return np.concatenate([keep, [merged]])
+    return [*caps[:i], *caps[i + 1 : j], *caps[j + 1 :], caps[i] + caps[j]]

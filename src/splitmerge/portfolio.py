@@ -16,15 +16,20 @@ company's allocation moves to its successors:
               allocation is conserved to the last bit.
 
 Rank-based rules inherit the lexicographic tie-breaking of the ranking.
+
+``PortfolioRule.weights`` and the transfers take sequences of Python
+floats (lists, where the engines resolve events) and return lists;
+:func:`wealth_step` takes arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import MarketState, assign_ranks, market_weights
+from .dynamics import MarketState, market_weights
 
 __all__ = [
     "PortfolioRule",
@@ -74,21 +79,24 @@ class PortfolioRule:
         """K_pi: sup over states of max |pi_i|."""
         return 0.0 if self.kind == "cash" else 1.0
 
-    def weights(self, state: MarketState) -> np.ndarray:
+    def weights(self, state: MarketState) -> list[float]:
         n = state.n
         if self.kind == "cash":
-            return np.zeros(n)
+            return [0.0] * n
         if self.kind == "market":
             return market_weights(state.caps)
         if self.kind == "equal":
-            return np.full(n, 1.0 / n)
-        pi = np.zeros(n)
+            return [1.0 / n] * n
+        pi = [0.0] * n
         if self.k >= n:
             # the targeted rank or company no longer exists (the market
             # shrank through mergers); hold the money market instead
             return pi
         if self.kind == "rank":
-            pi[assign_ranks(state.caps).rank_to_index[self.k]] = 1.0
+            # a reverse sort keeps ties in index order, as the engines'
+            # stable argsort of -caps does
+            order = sorted(range(n), key=state.caps.__getitem__, reverse=True)
+            pi[order[self.k]] = 1.0
         else:
             pi[self.k] = 1.0
         return pi
@@ -108,29 +116,31 @@ def wealth_step(v: float, pi: np.ndarray, returns: np.ndarray) -> float:
     return float(out)
 
 
-def transfer_on_merger(pi: np.ndarray, i: int, j: int) -> np.ndarray:
+def transfer_on_merger(pi: Sequence[float], i: int, j: int) -> list[float]:
     """Rule (A): the merged company (appended) inherits pi_i + pi_j."""
-    n = pi.shape[0]
+    n = len(pi)
     if not 0 <= i < j < n:
         raise ValueError(f"bad merger pair ({i}, {j}) for N={n}")
-    keep = np.concatenate([pi[:i], pi[i + 1 : j], pi[j + 1 :]])
-    return np.concatenate([keep, [pi[i] + pi[j]]])
+    return [*pi[:i], *pi[i + 1 : j], *pi[j + 1 :], pi[i] + pi[j]]
 
 
 def transfer_on_split(
-    pi: np.ndarray, i: int, caps_before: np.ndarray, caps_after: np.ndarray
-) -> np.ndarray:
+    pi: Sequence[float],
+    i: int,
+    caps_before: Sequence[float],
+    caps_after: Sequence[float],
+) -> list[float]:
     """Rule (B): children inherit pi_i in proportion to their cap share.
 
     The first child takes pi_i * X_child/X_parent, the second the exact
     remainder (equal to its own cap share in exact arithmetic), so the total
     allocation is conserved bit-exactly.
     """
-    n = pi.shape[0]
+    n = len(pi)
     if not 0 <= i < n:
         raise ValueError(f"split position {i} out of range for N={n}")
-    if caps_after.shape[0] != n + 1:
+    if len(caps_after) != n + 1:
         raise ValueError("caps_after must hold one more company than pi")
     first = pi[i] * (caps_after[n - 1] / caps_before[i])
     second = pi[i] - first
-    return np.concatenate([pi[:i], pi[i + 1 :], [first, second]])
+    return [*pi[:i], *pi[i + 1 :], first, second]

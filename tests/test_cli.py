@@ -130,6 +130,11 @@ class TestFlags:
             (["simulate", "--dt", "-1"], "dt must be > 0"),
             (["simulate", "--seed", "-3"], "seed must be nonnegative"),
             (["simulate", "--workers", "0"], "workers must be at least 1"),
+            (["simulate", "--horizon", "0.0004"], "would round to 0 steps"),
+            (["simulate", "--config", "nope.cfg"],
+             "cannot read config file 'nope.cfg'"),
+            (["bound-check", "--config", "nope.cfg"],
+             "cannot read config file 'nope.cfg'"),
             (["verify", "--config", "x"], "unrecognized arguments: --config"),
             (["verify", "--seed", "-3"], "--seed must be nonnegative"),
             (["bound-check", "--paths", "5"], "unrecognized arguments: --paths"),

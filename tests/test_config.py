@@ -211,6 +211,19 @@ class TestProblems:
         assert "horizon" in joined and "workers" in joined
         assert "stride" in joined and "seed" in joined
 
+    @pytest.mark.parametrize(
+        "horizon, steps", [("0.0004", 0), ("0.0015", 2), ("0.0025", 2)]
+    )
+    def test_horizon_must_be_whole_steps(self, tmp_path, horizon, steps):
+        # dt is 1e-3 by default
+        e = self.err(tmp_path, f"[run]\nhorizon = {horizon}\n")
+        assert any(f"would round to {steps} steps" in p for p in e.problems)
+
+    def test_horizon_within_rounding_of_whole_steps_accepted(self, tmp_path):
+        # 0.7 / 0.1 is 6.999999999999999 in floating point
+        cfg = load_text(tmp_path, "[model]\ndt = 0.1\n[run]\nhorizon = 0.7\n")
+        assert cfg.run.horizon == 0.7
+
 
 class TestShippedConfig:
     def test_default_cfg_parses_and_validates(self):

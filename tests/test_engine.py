@@ -7,6 +7,8 @@ field, including event logs and CSV series rows.  Everything else
 handling) follows from that plus the per-path stream derivation.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,12 @@ from hypothesis.extra import numpy as hnp
 from splitmerge.engine import (
     CHUNK,
     EngineRun,
+    Instrumentation,
     _col_sum,
     reference_path,
     run_paths,
 )
+from splitmerge.harness import SHARED_RULES, active_initial, active_params
 from splitmerge.params import ModelParams, RankTable, SplitDist
 from splitmerge.portfolio import PortfolioRule
 
@@ -187,6 +191,58 @@ class TestBitExactness:
         )
         assert res.max_n.max() > 9
         assert_paths_match(params, caps0, 0.5, 31, res, 6)
+
+    @pytest.mark.parametrize(
+        "drift, vol",
+        [
+            (RankTable(0.0, 0.0), RankTable(1.0, 0.0)),
+            (RankTable(-0.3, 0.6), RankTable(0.7, 0.6)),
+        ],
+        ids=["rank-flat", "rank-dependent"],
+    )
+    def test_instrumentation_is_the_merge_of_reference_paths(self, drift, vol):
+        params = make_params(drift=drift, vol=vol)
+        caps0 = np.array([14.0, 0.5, 0.5, 0.5])
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=0.5,
+                n_paths=40, seed=3, rules=RULES,
+            )
+        )
+        want = Instrumentation()
+        for p in range(40):
+            ref = reference_path(params, caps0, 0.5, 3, p, rules=RULES)
+            want.merge(ref["instr"])
+        assert res.instr.splits > 0 and res.instr.mergers > 0
+        for name in Instrumentation.__slots__:
+            assert getattr(res.instr, name) == getattr(want, name), name
+
+
+class TestGolden:
+    def test_event_layer_is_pinned(self):
+        # both engines call the one event resolver, so the twin tests
+        # cannot see a change made to it; these values pin its output
+        res = run_paths(
+            EngineRun(
+                params=active_params(), initial_caps=active_initial(),
+                horizon=0.5, n_paths=64, seed=11, rules=SHARED_RULES,
+                stride=50, series_cols=(0, 1), collect_events=True,
+            )
+        )
+        events = "\n".join(r.to_json() for r in res.events).encode()
+        rows = "\n".join(res.series).encode()
+        assert (len(res.events), hashlib.sha256(events).hexdigest()) == (
+            245, "b303857c5cc0a6c7bb5ddf8e66cedef7115130840f6a4ecd7a38828c644eaecf"
+        )
+        assert (len(res.series), hashlib.sha256(rows).hexdigest()) == (
+            704, "75241c233279b0f2956fe3745a4b7025bea97fea9a14a42ff219eab3a8e9bd58"
+        )
+        i = res.instr
+        assert (i.splits, i.mergers, i.suppressed) == (65, 180, 0)
+        assert i.max_overshoot == 0.0035778213478839527
+        assert i.max_sample_weight == 0.8992896593502442
+        assert i.max_conservation == 1.0
+        assert i.max_transfer == 2.220446049250313e-16
 
 
 class TestDeterminism:
@@ -383,6 +439,20 @@ class TestValidation:
                     rules=(PortfolioRule("rank", 5),),
                 )
             )
+
+    def test_horizon_under_half_a_step_rejected(self):
+        # dt is 1e-3: a horizon of 0.0004 rounds to zero steps
+        params = make_params()
+        caps0 = np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match="no step would run"):
+            run_paths(
+                EngineRun(
+                    params=params, initial_caps=caps0, horizon=0.0004,
+                    n_paths=1, seed=0,
+                )
+            )
+        with pytest.raises(ValueError, match="no step would run"):
+            reference_path(params, caps0, 0.0004, 0, 0)
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError):

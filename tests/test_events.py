@@ -53,16 +53,16 @@ class TestClockRate:
 
 class TestDetectSplit:
     def test_above_threshold(self):
-        assert detect_split(np.array([0.92, 0.05, 0.03]), 0.1) == 0
+        assert detect_split([0.92, 0.05, 0.03], 0.1) == 0
 
     def test_below_threshold(self):
-        assert detect_split(np.array([0.6, 0.4]), 0.1) is None
+        assert detect_split([0.6, 0.4], 0.1) is None
 
     def test_boundary_counts(self):
-        assert detect_split(np.array([0.90, 0.10]), 0.1) == 0
+        assert detect_split([0.90, 0.10], 0.1) == 0
 
     def test_non_top_position(self):
-        assert detect_split(np.array([0.04, 0.93, 0.03]), 0.1) == 1
+        assert detect_split([0.04, 0.93, 0.03], 0.1) == 1
 
 
 class TestSplit:
@@ -78,22 +78,22 @@ class TestSplit:
     def test_renaming_example(self):
         # position 2 (1-based) of (2, 5, 3) splits with xi = 0.6:
         # survivors keep order, children go to the end
-        out = apply_split(np.array([2.0, 5.0, 3.0]), 1, 0.6)
-        assert out.tolist() == [2.0, 3.0, 3.0, 2.0]
+        out = apply_split([2.0, 5.0, 3.0], 1, 0.6)
+        assert out == [2.0, 3.0, 3.0, 2.0]
 
     def test_symmetric_split_of_first(self):
-        out = apply_split(np.array([6.0, 4.0]), 0, 0.5)
-        assert out.tolist() == [4.0, 3.0, 3.0]
+        out = apply_split([6.0, 4.0], 0, 0.5)
+        assert out == [4.0, 3.0, 3.0]
 
     def test_multiset_property(self):
         rng = np.random.default_rng(1)
-        caps = rng.uniform(1.0, 5.0, size=6)
+        caps = rng.uniform(1.0, 5.0, size=6).tolist()
         i = 3
         xi = 0.55
         out = apply_split(caps, i, xi)
-        a, b = split_children(float(caps[i]), xi)
-        expect = sorted(list(np.delete(caps, i)) + [a, b])
-        assert sorted(out.tolist()) == expect
+        a, b = split_children(caps[i], xi)
+        expect = sorted(caps[:i] + caps[i + 1 :] + [a, b])
+        assert sorted(out) == expect
 
     def test_fraction_draw_in_support(self):
         p = make_params(eps0=0.3, split_dist=SplitDist("uniform"))
@@ -106,7 +106,7 @@ class TestMergerPair:
     def test_single_choice(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            i, j = sample_merger_pair(np.array([5.0, 1.0, 2.0]), rng)
+            i, j = sample_merger_pair([5.0, 1.0, 2.0], rng)
             assert (i, j) == (1, 2)
 
     def test_tie_excludes_lowest_index(self):
@@ -116,7 +116,7 @@ class TestMergerPair:
         counts = {(1, 2): 0, (1, 3): 0, (2, 3): 0}
         n = 30_000
         for _ in range(n):
-            pair = sample_merger_pair(np.array([5.0, 5.0, 1.0, 1.0]), rng)
+            pair = sample_merger_pair([5.0, 5.0, 1.0, 1.0], rng)
             counts[pair] += 1
         for k, c in counts.items():
             se = math.sqrt((1 / 3) * (2 / 3) / n)
@@ -128,11 +128,11 @@ class TestMergerPair:
 
     def test_rejects_two_companies(self):
         with pytest.raises(ValueError):
-            sample_merger_pair(np.array([1.0, 2.0]), np.random.default_rng(0))
+            sample_merger_pair([1.0, 2.0], np.random.default_rng(0))
 
     def test_all_pairs_reachable_and_exclude_top(self):
         rng = np.random.default_rng(4)
-        caps = np.array([1.0, 9.0, 2.0, 3.0, 4.0])
+        caps = [1.0, 9.0, 2.0, 3.0, 4.0]
         seen = set()
         for _ in range(2000):
             i, j = sample_merger_pair(caps, rng)
@@ -145,46 +145,46 @@ class TestMergerPair:
 class TestSuppression:
     def test_two_companies_always_suppressed(self):
         # combined weight is 1, above any threshold
-        assert merger_suppressed(np.array([0.75, 0.25]), 0, 1, 0.1)
+        assert merger_suppressed([0.75, 0.25], 0, 1, 0.1)
 
     def test_small_pair_not_suppressed(self):
-        w = np.array([0.5, 0.3, 0.2])
+        w = [0.5, 0.3, 0.2]
         assert not merger_suppressed(w, 1, 2, 0.1)
 
     def test_sampled_pairs_never_suppressed_under_delta_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             caps = rng.uniform(0.1, 10.0, size=int(rng.integers(3, 9)))
-            w = caps / caps.sum()
-            i, j = sample_merger_pair(caps, rng)
+            w = (caps / caps.sum()).tolist()
+            i, j = sample_merger_pair(caps.tolist(), rng)
             assert not merger_suppressed(w, i, j, 0.16)
 
 
 class TestMerger:
     def test_renaming_example(self):
         # positions 2 and 4 (1-based) of (a, b, c, d, e) merge
-        out = apply_merger(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 1, 3)
-        assert out.tolist() == [1.0, 3.0, 5.0, 6.0]
+        out = apply_merger([1.0, 2.0, 3.0, 4.0, 5.0], 1, 3)
+        assert out == [1.0, 3.0, 5.0, 6.0]
 
     def test_three_to_two(self):
-        out = apply_merger(np.array([1.0, 2.0, 3.0]), 0, 1)
-        assert out.tolist() == [3.0, 3.0]
+        out = apply_merger([1.0, 2.0, 3.0], 0, 1)
+        assert out == [3.0, 3.0]
 
     def test_conservation(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            caps = rng.uniform(0.1, 10.0, size=7)
+            caps = rng.uniform(0.1, 10.0, size=7).tolist()
             out = apply_merger(caps, 2, 5)
             assert abs(math.fsum(out) - math.fsum(caps)) <= 4 * np.spacing(
                 math.fsum(caps)
             )
 
     def test_split_then_merge_children_restores_multiset(self):
-        caps = np.array([2.0, 5.0, 3.0])
+        caps = [2.0, 5.0, 3.0]
         after = apply_split(caps, 1, 0.6)  # children at positions 3, 4
         # merging the two children forms a company with the parent's cap
         back = apply_merger(after, 2, 3)
-        assert sorted(back.tolist()) == sorted(caps.tolist())
+        assert sorted(back) == sorted(caps)
 
 
 class TestEventRecord:

@@ -14,7 +14,7 @@ from splitmerge.portfolio import (
 )
 
 
-STATE = MarketState(0.0, np.array([5.0, 1.0, 4.0]))
+STATE = MarketState(0.0, [5.0, 1.0, 4.0])
 
 
 class TestRules:
@@ -26,7 +26,7 @@ class TestRules:
 
     def test_cash(self):
         pi = PortfolioRule("cash").weights(STATE)
-        assert pi.tolist() == [0.0, 0.0, 0.0]
+        assert pi == [0.0, 0.0, 0.0]
 
     def test_market(self):
         pi = PortfolioRule("market").weights(STATE)
@@ -38,20 +38,20 @@ class TestRules:
 
     def test_rank_targets_by_rank(self):
         pi = PortfolioRule("rank", 0).weights(STATE)
-        assert pi.tolist() == [1.0, 0.0, 0.0]
+        assert pi == [1.0, 0.0, 0.0]
         pi = PortfolioRule("rank", 1).weights(STATE)
-        assert pi.tolist() == [0.0, 0.0, 1.0]
+        assert pi == [0.0, 0.0, 1.0]
 
     def test_name_targets_by_index(self):
         pi = PortfolioRule("name", 2).weights(STATE)
-        assert pi.tolist() == [0.0, 0.0, 1.0]
+        assert pi == [0.0, 0.0, 1.0]
 
     def test_vanished_target_goes_to_money_market(self):
         # the market can shrink below a fixed target through mergers
-        small = MarketState(0.0, np.array([1.0, 2.0]))
+        small = MarketState(0.0, [1.0, 2.0])
         for kind in ("rank", "name"):
             pi = PortfolioRule(kind, 4).weights(small)
-            assert pi.tolist() == [0.0, 0.0]
+            assert pi == [0.0, 0.0]
 
     def test_bounds(self):
         assert PortfolioRule("cash").bound == 0.0
@@ -80,21 +80,21 @@ class TestWealthStep:
 
 class TestTransfers:
     def test_merger_example(self):
-        pi = np.array([0.1, 0.2, 0.3, 0.4])
+        pi = [0.1, 0.2, 0.3, 0.4]
         out = transfer_on_merger(pi, 1, 3)
         np.testing.assert_allclose(out, [0.1, 0.3, 0.6])
         assert abs(math.fsum(out) - math.fsum(pi)) <= 1e-15
 
     def test_merger_keeps_cash_zero(self):
-        out = transfer_on_merger(np.zeros(4), 0, 2)
-        assert out.tolist() == [0.0, 0.0, 0.0]
+        out = transfer_on_merger([0.0] * 4, 0, 2)
+        assert out == [0.0, 0.0, 0.0]
 
     def test_split_example(self):
         # company 2 of (2, 5, 3) splits at xi = 0.6; its weight 0.3
         # divides in proportion 3:2
-        caps = np.array([2.0, 5.0, 3.0])
+        caps = [2.0, 5.0, 3.0]
         after = apply_split(caps, 1, 0.6)
-        pi = np.array([0.1, 0.3, 0.6])
+        pi = [0.1, 0.3, 0.6]
         out = transfer_on_split(pi, 1, caps, after)
         np.testing.assert_allclose(out, [0.1, 0.6, 0.18, 0.12])
         assert abs(math.fsum(out) - math.fsum(pi)) <= 1e-15
@@ -102,8 +102,8 @@ class TestTransfers:
     def test_split_children_sum_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            caps = rng.uniform(0.5, 5.0, size=4)
-            pi = rng.uniform(-0.5, 0.5, size=4)
+            caps = rng.uniform(0.5, 5.0, size=4).tolist()
+            pi = rng.uniform(-0.5, 0.5, size=4).tolist()
             xi = float(rng.uniform(0.5, 0.7))
             after = apply_split(caps, 2, xi)
             out = transfer_on_split(pi, 2, caps, after)
@@ -113,7 +113,7 @@ class TestTransfers:
     def test_market_portfolio_is_transfer_fixed_point(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            caps = rng.uniform(0.5, 5.0, size=5)
+            caps = rng.uniform(0.5, 5.0, size=5).tolist()
             mu = market_weights(caps)
             xi = float(rng.uniform(0.5, 0.7))
             after = apply_split(caps, 1, xi)
@@ -121,9 +121,9 @@ class TestTransfers:
             np.testing.assert_allclose(out, market_weights(after), rtol=1e-12)
 
     def test_split_then_merge_children_restores_pi(self):
-        caps = np.array([2.0, 5.0, 3.0])
+        caps = [2.0, 5.0, 3.0]
         after = apply_split(caps, 1, 0.6)
-        pi = np.array([0.2, 0.5, 0.3])
+        pi = [0.2, 0.5, 0.3]
         spread = transfer_on_split(pi, 1, caps, after)
         back = transfer_on_merger(spread, 2, 3)
-        assert sorted(back.tolist()) == sorted(pi.tolist())
+        assert sorted(back) == sorted(pi)
