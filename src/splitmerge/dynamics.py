@@ -29,7 +29,6 @@ from .params import ModelParams
 
 __all__ = [
     "MarketState",
-    "RankAssignment",
     "assign_ranks",
     "total_cap",
     "market_weights",
@@ -60,21 +59,13 @@ class MarketState:
         return self
 
 
-@dataclass(frozen=True)
-class RankAssignment:
-    """rank_to_index[r] = company holding 0-based rank r (rank 0 = largest);
-    index_to_rank is the inverse permutation."""
-
-    rank_to_index: np.ndarray
-    index_to_rank: np.ndarray
-
-
-def assign_ranks(caps: np.ndarray) -> RankAssignment:
-    """Rank companies by descending cap, ties in favor of the lower index."""
+def assign_ranks(caps: np.ndarray) -> np.ndarray:
+    """0-based rank of each company by descending cap (rank 0 = largest),
+    ties in favor of the lower index."""
     rti = np.argsort(-np.asarray(caps), kind="stable")
     itr = np.empty_like(rti)
     itr[rti] = np.arange(rti.shape[0])
-    return RankAssignment(rank_to_index=rti, index_to_rank=itr)
+    return itr
 
 
 def total_cap(caps: Sequence[float]) -> float:
@@ -109,7 +100,7 @@ def euler_step(
     if noise.shape != (n,):
         raise ValueError(f"noise must have shape ({n},)")
     h = params.dt
-    ranks = assign_ranks(state.caps).index_to_rank
+    ranks = assign_ranks(state.caps)
     g = params.drift.row(n)[ranks]
     s = params.vol.row(n)[ranks]
     with np.errstate(over="ignore"):

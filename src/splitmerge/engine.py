@@ -23,6 +23,14 @@ oracle the twin tests hold ``rank_step`` against, and routing it
 through ``rank_step`` would make those tests compare the kernel with
 itself.
 
+Ranks are computed only where the tables need them.  When every row of
+the drift, volatility and theta tables holds one float across its valid
+ranks (:attr:`StepTables.flat`, as for ``RankTable(a, 0)``), a rank
+selects nothing: ``rank_step`` skips the sort and gathers by slot, which
+reads the same floats, and returns ``order = None``.  A ``rank k``
+portfolio rule then finds its slot by ``k + 1`` first-maximum passes
+over the caps, which break ties as the stable sort does.
+
 Determinism contract
 --------------------
 Results depend only on ``(seed, path index)`` and the run parameters.
@@ -144,6 +152,11 @@ class StepTables:
     ``rank + 1`` (column 0 and columns > n are zero padding).  Using one
     shared precomputation guarantees the two engines multiply the same
     floats.
+
+    ``flat`` is derived from the tables, never passed in: it is true when
+    ``gdt``, ``ssq`` and ``ths`` each hold one float across ranks 1..n of
+    every row n = 2..n_max (exact float equality), and then
+    :func:`rank_step` skips ranking.
     """
 
     gdt: np.ndarray    # g(n, k) * dt
@@ -151,6 +164,16 @@ class StepTables:
     ths: np.ndarray    # theta(n, k) * sqrt(dt)
     qrow: np.ndarray   # sum_k theta(n, k)^2 * dt, left-to-right over ranks
     pstep: np.ndarray  # P(clock rings in one step) = -expm1(-lambda_n * dt)
+    flat: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        rows, width = self.gdt.shape
+        n = np.arange(rows)[:, None]
+        col = np.arange(width)
+        live = (n >= 2) & (col >= 1) & (col <= n)
+        tabs = np.stack([self.gdt, self.ssq, self.ths])
+        same = tabs == tabs[:, :, 1:2]
+        object.__setattr__(self, "flat", bool((same | ~live).all()))
 
     @classmethod
     def build(cls, params: ModelParams) -> "StepTables":
@@ -177,7 +200,7 @@ class StepTables:
 
 def rank_step(
     caps: np.ndarray, n, tables: StepTables, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """One frozen-rank diffusion step of a company-major block of paths.
 
     ``caps`` and ``z`` are ``(slots, paths)``; ``n`` is the company count
@@ -188,16 +211,47 @@ def rank_step(
     ties rank the lower slot better), and ``cell`` is each slot's flat
     index ``n * width + 1 + rank`` into the raveled ``tables`` arrays.
     Caps that overflow come back as inf; callers check the range.
+
+    When ``tables.flat``, the sort is skipped, ``order`` is None and the
+    slot stands in for the rank: ``cell = n * width + 1 + slot``.  A live
+    slot then gathers the float its rank would (the row holds one value
+    across ranks 1..n), and a padded slot, whose rank is also >= n,
+    gathers zero padding either way, so the result is bit-identical.
+    ``new_caps`` is C-contiguous on both paths, whatever the layout of
+    ``z``: :func:`_col_sum` reduces it in the loop's order only then.
     """
-    order = np.argsort(-caps, axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[order, np.arange(caps.shape[1])] = np.arange(
-        caps.shape[0], dtype=np.int64
-    )[:, None]
-    cell = (n * tables.gdt.shape[1] + 1) + ranks
+    width = tables.gdt.shape[1]
+    if tables.flat:
+        order = None
+        cell = (n * width + 1) + np.arange(caps.shape[0], dtype=np.int64)[:, None]
+    else:
+        order = np.argsort(-caps, axis=0, kind="stable")
+        ranks = np.empty_like(order)
+        ranks[order, np.arange(caps.shape[1])] = np.arange(
+            caps.shape[0], dtype=np.int64
+        )[:, None]
+        cell = (n * width + 1) + ranks
     with np.errstate(over="ignore", invalid="ignore"):
-        new_caps = caps * np.exp(tables.gdt.take(cell) + tables.ssq.take(cell) * z)
+        growth = np.exp(tables.gdt.take(cell) + tables.ssq.take(cell) * z)
+        new_caps = np.multiply(caps, growth, order="C")
     return new_caps, order, cell
+
+
+def _rank_slot(caps: np.ndarray, k: int) -> np.ndarray:
+    """Slot holding 0-based rank ``k`` of each column of ``caps``.
+
+    ``k + 1`` first-maximum passes, each writing -inf over the slot it
+    found (in a copy).  ``argmax`` returns the first maximum, so ties go
+    to the lower slot, as in the stable sort of :func:`rank_step`.  With
+    ``k`` at or past a column's company count the pass lands on a padded
+    0.0 slot, whose return is 0.0, as the sorted ``order`` gives.
+    """
+    if k:
+        caps = caps.copy()
+        cols = np.arange(caps.shape[1])
+        for _ in range(k):
+            caps[caps.argmax(axis=0), cols] = -np.inf
+    return caps.argmax(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +835,8 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
                 # padded slots have r exactly 0.0, so no masking is needed
                 acc = _col_sum((1.0 / n_arr) * r)
             elif rl.kind == "rank":
-                acc = r[order[rl.k], ar_rows]
+                slot = _rank_slot(caps, rl.k) if order is None else order[rl.k]
+                acc = r[slot, ar_rows]
             else:  # name
                 acc = r[rl.k]
             v[idx] = v[idx] * np.where(act, 1.0 + acc, 1.0)

@@ -80,7 +80,7 @@ def accumulate(
     euler_step consumes on the same pre-step state."""
     n = state.n
     h = params.dt
-    ranks = assign_ranks(state.caps).index_to_rank
+    ranks = assign_ranks(state.caps)
     th = theta_row(params, n)
     ths = th[ranks] * np.sqrt(h)
     th2 = (th * th) * h

@@ -412,7 +412,9 @@ def _zv_stats(res: EngineResult) -> list[tuple[str, float, float]]:
     return out
 
 
-def check_martingale(seed: int = 29, paths: int = 100_000) -> CheckRow:
+def check_martingale(
+    seed: int = 29, paths: int = 100_000, workers: int = 1
+) -> CheckRow:
     rows = []
     passed = True
 
@@ -427,6 +429,7 @@ def check_martingale(seed: int = 29, paths: int = 100_000) -> CheckRow:
             n_paths=paths,
             seed=seed,
             rules=SHARED_RULES,
+            workers=workers,
         )
     )
     for name, est, se in _zv_stats(res):
@@ -461,6 +464,7 @@ def check_martingale(seed: int = 29, paths: int = 100_000) -> CheckRow:
                 n_paths=paths,
                 seed=seed + 1,
                 rules=name_rule,
+                workers=workers,
             )
         )
         if r.instr.splits or r.instr.mergers:
@@ -590,7 +594,7 @@ def verify_all(
         "rbm-oracle": lambda: check_rbm_oracle(seed + 6, n(100_000)),
         "double-jump": lambda: check_double_jump(seed + 8, n(30_000), workers),
         "tail-monotone": lambda: check_tail_monotone(seed + 12, n(100_000), workers),
-        "martingale": lambda: check_martingale(seed + 18, n(100_000)),
+        "martingale": lambda: check_martingale(seed + 18, n(100_000), workers),
         "workers": lambda: check_workers(seed + 20, max(2 * 4096 + 512, n(10_240))),
     }
     report.rows = [table[name]() for name in ALL_CHECKS if name in checks]

@@ -24,7 +24,7 @@ from splitmerge.bounds import (
     tail_of_max_count,
     wilson_interval,
 )
-from splitmerge.engine import CHUNK
+from splitmerge.engine import CHUNK, StepTables, rank_step
 from splitmerge.events import EventRecord, clock_rate
 from splitmerge.params import ModelParams, RankTable
 
@@ -215,6 +215,38 @@ class TestSplitRaceEstimator:
             params, np.array(caps0), lam, n_paths, seed, max_steps=max_steps
         )
         assert est.hits == hits
+
+    @pytest.mark.parametrize(
+        "caps0, lam, n_paths, seed, max_steps, hits",
+        [
+            # ten rows, and a 1-path tail block
+            ((40.0,) + (1.0,) * 9, 2.0, 4097, 3, None, 2696),
+            ((3.0, 2.0, 1.0), 0.0, 5000, 2, 3000, 3335),
+            ((6.0, 1.0, 1.0, 1.0, 1.0, 1.0), 2.0, 4097, 3, None, 163),
+        ],
+    )
+    def test_golden_rank_flat(self, caps0, lam, n_paths, seed, max_steps, hits):
+        # the tables are rank-flat, so the step skips the sort
+        params = make_params(delta=0.16)
+        assert StepTables.build(params).flat
+        est = estimate_split_before_clock(
+            params, np.array(caps0), lam, n_paths, seed, max_steps=max_steps
+        )
+        assert est.hits == hits
+
+    @pytest.mark.parametrize(
+        "vol", [RankTable(1.0, 0.0), RankTable(1.0, -0.4)], ids=["flat", "sloped"]
+    )
+    def test_new_caps_are_c_contiguous(self, vol):
+        # the probe's draws are transposed, Fortran-order; _col_sum sums
+        # in the loop's order only over a C-contiguous block
+        tables = StepTables.build(make_params(vol=vol))
+        caps = np.repeat(np.array([3.0, 2.0, 1.0])[:, None], 20, axis=1)
+        z = np.random.default_rng(0).standard_normal((20, 3)).T
+        assert z.flags.f_contiguous and not z.flags.c_contiguous
+        new_caps, order, _ = rank_step(caps, 3, tables, z)
+        assert new_caps.flags.c_contiguous
+        assert (order is None) is tables.flat
 
 
 class TestDoubleJumpBound:

@@ -40,31 +40,29 @@ class TestRanks:
     def test_tie_goes_to_lowest_index(self):
         # caps (3, 5, 5, 1): the two 5s tie, index order breaks it
         r = assign_ranks(np.array([3.0, 5.0, 5.0, 1.0]))
-        assert r.rank_to_index.tolist() == [1, 2, 0, 3]
-        assert r.index_to_rank.tolist() == [2, 0, 1, 3]
+        assert r.tolist() == [2, 0, 1, 3]
 
     def test_two_way_tie(self):
         r = assign_ranks(np.array([7.0, 7.0]))
-        assert r.rank_to_index.tolist() == [0, 1]
+        assert r.tolist() == [0, 1]
 
     def test_increasing_input(self):
         r = assign_ranks(np.array([1.0, 2.0, 3.0]))
-        assert r.rank_to_index.tolist() == [2, 1, 0]
+        assert r.tolist() == [2, 1, 0]
 
     def test_idempotent_and_scale_invariant(self):
         caps = np.array([2.0, 9.0, 4.0, 4.0])
         a = assign_ranks(caps)
         b = assign_ranks(caps * 2.0)
-        assert np.array_equal(a.rank_to_index, b.rank_to_index)
+        assert np.array_equal(a, b)
 
     def test_permutation_inverse(self):
         rng = np.random.default_rng(0)
         caps = rng.uniform(0.5, 3.0, size=9)
         r = assign_ranks(caps)
-        assert np.array_equal(
-            r.rank_to_index[r.index_to_rank], np.arange(9)
-        )
-        ranked = caps[r.rank_to_index]
+        assert np.array_equal(np.sort(r), np.arange(9))
+        ranked = np.empty(9)
+        ranked[r] = caps
         assert np.all(np.diff(ranked) <= 0)
 
 

@@ -8,6 +8,7 @@ handling) follows from that plus the per-path stream derivation.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from splitmerge.config import load_config
 from splitmerge.engine import (
     CHUNK,
     EngineRun,
     Instrumentation,
+    StepTables,
     _col_sum,
     reference_path,
     run_paths,
@@ -216,6 +219,62 @@ class TestBitExactness:
         assert res.instr.splits > 0 and res.instr.mergers > 0
         for name in Instrumentation.__slots__:
             assert getattr(res.instr, name) == getattr(want, name), name
+
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+# one row (N = 5) differs from the others by one ulp, so ranks matter
+ULP_VOL = RankTable(
+    1.0, 0.0, overrides={5: (1.0, 1.0, 1.0, 1.0, 1.0000000000000002)}
+)
+
+
+class TestRankFlat:
+    """Rank-flat tables skip the sort; the peeled rank slot must agree."""
+
+    @pytest.mark.parametrize(
+        "params, flat",
+        [
+            (active_params(), True),
+            (active_params(theta_mode="growth"), True),
+            (load_config(str(DEFAULT_CFG)).params, True),
+            (make_params(vol=RankTable(1.0, -0.5)), False),
+            (make_params(vol=ULP_VOL), False),
+            # 1 + 1e-300 * x rounds to 1.0: the built floats are equal
+            (make_params(vol=RankTable(1.0, 1e-300)), True),
+        ],
+        ids=["active", "growth", "default-cfg", "sloped", "one-ulp", "tiny-slope"],
+    )
+    def test_flat_is_read_off_the_built_tables(self, params, flat):
+        assert StepTables.build(params).flat is flat
+
+    @pytest.mark.parametrize(
+        "params, caps0, flat",
+        [
+            # point splits halve exactly, so the rank rules meet ties
+            (make_params(split_dist=SplitDist("point")), (14.0, 1.0, 1.0, 1.0), True),
+            (make_params(clock_c=4.0), (1.0, 1.0, 1.0, 1.0), True),
+            (make_params(vol=ULP_VOL), (14.0, 1.0, 1.0, 1.0), False),
+        ],
+        ids=["point-split", "equal-start", "one-ulp"],
+    )
+    def test_rank_rules_match_reference(self, params, caps0, flat):
+        assert StepTables.build(params).flat is flat
+        rules = (PortfolioRule("market"),) + tuple(
+            PortfolioRule("rank", k) for k in range(4)
+        )
+        caps0 = np.array(caps0)
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=0.5,
+                n_paths=24, seed=5, rules=rules, stride=50,
+                series_cols=(0, 1), collect_events=True,
+                collect_final_caps=True,
+            )
+        )
+        # rank 3 loses its target on the paths that fall to two names
+        assert res.final_n.min() == 2
+        assert_paths_match(params, caps0, 0.5, 5, res, 24, rules=rules)
 
 
 class TestGolden:

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 
+from splitmerge import harness
 from splitmerge.config import load_config
 from splitmerge.events import EventRecord
 from splitmerge.harness import (
@@ -82,6 +83,20 @@ class TestActiveConfig:
     def test_params_valid(self):
         active_params().require_valid()
         active_params(theta_mode="growth").require_valid()
+
+
+class TestMartingaleCheck:
+    def test_every_run_uses_the_workers_given(self, monkeypatch):
+        seen = []
+        run_paths = harness.run_paths
+
+        def recording(run):
+            seen.append(run.workers)
+            return run_paths(run)
+
+        monkeypatch.setattr(harness, "run_paths", recording)
+        harness.check_martingale(paths=256, workers=2)
+        assert seen == [2, 2, 2]
 
 
 class TestSimulateRun:
