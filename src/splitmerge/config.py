@@ -30,8 +30,10 @@ minimal valid file is empty::
     stride = 0             ; 0 = no CSV series
     portfolio = market     ; cash | market | equal | rank:K | name:K (1-based)
 
-All problems are collected and reported together in a single
-:class:`ConfigError` rather than one at a time.
+A section or key not listed above is an error, so a misspelt key is
+reported rather than silently left at its default.  All problems are
+collected and reported together in a single :class:`ConfigError`
+rather than one at a time.
 """
 
 from __future__ import annotations
@@ -42,8 +44,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import THETA_MODES, ModelParams, RankTable, SplitDist
+from .params import ModelParams, RankTable, SplitDist
 from .portfolio import RULE_KINDS, PortfolioRule
+
+# the keys each section accepts; any other section or key is a problem
+KEYS = {
+    "model": (
+        "drift_a", "drift_b", "vol_a", "vol_b", "delta", "eps0",
+        "split_dist", "beta_a", "beta_b", "clock_c", "clock_alpha",
+        "n_max", "dt", "theta_mode",
+    ),
+    "initial": ("caps", "n"),
+    "run": ("horizon", "paths", "seed", "workers", "stride", "portfolio"),
+}
 
 
 class ConfigError(ValueError):
@@ -123,8 +136,12 @@ def _to_caps(raw: str) -> np.ndarray:
 def parse_config(cp: configparser.ConfigParser) -> RunConfig:
     problems: list[str] = []
     for section in cp.sections():
-        if section not in ("model", "initial", "run"):
+        if section not in KEYS:
             problems.append(f"unknown section [{section}]")
+            continue
+        for key in cp.options(section):
+            if key not in KEYS[section]:
+                problems.append(f"[{section}] {key}: unknown key")
 
     g = lambda *a: _get(cp, "model", *a, problems=problems)
     drift = RankTable(
@@ -141,12 +158,6 @@ def parse_config(cp: configparser.ConfigParser) -> RunConfig:
         beta_a=g("beta_a", _to_float, 2.0),
         beta_b=g("beta_b", _to_float, 2.0),
     )
-    mode = g("theta_mode", str.strip, "martingale")
-    if mode not in THETA_MODES:
-        problems.append(
-            f"[model] theta_mode = {mode!r}: must be one of {THETA_MODES}"
-        )
-        mode = "martingale"
     params = ModelParams(
         drift=drift,
         vol=vol,
@@ -157,7 +168,7 @@ def parse_config(cp: configparser.ConfigParser) -> RunConfig:
         clock_alpha=g("clock_alpha", _to_float, 2.0),
         n_max=g("n_max", _to_int, 64),
         dt=g("dt", _to_float, 1e-3),
-        theta_mode=mode,
+        theta_mode=g("theta_mode", str.strip, "martingale"),
     )
     problems.extend(params.validate())
 

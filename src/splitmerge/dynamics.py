@@ -10,6 +10,10 @@ engine and the split-race probe use the one vectorized step,
 the twin tests hold the vectorized step against this one, which they
 could not do if both ran the same code.
 
+A market is its cap vector X_1..X_N and nothing else: every function
+here takes ``caps`` directly, an array for :func:`euler_step` and
+:func:`check_caps`, a list of Python floats where events are resolved.
+
 All reductions over companies here and in the engine run left to right
 in company order.  Here they are explicit loops; the batch engine holds
 caps company-major, ``(slots, paths)``, and reduces over axis 0, which
@@ -20,7 +24,6 @@ for a single path, where numpy would sum pairwise.  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +31,7 @@ import numpy as np
 from .params import ModelParams
 
 __all__ = [
-    "MarketState",
+    "check_caps",
     "assign_ranks",
     "total_cap",
     "market_weights",
@@ -36,27 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarketState:
-    """Time t and the strictly positive capitalization vector X_1..X_N.
-
-    ``caps`` is an array for :func:`euler_step` and :meth:`check`, and a
-    list of Python floats where events are resolved.
-    """
-
-    t: float
-    caps: Sequence[float] | np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.caps)
-
-    def check(self) -> "MarketState":
-        if self.caps.ndim != 1 or self.n < 2:
-            raise ValueError("market needs a 1-d cap vector with N >= 2")
-        if not np.all(np.isfinite(self.caps)) or not np.all(self.caps > 0):
-            raise ValueError("caps must be finite and strictly positive")
-        return self
+def check_caps(caps: np.ndarray) -> np.ndarray:
+    """Validate a market from outside the program: a 1-d vector of at
+    least two finite, strictly positive caps.  Returns ``caps``."""
+    if caps.ndim != 1 or len(caps) < 2:
+        raise ValueError("market needs a 1-d cap vector with N >= 2")
+    if not np.all(np.isfinite(caps)) or not np.all(caps > 0):
+        raise ValueError("caps must be finite and strictly positive")
+    return caps
 
 
 def assign_ranks(caps: np.ndarray) -> np.ndarray:
@@ -87,24 +77,24 @@ def market_weights(caps: Sequence[float]) -> list[float]:
 
 
 def euler_step(
-    state: MarketState,
+    caps: np.ndarray,
     params: ModelParams,
     noise: np.ndarray,
-) -> MarketState:
-    """One frozen-rank update of all log-caps; N and ranks inputs unchanged.
+) -> np.ndarray:
+    """One frozen-rank update of the cap array; returns the new caps.
 
-    ``noise`` must hold state.n independent standard normals. Raises on cap
-    overflow (the engine turns that into a per-path error).
+    ``noise`` must hold len(caps) independent standard normals. Raises on
+    cap overflow (the engine turns that into a per-path error).
     """
-    n = state.n
+    n = len(caps)
     if noise.shape != (n,):
         raise ValueError(f"noise must have shape ({n},)")
     h = params.dt
-    ranks = assign_ranks(state.caps)
+    ranks = assign_ranks(caps)
     g = params.drift.row(n)[ranks]
     s = params.vol.row(n)[ranks]
     with np.errstate(over="ignore"):
-        caps = state.caps * np.exp(g * h + s * np.sqrt(h) * noise)
-    if not np.all(np.isfinite(caps)) or not np.all(caps > 0.0):
+        new_caps = caps * np.exp(g * h + s * np.sqrt(h) * noise)
+    if not np.all(np.isfinite(new_caps)) or not np.all(new_caps > 0.0):
         raise OverflowError("capitalization left the representable range")
-    return MarketState(t=state.t + h, caps=caps)
+    return new_caps

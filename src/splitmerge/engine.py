@@ -91,6 +91,19 @@ Boundary semantics at each step boundary, in order:
    (status 1), mirroring the theoretical possibility of explosion in
    the number of companies.
 
+Each of these decisions has one definition.  The batch engine flags a
+path for resolution with the resolver's own split test, ``max(x)/C >=
+1 - delta``, which is exact rather than a filter: ``C`` is the
+resolver's left-to-right total (the padded +0.0 slots leave a positive
+total unchanged), and a correctly rounded division by one positive
+``C`` is monotone, so ``max(x)/C`` is bit for bit the ``max(x_i/C)``
+that :func:`~splitmerge.events.detect_split` compares.  A flagged path
+therefore always splits, and a path that does not split keeps its
+clock.  :func:`_resolve_boundary` builds the rule weights it transfers
+from the caps it is given.  The top weight after a boundary is recorded
+by each engine's loop, as ``max(x)/C`` (:func:`_mu_top` in the scalar
+engine), and one :func:`_series_row` formats the series rows of both.
+
 Status codes: 0 ok, 1 company-count explosion, 2 a cap or the total
 capitalization left ``(0, inf)`` (overflow or underflow), 3 portfolio
 wealth hit zero or below.  Within a step a cap out of range is checked
@@ -108,7 +121,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import MarketState, euler_step, market_weights, total_cap
+from .dynamics import check_caps, euler_step, market_weights, total_cap
 from .events import (
     EventRecord,
     apply_merger,
@@ -134,10 +147,7 @@ CHUNK = 4096        # paths per block; part of the determinism contract
 NOISE_BUF = 768     # buffered normals per path in the batch engine
 CLOCK_BUF = 1024    # buffered clock uniforms per path
 
-# conservative split filter: the batch engine flags a path for the exact
-# per-path split check whenever max cap >= (1-delta)*(1-FILTER_SLACK)*total,
-# so a 1-ulp difference between max(x)/C and max(x/C) can never miss a split
-FILTER_SLACK = 1e-12
+SERIES_HEADER = "path,t,n,mu_1,v_market,v_pi,z"
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +369,19 @@ def _resolve_boundary(
     ev_gen: np.random.Generator,
     rang: bool,
     rules: Sequence[PortfolioRule],
-    pis: list[list[float]],
     instr: Instrumentation,
     emit: Callable[[EventRecord], None] | None,
 ) -> tuple[list[float], bool, bool]:
     """Resolve all events at one step boundary.
 
-    ``caps`` is a list of Python floats, and so is each of ``pis``.
-    Returns ``(caps, exploded, had_event)``.  ``pis`` (per-rule portfolio
-    weight vectors in company order) is mutated in place alongside the
-    renaming.  Splits cascade until the top weight is below the
-    threshold; a merger fires only if the clock rang and no split fired
-    at this boundary.
+    ``caps`` is a list of Python floats.  Returns ``(caps, exploded,
+    had_event)``.  The per-rule portfolio weights at the boundary are
+    built here from ``caps`` and carried through the renaming, so every
+    transfer is audited on the weights the rule itself gives.  Splits
+    cascade until the top weight is below the threshold; a merger fires
+    only if the clock rang and no split fired at this boundary.
     """
+    pis = [rl.weights(caps) for rl in rules]
     split_fired = False
     merge_pending = rang
     while True:
@@ -422,12 +432,7 @@ def _resolve_boundary(
         # defensively loop once more to re-check the split threshold after
         # the merger; under delta < 1/6 a merged non-top pair never reaches it
         caps = new_caps
-    had_event = split_fired or rang
-    if had_event:
-        instr.max_sample_weight = max(
-            instr.max_sample_weight, max(market_weights(caps))
-        )
-    return caps, False, had_event
+    return caps, False, split_fired or rang
 
 
 def _mu_top(caps: Sequence[float]) -> float:
@@ -443,6 +448,16 @@ def _mu_top(caps: Sequence[float]) -> float:
         if x > m:
             m = x
     return float(m / c)
+
+
+def _series_row(
+    path: int, t: float, n: int, mu1: float, vm: float, vp: float, z: float
+) -> str:
+    """One CSV series row, in the columns of :data:`SERIES_HEADER`."""
+    return (
+        f"{path},{float(t)!r},{int(n)},{float(mu1)!r},"
+        f"{float(vm)!r},{float(vp)!r},{float(z)!r}"
+    )
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -496,29 +511,24 @@ def reference_path(
 
     # entry resolution: a concentrated initial market splits at t = 0+;
     # events are resolved on lists, the diffusion runs on arrays
-    caps_l = caps.tolist()
-    state = MarketState(t=0.0, caps=caps_l)
-    pis = [rl.weights(state) for rl in rules]
-    caps_l, exploded, _ = _resolve_boundary(
-        caps_l, 0.0, path, params, streams.events, False, rules, pis, instr,
+    caps_l, exploded, split_fired = _resolve_boundary(
+        caps.tolist(), 0.0, path, params, streams.events, False, rules, instr,
         events.append,
     )
     caps = np.array(caps_l)
     max_n = max(max_n, len(caps))
     if exploded:
         status = 1
+    elif split_fired:
+        instr.max_sample_weight = max(instr.max_sample_weight, _mu_top(caps))
 
     def _row(step: int) -> str:
-        mu1 = _mu_top(caps)
         if series_cols is None:
             vm, vp = 1.0, 1.0
         else:
             vm, vp = v[series_cols[0]], v[series_cols[1]]
         z = np.exp(np.float64(gs.log_z))
-        return (
-            f"{path},{float(step * dt)!r},{len(caps)},{float(mu1)!r},"
-            f"{float(vm)!r},{float(vp)!r},{float(z)!r}"
-        )
+        return _series_row(path, step * dt, len(caps), _mu_top(caps), vm, vp, z)
 
     if stride > 0 and status == 0:
         series.append(_row(0))
@@ -526,13 +536,12 @@ def reference_path(
     step = 0
     while step < last and status == 0:
         n = len(caps)
-        state_before = MarketState(t=step * dt, caps=caps)
-        # the rules are functions of the current state; rebalance happens
+        # the rules are functions of the current caps; rebalance happens
         # every step, so weights are recomputed rather than carried
-        pis = [np.array(rl.weights(state_before)) for rl in rules]
+        pis = [np.array(rl.weights(caps)) for rl in rules]
         z = streams.noise.standard_normal(n)
         try:
-            new_caps = euler_step(state_before, params, z).caps
+            new_caps = euler_step(caps, params, z)
         except OverflowError:
             status = 2
             break
@@ -548,18 +557,15 @@ def reference_path(
         except WealthError:
             status = 3
             break
-        gs = accumulate(gs, state_before, params, z)
+        gs = accumulate(gs, caps, params, z)
         caps = new_caps
         c_now = total_cap(caps)
         if not np.isfinite(c_now) or not c_now > 0.0:
             status = 2
             break
 
-        caps_l = caps.tolist()
-        state = MarketState(t=t, caps=caps_l)
-        pis = [rl.weights(state) for rl in rules]
-        caps_l, exploded, had = _resolve_boundary(
-            caps_l, t, path, params, streams.events, ring, rules, pis, instr,
+        caps_l, exploded, _ = _resolve_boundary(
+            caps.tolist(), t, path, params, streams.events, ring, rules, instr,
             events.append,
         )
         caps = np.array(caps_l)
@@ -567,8 +573,7 @@ def reference_path(
         if exploded:
             status = 1
             break
-        if not had:
-            instr.max_sample_weight = max(instr.max_sample_weight, _mu_top(caps))
+        instr.max_sample_weight = max(instr.max_sample_weight, _mu_top(caps))
         if stride > 0 and (step % stride == 0 or step == last):
             series.append(_row(step))
 
@@ -663,7 +668,6 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
     p_cnt = stop - start
     n0 = len(run.initial_caps)
     n_max = params.n_max
-    thr_eff = (1.0 - params.delta) * (1.0 - FILTER_SLACK)
 
     # company-major: caps[k, p] is slot k of path p; the slots from
     # n_arr[p] up are padding and hold exactly 0.0
@@ -721,11 +725,9 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             paths.tolist(), cols, n_arr[paths].tolist(), ring[paths].tolist()
         ):
             del caps_p[n_p:]
-            state = MarketState(t=t, caps=caps_p)
-            pis_p = [rl.weights(state) for rl in rules]
             caps_p, exploded, _ = _resolve_boundary(
-                caps_p, t, start + p, params, _ev_gen(p), rang,
-                rules, pis_p, instr, emit,
+                caps_p, t, start + p, params, _ev_gen(p), rang, rules, instr,
+                emit,
             )
             if exploded:
                 _fail(p, 1)
@@ -743,16 +745,22 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         max_n[paths] = np.maximum(max_n[paths], n_new)
         return mu
 
+    def _record_top(mu1: np.ndarray) -> None:
+        """Fold the top weight of every alive path into the record."""
+        if act.any():
+            instr.max_sample_weight = max(
+                instr.max_sample_weight, float(mu1[act].max())
+            )
+
+    ar_rows = np.arange(p_cnt)
+    mu1 = np.zeros(p_cnt)
+
     # entry resolution at t = 0 (same initial caps on every path, so the
     # check is done once; the per-path resolution still draws its own xi)
     w0 = market_weights(caps[:n0, 0].tolist())
     if detect_split(w0, params.delta) is not None:
-        _resolve_paths(
-            np.arange(p_cnt), np.zeros(p_cnt, dtype=bool), 0.0
-        )
-
-    ar_rows = np.arange(p_cnt)
-    mu1 = np.zeros(p_cnt)
+        mu1[:] = _resolve_paths(ar_rows, np.zeros(p_cnt, dtype=bool), 0.0)
+        _record_top(mu1)
 
     # flat views: buffer cell (p, i) is element p * BUF + i
     ths_flat = tables.ths.reshape(-1)
@@ -773,8 +781,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             else:
                 vm, vp = v[series_vm, p], v[series_vp, p]
             series.append(
-                f"{start + p},{t!r},{int(n_arr[p])},{float(mu1[p])!r},"
-                f"{float(vm)!r},{float(vp)!r},{float(zz[p])!r}"
+                _series_row(start + p, t, n_arr[p], mu1[p], vm, vp, zz[p])
             )
 
     if run.series_cols is None:
@@ -861,22 +868,21 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         for p in np.nonzero(bad)[0]:
             _fail(p, 2)
 
-        split_flag = act & (x_max >= thr_eff * c_tot)
+        # detect_split's own test, bit for bit (see "Boundary semantics")
+        with np.errstate(invalid="ignore"):
+            mu1 = x_max / c_tot    # nan on failed paths; masked by `act`
+        split_flag = act & (mu1 >= 1.0 - params.delta)
 
         u = uflat.take(clock_row + upos)
         upos = upos + np.where(act, 1, 0)
         ring = act & ~split_flag & (u < tables.pstep[n_arr])
 
-        with np.errstate(invalid="ignore"):
-            mu1 = x_max / c_tot    # nan on failed paths; masked by `quiet`
         todo = np.nonzero(split_flag | ring)[0]
         if todo.size:
             # caps changed on those paths (a path that exploded is
             # failed, so its value is never read)
             mu1[todo] = _resolve_paths(todo, ring, t)
-        quiet = act & ~split_flag & ~ring
-        qmax = float(np.where(quiet, mu1, 0.0).max()) if quiet.any() else 0.0
-        instr.max_sample_weight = max(instr.max_sample_weight, qmax)
+        _record_top(mu1)
 
         if run.stride > 0 and (step % run.stride == 0 or step == last):
             _series_rows(step)
@@ -921,7 +927,7 @@ def run_paths(run: EngineRun) -> EngineResult:
         raise ValueError("n_paths must be positive")
     _step_count(run.horizon, run.params.dt)
     caps0 = np.asarray(run.initial_caps, dtype=np.float64)
-    MarketState(t=0.0, caps=caps0).check()
+    check_caps(caps0)
     if len(caps0) >= run.params.n_max:
         raise ValueError("initial company count must be below n_max")
     for rl in run.rules:

@@ -24,12 +24,11 @@ diagnostic between the two (both are reported by the harness).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MarketState, assign_ranks
+from .dynamics import assign_ranks
 from .params import ModelParams
 
 __all__ = [
@@ -65,22 +64,18 @@ class GirsanovState:
     def log_z(self) -> float:
         return -self.m - 0.5 * self.qv
 
-    @property
-    def z(self) -> float:
-        return math.exp(self.log_z)
-
 
 def accumulate(
     gs: GirsanovState,
-    state: MarketState,
+    caps: np.ndarray,
     params: ModelParams,
     noise: np.ndarray,
 ) -> GirsanovState:
     """Advance the density by one step driven by the same noise vector that
-    euler_step consumes on the same pre-step state."""
-    n = state.n
+    euler_step consumes on the same pre-step ``caps``, which set the ranks."""
+    n = len(caps)
     h = params.dt
-    ranks = assign_ranks(state.caps)
+    ranks = assign_ranks(caps)
     th = theta_row(params, n)
     ths = th[ranks] * np.sqrt(h)
     th2 = (th * th) * h

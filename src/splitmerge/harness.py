@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,13 +54,11 @@ from .bounds import (
     split_before_clock_bound,
     tail_of_max_count,
 )
-from .engine import EngineResult, EngineRun, run_paths
+from .engine import SERIES_HEADER, EngineResult, EngineRun, run_paths
 from .events import EventRecord
 from .params import ModelParams, RankTable, SplitDist
 from .portfolio import PortfolioRule
 from .streams import ALGORITHM_ID
-
-SERIES_HEADER = "path,t,n,mu_1,v_market,v_pi,z"
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +239,7 @@ def check_split_race(seed: int = 13, paths: int = 100_000) -> CheckRow:
     rows = []
     passed = True
     for delta in (0.10, 0.13, 0.16):
-        params = ModelParams(
-            drift=RankTable(0.0, 0.0),
-            vol=RankTable(1.0, 0.0),
-            delta=delta,
-            eps0=4.0 / 9.0,
-            split_dist=SplitDist("uniform"),
-            clock_c=2.0,
-            clock_alpha=1.0,
-            dt=1e-3,
-        )
+        params = replace(active_params(), delta=delta)
         for lam in (4.0, 9.0, 16.0):
             est = estimate_split_before_clock(
                 params, caps0, lam, paths, seed
@@ -357,17 +346,7 @@ def check_double_jump(
 def check_tail_monotone(
     seed: int = 23, paths: int = 100_000, workers: int = 1
 ) -> CheckRow:
-    params = ModelParams(
-        drift=RankTable(0.0, 0.0),
-        vol=RankTable(1.0, 0.0),
-        delta=0.1,
-        eps0=4.0 / 9.0,
-        split_dist=SplitDist("uniform"),
-        clock_c=1.0,
-        clock_alpha=2.0,
-        n_max=64,
-        dt=1e-3,
-    )
+    params = replace(active_params(), clock_c=1.0, clock_alpha=2.0)
     # concentrated start: the top weight reaches the threshold quickly, so
     # the upper levels get enough traffic for the confidence intervals on
     # adjacent grid points to separate
@@ -445,17 +424,8 @@ def check_martingale(
     target = math.exp(0.5 * horizon)
     name_rule = (PortfolioRule("name", 0),)
     for mode, want in (("martingale", 1.0), ("growth", target)):
-        p = ModelParams(
-            drift=RankTable(0.0, 0.0),
-            vol=RankTable(1.0, 0.0),
-            delta=0.02,  # split boundary out of diffusive reach at this T
-            eps0=4.0 / 9.0,
-            split_dist=SplitDist("uniform"),
-            clock_c=0.0,
-            clock_alpha=1.0,
-            dt=1e-3,
-            theta_mode=mode,
-        )
+        # delta 0.02 puts the split boundary out of diffusive reach at this T
+        p = replace(active_params(mode), delta=0.02, clock_c=0.0)
         r = run_paths(
             EngineRun(
                 params=p,
@@ -495,7 +465,6 @@ def check_martingale(
 def check_workers(seed: int = 11, paths: int = 10_240) -> CheckRow:
     """Run the shipped scenario with 1 and 8 workers and compare the
     output files byte for byte, unsorted, as they were written."""
-    import dataclasses
     import filecmp
     import os
     import tempfile
@@ -520,9 +489,7 @@ def check_workers(seed: int = 11, paths: int = 10_240) -> CheckRow:
         results = []
         for workers in (1, 8):
             out = os.path.join(tmp, f"w{workers}")
-            c = dataclasses.replace(
-                cfg, run=dataclasses.replace(cfg.run, workers=workers)
-            )
+            c = replace(cfg, run=replace(cfg.run, workers=workers))
             res, _ = simulate_run(c, out_dir=out)
             dirs.append(out)
             results.append(res)

@@ -1,6 +1,6 @@
 """Portfolio rules, wealth updates, and event-time weight transfers.
 
-A rule maps the market state to per-company investment proportions pi_1..pi_N
+A rule maps the caps X_1..X_N to per-company investment proportions pi_1..pi_N
 (bounded by K_pi); pi_0 = 1 - sum(pi) sits in a zero-interest money market.
 Between events wealth compounds discretely with realized cap returns,
 
@@ -17,8 +17,8 @@ company's allocation moves to its successors:
 
 Rank-based rules inherit the lexicographic tie-breaking of the ranking.
 
-``PortfolioRule.weights`` and the transfers take sequences of Python
-floats (lists, where the engines resolve events) and return lists;
+``PortfolioRule.weights(caps)`` and the transfers take sequences of
+Python floats (lists, where the engines resolve events) and return lists;
 :func:`wealth_step` takes arrays.
 """
 
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import MarketState, market_weights
+from .dynamics import market_weights
 
 __all__ = [
     "PortfolioRule",
@@ -74,17 +74,12 @@ class PortfolioRule:
             return f"name-{self.k + 1}"
         return self.kind
 
-    @property
-    def bound(self) -> float:
-        """K_pi: sup over states of max |pi_i|."""
-        return 0.0 if self.kind == "cash" else 1.0
-
-    def weights(self, state: MarketState) -> list[float]:
-        n = state.n
+    def weights(self, caps: Sequence[float]) -> list[float]:
+        n = len(caps)
         if self.kind == "cash":
             return [0.0] * n
         if self.kind == "market":
-            return market_weights(state.caps)
+            return market_weights(caps)
         if self.kind == "equal":
             return [1.0 / n] * n
         pi = [0.0] * n
@@ -95,7 +90,7 @@ class PortfolioRule:
         if self.kind == "rank":
             # a reverse sort keeps ties in index order, as the engines'
             # stable argsort of -caps does
-            order = sorted(range(n), key=state.caps.__getitem__, reverse=True)
+            order = sorted(range(n), key=caps.__getitem__, reverse=True)
             pi[order[self.k]] = 1.0
         else:
             pi[self.k] = 1.0

@@ -120,6 +120,10 @@ class TestTail:
         assert rc == 0, out
 
 
+# stands for a config file with misspelt keys, written per test
+TYPO = "<typo.cfg>"
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv, problem",
@@ -135,6 +139,8 @@ class TestFlags:
              "cannot read config file 'nope.cfg'"),
             (["bound-check", "--config", "nope.cfg"],
              "cannot read config file 'nope.cfg'"),
+            (["bound-check", "--config", TYPO], "[model] detla: unknown key"),
+            (["simulate", "--config", TYPO], "[run] paht: unknown key"),
             (["verify", "--config", "x"], "unrecognized arguments: --config"),
             (["verify", "--seed", "-3"], "--seed must be nonnegative"),
             (["bound-check", "--paths", "5"], "unrecognized arguments: --paths"),
@@ -142,7 +148,11 @@ class TestFlags:
             (["tail"], "invalid choice: 'tail'"),
         ],
     )
-    def test_bad_flag_exits_two_naming_the_problem(self, argv, problem, capsys):
+    def test_bad_flag_exits_two_naming_the_problem(
+        self, argv, problem, capsys, tmp_path
+    ):
+        typo = write_cfg(tmp_path, "[model]\ndetla = 0.2\n[run]\npaht = 5\n")
+        argv = [typo if arg == TYPO else arg for arg in argv]
         try:
             rc = main(argv)
         except SystemExit as exc:  # argparse rejects the command line itself

@@ -164,6 +164,14 @@ class TestProblems:
         e = self.err(tmp_path, "[portfolio]\nkind = market\n")
         assert any("unknown section" in p for p in e.problems)
 
+    def test_misspelt_keys_are_reported(self, tmp_path):
+        # a typo must not fall back to the default silently
+        e = self.err(tmp_path, "[model]\ndetla = 0.2\n[run]\npaht = 5\n")
+        assert e.problems == [
+            "[model] detla: unknown key",
+            "[run] paht: unknown key",
+        ]
+
     def test_unparsable_number_reports_key(self, tmp_path):
         e = self.err(tmp_path, "[model]\ndelta = often\n")
         assert any("[model] delta" in p for p in e.problems)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from splitmerge.dynamics import (
-    MarketState,
     assign_ranks,
+    check_caps,
     euler_step,
     market_weights,
     total_cap,
@@ -19,21 +19,20 @@ def make_params(**kw):
     return ModelParams(**base)
 
 
-class TestMarketState:
+class TestCheckCaps:
     def test_check_accepts_valid(self):
-        s = MarketState(0.0, np.array([1.0, 2.0]))
-        assert s.check() is s
-        assert s.n == 2
+        caps = np.array([1.0, 2.0])
+        assert check_caps(caps) is caps
 
     def test_check_rejects_single_company(self):
         with pytest.raises(ValueError):
-            MarketState(0.0, np.array([7.0])).check()
+            check_caps(np.array([7.0]))
 
     def test_check_rejects_nonpositive_and_nonfinite(self):
         with pytest.raises(ValueError):
-            MarketState(0.0, np.array([1.0, 0.0])).check()
+            check_caps(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            MarketState(0.0, np.array([1.0, np.inf])).check()
+            check_caps(np.array([1.0, np.inf]))
 
 
 class TestRanks:
@@ -101,31 +100,27 @@ class TestEulerStep:
             drift=RankTable(0.0, 0.0, overrides={2: (-1.0, 1.0)}),
             dt=0.1,
         )
-        s = MarketState(0.0, np.array([math.e, 1.0]))
-        out = euler_step(s, p, np.zeros(2))
+        out = euler_step(np.array([math.e, 1.0]), p, np.zeros(2))
         np.testing.assert_allclose(
-            out.caps, [math.exp(0.9), math.exp(0.1)], rtol=1e-14
+            out, [math.exp(0.9), math.exp(0.1)], rtol=1e-14
         )
-        assert out.t == 0.1
 
     def test_zero_drift_zero_noise_identity(self):
         p = make_params()
-        s = MarketState(0.5, np.array([2.0, 3.0, 4.0]))
-        out = euler_step(s, p, np.zeros(3))
-        assert np.array_equal(out.caps, s.caps)
-        assert out.t == 0.5 + p.dt
+        caps = np.array([2.0, 3.0, 4.0])
+        out = euler_step(caps, p, np.zeros(3))
+        assert np.array_equal(out, caps)
 
     def test_weights_depend_only_on_ratios(self):
         p = make_params(drift=RankTable(0.1, 0.2), vol=RankTable(0.8, 0.4))
         rng = np.random.default_rng(3)
         caps = np.array([5.0, 1.0, 3.0, 2.0])
         z = rng.standard_normal(4)
-        w1 = market_weights(euler_step(MarketState(0, caps), p, z).caps)
-        w2 = market_weights(euler_step(MarketState(0, caps * 8.0), p, z).caps)
+        w1 = market_weights(euler_step(caps, p, z))
+        w2 = market_weights(euler_step(caps * 8.0, p, z))
         np.testing.assert_allclose(w1, w2, rtol=1e-13)
 
     def test_overflow_raises(self):
         p = make_params(drift=RankTable(1000.0, 0.0), dt=1.0)
-        s = MarketState(0.0, np.array([1e300, 1.0]))
         with pytest.raises(OverflowError):
-            euler_step(s, p, np.zeros(2))
+            euler_step(np.array([1e300, 1.0]), p, np.zeros(2))

@@ -220,6 +220,32 @@ class TestBitExactness:
         for name in Instrumentation.__slots__:
             assert getattr(res.instr, name) == getattr(want, name), name
 
+    def test_top_weight_a_hair_below_threshold_still_merges(self):
+        # vol 1e-300 holds the caps fixed with the top weight at
+        # 0.8999999999995, under 1 - delta by less than 1e-12 relative:
+        # no split fires, so the batch engine must not flag one either,
+        # and every path merges its two small companies when its clock rings
+        params = make_params(vol=RankTable(1e-300, 0.0), eps0=0.3, clock_c=100.0)
+        caps0 = np.array([9.0 - 5e-11, 0.5, 0.5])
+        rules = (PortfolioRule("market"),)
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=0.05,
+                n_paths=4, seed=3, rules=rules, collect_events=True,
+                collect_final_caps=True,
+            )
+        )
+        assert res.instr.splits == 0 and res.instr.mergers == 4
+        assert res.final_n.tolist() == [2, 2, 2, 2]
+        want = max(
+            reference_path(params, caps0, 0.05, 3, p, rules=rules)[
+                "instr"
+            ].max_sample_weight
+            for p in range(4)
+        )
+        assert res.instr.max_sample_weight == want == 0.8999999999995
+        assert_paths_match(params, caps0, 0.05, 3, res, 4, rules=rules, stride=0)
+
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from splitmerge.dynamics import MarketState
 from splitmerge.engine import EngineRun, run_paths
 from splitmerge.girsanov import GirsanovState, accumulate, theta_row
 from splitmerge.harness import _zv_stats
@@ -56,34 +55,33 @@ class TestAccumulate:
         p = make_params(theta_mode="growth")
         gs = GirsanovState()
         rng = np.random.default_rng(0)
-        state = MarketState(0.0, np.array([2.0, 1.0, 3.0]))
+        caps = np.array([2.0, 1.0, 3.0])
         for _ in range(50):
-            gs = accumulate(gs, state, p, rng.standard_normal(3))
+            gs = accumulate(gs, caps, p, rng.standard_normal(3))
         assert gs.log_z == 0.0
-        assert gs.z == 1.0
 
     def test_qv_pathwise_bound(self):
         p = make_params(drift=RankTable(0.2, 0.1), vol=RankTable(0.9, 0.2))
         c = max(np.abs(theta_row(p, n)).max() for n in range(2, p.n_max + 1))
         gs = GirsanovState()
         rng = np.random.default_rng(1)
-        state = MarketState(0.0, np.array([2.0, 1.0, 3.0, 0.5]))
+        caps = np.array([2.0, 1.0, 3.0, 0.5])
         steps = 200
         for _ in range(steps):
-            gs = accumulate(gs, state, p, rng.standard_normal(4))
+            gs = accumulate(gs, caps, p, rng.standard_normal(4))
         horizon = steps * p.dt
         assert gs.qv <= c * c * horizon * 4 + 1e-12
         assert gs.qv > 0.0
 
     def test_deterministic_replay(self):
         p = make_params()
-        state = MarketState(0.0, np.array([1.0, 2.0]))
+        caps = np.array([1.0, 2.0])
 
         def run():
             gs = GirsanovState()
             rng = np.random.default_rng(7)
             for _ in range(20):
-                gs = accumulate(gs, state, p, rng.standard_normal(2))
+                gs = accumulate(gs, caps, p, rng.standard_normal(2))
             return gs
 
         a, b = run(), run()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splitmerge.dynamics import MarketState, market_weights
+from splitmerge.dynamics import market_weights
 from splitmerge.events import apply_split
 from splitmerge.portfolio import (
     PortfolioRule,
@@ -14,7 +14,7 @@ from splitmerge.portfolio import (
 )
 
 
-STATE = MarketState(0.0, [5.0, 1.0, 4.0])
+CAPS = [5.0, 1.0, 4.0]
 
 
 class TestRules:
@@ -25,38 +25,33 @@ class TestRules:
             PortfolioRule("rank", -1)
 
     def test_cash(self):
-        pi = PortfolioRule("cash").weights(STATE)
+        pi = PortfolioRule("cash").weights(CAPS)
         assert pi == [0.0, 0.0, 0.0]
 
     def test_market(self):
-        pi = PortfolioRule("market").weights(STATE)
+        pi = PortfolioRule("market").weights(CAPS)
         np.testing.assert_allclose(pi, [0.5, 0.1, 0.4])
 
     def test_equal(self):
-        pi = PortfolioRule("equal").weights(STATE)
+        pi = PortfolioRule("equal").weights(CAPS)
         np.testing.assert_allclose(pi, [1 / 3] * 3)
 
     def test_rank_targets_by_rank(self):
-        pi = PortfolioRule("rank", 0).weights(STATE)
+        pi = PortfolioRule("rank", 0).weights(CAPS)
         assert pi == [1.0, 0.0, 0.0]
-        pi = PortfolioRule("rank", 1).weights(STATE)
+        pi = PortfolioRule("rank", 1).weights(CAPS)
         assert pi == [0.0, 0.0, 1.0]
 
     def test_name_targets_by_index(self):
-        pi = PortfolioRule("name", 2).weights(STATE)
+        pi = PortfolioRule("name", 2).weights(CAPS)
         assert pi == [0.0, 0.0, 1.0]
 
     def test_vanished_target_goes_to_money_market(self):
         # the market can shrink below a fixed target through mergers
-        small = MarketState(0.0, [1.0, 2.0])
+        small = [1.0, 2.0]
         for kind in ("rank", "name"):
             pi = PortfolioRule(kind, 4).weights(small)
             assert pi == [0.0, 0.0]
-
-    def test_bounds(self):
-        assert PortfolioRule("cash").bound == 0.0
-        assert PortfolioRule("market").bound == 1.0
-        assert PortfolioRule("rank", 2).bound == 1.0
 
     def test_names(self):
         assert PortfolioRule("rank", 0).name == "rank-1"
