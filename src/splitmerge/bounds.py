@@ -399,8 +399,6 @@ def rate_function(s: float) -> float:
 class ExplosionBound:
     log_sigma1: float
     log_sigma2: float
-    lam_low: float   # min clock rate over levels L+1 .. 2L-1
-    lam_high: float  # max clock rate over levels 3 .. 2L-1
 
     @property
     def log_total(self) -> float:
@@ -452,12 +450,7 @@ def explosion_bound_terms(
     )
     s = T * lam_high / u
     log_sigma2 = -u * rate_function(s)
-    return ExplosionBound(
-        log_sigma1=log_sigma1,
-        log_sigma2=log_sigma2,
-        lam_low=lam_low,
-        lam_high=lam_high,
-    )
+    return ExplosionBound(log_sigma1=log_sigma1, log_sigma2=log_sigma2)
 
 
 @dataclass

@@ -34,29 +34,27 @@ A section or key not listed above is an error, so a misspelt key is
 reported rather than silently left at its default.  All problems are
 collected and reported together in a single :class:`ConfigError`
 rather than one at a time.
+
+This module only parses.  A key left out takes the default of the
+dataclass it fills (:class:`~splitmerge.params.ModelParams`,
+:class:`~splitmerge.params.SplitDist`, :class:`RunSettings`); only the
+rank-table coefficients, which :class:`~splitmerge.params.RankTable`
+gives no default, have theirs here.  Whether the parsed values make a
+valid run is decided by :meth:`splitmerge.engine.EngineRun.validate`,
+the same check ``run_paths`` and ``reference_path`` apply, so a config
+file is rejected exactly when the engines would reject its run.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import EngineRun
 from .params import ModelParams, RankTable, SplitDist
 from .portfolio import RULE_KINDS, PortfolioRule
-
-# the keys each section accepts; any other section or key is a problem
-KEYS = {
-    "model": (
-        "drift_a", "drift_b", "vol_a", "vol_b", "delta", "eps0",
-        "split_dist", "beta_a", "beta_b", "clock_c", "clock_alpha",
-        "n_max", "dt", "theta_mode",
-    ),
-    "initial": ("caps", "n"),
-    "run": ("horizon", "paths", "seed", "workers", "stride", "portfolio"),
-}
 
 
 class ConfigError(ValueError):
@@ -107,136 +105,80 @@ def parse_rule(text: str) -> PortfolioRule:
     return PortfolioRule(text)
 
 
-def _get(cp, section, key, conv, default, problems):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        problems.append(f"[{section}] {key} = {raw!r}: {exc}")
-        return default
-
-
-def _to_float(raw: str) -> float:
-    return float(raw)
-
-
-def _to_int(raw: str) -> int:
-    return int(raw)
-
-
 def _to_caps(raw: str) -> np.ndarray:
-    vals = [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
-    if len(vals) < 2:
-        raise ValueError("need at least two capitalizations")
-    return np.asarray(vals, dtype=np.float64)
+    return np.asarray(
+        [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()],
+        dtype=np.float64,
+    )
+
+
+def _to_count(raw: str) -> np.ndarray:
+    return np.ones(int(raw))
+
+
+# section -> key -> converter; any other section or key is a problem
+KEYS = {
+    "model": {
+        "drift_a": float, "drift_b": float, "vol_a": float, "vol_b": float,
+        "delta": float, "eps0": float, "split_dist": str.strip,
+        "beta_a": float, "beta_b": float, "clock_c": float,
+        "clock_alpha": float, "n_max": int, "dt": float,
+        "theta_mode": str.strip,
+    },
+    "initial": {"caps": _to_caps, "n": _to_count},
+    "run": {
+        "horizon": float, "paths": int, "seed": int, "workers": int,
+        "stride": int, "portfolio": parse_rule,
+    },
+}
 
 
 def parse_config(cp: configparser.ConfigParser) -> RunConfig:
     problems: list[str] = []
+    vals: dict[str, dict] = {section: {} for section in KEYS}
     for section in cp.sections():
         if section not in KEYS:
             problems.append(f"unknown section [{section}]")
             continue
         for key in cp.options(section):
-            if key not in KEYS[section]:
+            conv = KEYS[section].get(key)
+            if conv is None:
                 problems.append(f"[{section}] {key}: unknown key")
+                continue
+            raw = cp.get(section, key)
+            try:
+                vals[section][key] = conv(raw)
+            except ValueError as exc:
+                problems.append(f"[{section}] {key} = {raw!r}: {exc}")
 
-    g = lambda *a: _get(cp, "model", *a, problems=problems)
-    drift = RankTable(
-        a=g("drift_a", _to_float, 0.0), b=g("drift_b", _to_float, 0.0)
-    )
-    vol = RankTable(a=g("vol_a", _to_float, 1.0), b=g("vol_b", _to_float, 0.0))
-    split_kind = g("split_dist", str.strip, "uniform")
-    if split_kind not in ("uniform", "point", "beta"):
-        problems.append(f"[model] split_dist = {split_kind!r}: must be "
-                        "uniform, point or beta")
-        split_kind = "uniform"
-    split = SplitDist(
-        kind=split_kind,
-        beta_a=g("beta_a", _to_float, 2.0),
-        beta_b=g("beta_b", _to_float, 2.0),
-    )
-    params = ModelParams(
-        drift=drift,
-        vol=vol,
-        delta=g("delta", _to_float, 0.1),
-        eps0=g("eps0", _to_float, 0.3),
-        split_dist=split,
-        clock_c=g("clock_c", _to_float, 1.0),
-        clock_alpha=g("clock_alpha", _to_float, 2.0),
-        n_max=g("n_max", _to_int, 64),
-        dt=g("dt", _to_float, 1e-3),
-        theta_mode=g("theta_mode", str.strip, "martingale"),
-    )
-    problems.extend(params.validate())
+    # every default is the dataclass's own, except the rank tables',
+    # which have none
+    model = vals["model"]
+    drift = RankTable(model.pop("drift_a", 0.0), model.pop("drift_b", 0.0))
+    vol = RankTable(model.pop("vol_a", 1.0), model.pop("vol_b", 0.0))
+    split_args = {key: model.pop(key) for key in ("beta_a", "beta_b") if key in model}
+    if "split_dist" in model:
+        split_args["kind"] = model.pop("split_dist")
+    try:
+        split = SplitDist(**split_args)
+    except ValueError as exc:
+        problems.append(f"[model] split_dist: {exc}")
+        split = SplitDist()
+    params = ModelParams(drift=drift, vol=vol, split_dist=split, **model)
 
-    caps = None
-    if cp.has_option("initial", "caps") and cp.has_option("initial", "n"):
+    # caps and n each convert to the cap vector; one of them, or three unit caps
+    initial = vals["initial"]
+    if len(initial) > 1:
         problems.append("[initial] give either caps or n, not both")
-    if cp.has_option("initial", "caps"):
-        caps = _get(cp, "initial", "caps", _to_caps, None, problems)
-    elif cp.has_option("initial", "n"):
-        n = _get(cp, "initial", "n", _to_int, 0, problems)
-        if n < 2:
-            problems.append("[initial] n must be at least 2")
-        else:
-            caps = np.ones(n)
-    if caps is None:
-        caps = np.ones(3)
-    else:
-        if np.any(~np.isfinite(caps)) or np.any(caps <= 0.0):
-            problems.append("[initial] caps must be positive and finite")
-            caps = np.ones(3)
-    if len(caps) >= params.n_max:
-        problems.append(
-            f"[initial] {len(caps)} companies but n_max = {params.n_max}"
-        )
-
-    gr = lambda *a: _get(cp, "run", *a, problems=problems)
-    rule = PortfolioRule("market")
-    if cp.has_option("run", "portfolio"):
-        try:
-            rule = parse_rule(cp.get("run", "portfolio"))
-        except ValueError as exc:
-            problems.append(f"[run] portfolio: {exc}")
-    run = RunSettings(
-        horizon=gr("horizon", _to_float, 1.0),
-        paths=gr("paths", _to_int, 1000),
-        seed=gr("seed", _to_int, 7),
-        workers=gr("workers", _to_int, 1),
-        stride=gr("stride", _to_int, 0),
-        portfolio=rule,
+    caps = next(iter(initial.values()), np.ones(3))
+    run = RunSettings(**vals["run"])
+    problems.extend(
+        EngineRun(
+            params=params, initial_caps=caps, horizon=run.horizon,
+            n_paths=run.paths, seed=run.seed, rules=(run.portfolio,),
+            workers=run.workers, stride=run.stride,
+        ).validate()
     )
-    if not run.horizon > 0.0:
-        problems.append("[run] horizon must be positive")
-    elif params.dt > 0.0:
-        # the engines run round(horizon / dt) steps; a horizon that is not
-        # a whole number of steps would be rounded silently
-        ratio = run.horizon / params.dt
-        if not math.isfinite(ratio):
-            problems.append("[run] horizon must be finite")
-        elif round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
-            problems.append(
-                f"[run] horizon = {run.horizon!r} is not a whole number of "
-                f"steps of dt = {params.dt!r}; it would round to "
-                f"{round(ratio)} steps"
-            )
-    if run.paths <= 0:
-        problems.append("[run] paths must be positive")
-    if run.workers < 1:
-        problems.append("[run] workers must be at least 1")
-    if run.stride < 0:
-        problems.append("[run] stride must be nonnegative")
-    if run.seed < 0:
-        problems.append("[run] seed must be nonnegative")
-    if rule.kind in ("rank", "name") and rule.k >= len(caps):
-        problems.append(
-            f"[run] portfolio {rule.name} targets company {rule.k + 1} "
-            f"but only {len(caps)} companies start"
-        )
-
     if problems:
         raise ConfigError(problems)
     return RunConfig(params=params, initial_caps=caps, run=run)

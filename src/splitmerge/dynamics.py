@@ -11,8 +11,10 @@ the twin tests hold the vectorized step against this one, which they
 could not do if both ran the same code.
 
 A market is its cap vector X_1..X_N and nothing else: every function
-here takes ``caps`` directly, an array for :func:`euler_step` and
-:func:`check_caps`, a list of Python floats where events are resolved.
+here takes ``caps`` directly, an array for :func:`euler_step`, a list
+of Python floats where events are resolved.  A market from outside the
+program is checked once, with the rest of its run, by
+:meth:`splitmerge.engine.EngineRun.validate`.
 
 All reductions over companies here and in the engine run left to right
 in company order.  Here they are explicit loops; the batch engine holds
@@ -31,22 +33,11 @@ import numpy as np
 from .params import ModelParams
 
 __all__ = [
-    "check_caps",
     "assign_ranks",
     "total_cap",
     "market_weights",
     "euler_step",
 ]
-
-
-def check_caps(caps: np.ndarray) -> np.ndarray:
-    """Validate a market from outside the program: a 1-d vector of at
-    least two finite, strictly positive caps.  Returns ``caps``."""
-    if caps.ndim != 1 or len(caps) < 2:
-        raise ValueError("market needs a 1-d cap vector with N >= 2")
-    if not np.all(np.isfinite(caps)) or not np.all(caps > 0):
-        raise ValueError("caps must be finite and strictly positive")
-    return caps
 
 
 def assign_ranks(caps: np.ndarray) -> np.ndarray:

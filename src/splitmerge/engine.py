@@ -92,8 +92,9 @@ Boundary semantics at each step boundary, in order:
    the number of companies.
 
 Each of these decisions has one definition.  The batch engine flags a
-path for resolution with the resolver's own split test, ``max(x)/C >=
-1 - delta``, which is exact rather than a filter: ``C`` is the
+path for resolution, at entry and after every step, with the resolver's
+own split test, ``max(x)/C >= 1 - delta``, which is exact rather than a
+filter: ``C`` is the
 resolver's left-to-right total (the padded +0.0 slots leave a positive
 total unchanged), and a correctly rounded division by one positive
 ``C`` is monotone, so ``max(x)/C`` is bit for bit the ``max(x_i/C)``
@@ -103,6 +104,14 @@ clock.  :func:`_resolve_boundary` builds the rule weights it transfers
 from the caps it is given.  The top weight after a boundary is recorded
 by each engine's loop, as ``max(x)/C`` (:func:`_mu_top` in the scalar
 engine), and one :func:`_series_row` formats the series rows of both.
+
+A valid run has one definition as well, :meth:`EngineRun.validate`:
+``run_paths`` calls it, ``reference_path`` calls it on the run of its
+one path (``n_paths = path + 1``), and :mod:`splitmerge.config` reports
+its problems with the file's own, so the two engines and a config file
+reject exactly the same inputs.  Validation makes the horizon a whole
+number of steps, at least one, so both engines take
+``int(round(horizon / dt))`` steps and rounding changes nothing.
 
 Status codes: 0 ok, 1 company-count explosion, 2 a cap or the total
 capitalization left ``(0, inf)`` (overflow or underflow), 3 portfolio
@@ -121,7 +130,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import check_caps, euler_step, market_weights, total_cap
+from .dynamics import euler_step, market_weights, total_cap
 from .events import (
     EventRecord,
     apply_merger,
@@ -141,7 +150,7 @@ from .portfolio import (
     transfer_on_split,
     wealth_step,
 )
-from .streams import CLOCK, EVENTS, NOISE, PathStreams, path_generator
+from .streams import CLOCK, EVENTS, NOISE, path_generator
 
 CHUNK = 4096        # paths per block; part of the determinism contract
 NOISE_BUF = 768     # buffered normals per path in the batch engine
@@ -460,17 +469,6 @@ def _series_row(
     )
 
 
-def _step_count(horizon: float, dt: float) -> int:
-    """Steps a run takes: ``horizon / dt`` rounded, and at least one."""
-    last = int(round(horizon / dt))
-    if last < 1:
-        raise ValueError(
-            f"horizon {horizon!r} is under half a step of dt = {dt!r}, "
-            "so no step would run"
-        )
-    return last
-
-
 # ---------------------------------------------------------------------------
 # scalar reference engine
 
@@ -493,26 +491,32 @@ def reference_path(
     per-rule wealth, the log change-of-measure density, status, event
     records and optional CSV series rows.
     """
-    params.require_valid()
+    rules = tuple(rules)
+    EngineRun(
+        params=params, initial_caps=initial_caps, horizon=horizon,
+        n_paths=path + 1, seed=seed, rules=rules, stride=stride,
+        series_cols=series_cols,
+    ).require_valid()
     if tables is None:
         tables = StepTables.build(params)
-    streams = PathStreams.for_path(seed, path)
+    noise = path_generator(seed, path, NOISE)
+    clock = path_generator(seed, path, CLOCK)
+    ev_gen = path_generator(seed, path, EVENTS)
     instr = Instrumentation()
     events: list[EventRecord] = []
     caps = np.array(initial_caps, dtype=np.float64)
-    rules = tuple(rules)
     v = np.ones(len(rules))
     gs = GirsanovState()
     status = 0
     dt = params.dt
-    last = _step_count(horizon, dt)
+    last = int(round(horizon / dt))
     max_n = len(caps)
     series: list[str] = []
 
     # entry resolution: a concentrated initial market splits at t = 0+;
     # events are resolved on lists, the diffusion runs on arrays
     caps_l, exploded, split_fired = _resolve_boundary(
-        caps.tolist(), 0.0, path, params, streams.events, False, rules, instr,
+        caps.tolist(), 0.0, path, params, ev_gen, False, rules, instr,
         events.append,
     )
     caps = np.array(caps_l)
@@ -539,7 +543,7 @@ def reference_path(
         # the rules are functions of the current caps; rebalance happens
         # every step, so weights are recomputed rather than carried
         pis = [np.array(rl.weights(caps)) for rl in rules]
-        z = streams.noise.standard_normal(n)
+        z = noise.standard_normal(n)
         try:
             new_caps = euler_step(caps, params, z)
         except OverflowError:
@@ -547,7 +551,7 @@ def reference_path(
             break
         step += 1
         t = step * dt
-        u = float(streams.clock.random())
+        u = float(clock.random())
         ring = u < tables.pstep[n]
 
         r = new_caps / caps - 1.0
@@ -565,7 +569,7 @@ def reference_path(
             break
 
         caps_l, exploded, _ = _resolve_boundary(
-            caps.tolist(), t, path, params, streams.events, ring, rules, instr,
+            caps.tolist(), t, path, params, ev_gen, ring, rules, instr,
             events.append,
         )
         caps = np.array(caps_l)
@@ -621,6 +625,69 @@ class EngineRun:
     collect_events: bool = False
     collect_final_caps: bool = False
 
+    def validate(self) -> list[str]:
+        """Every problem with the run, each naming its field (empty when
+        the run is valid): the model's assumption violations first, then
+        the run's own inputs.  Both engines and the config file accept
+        exactly the runs this accepts."""
+        problems = self.params.validate()
+        caps = np.asarray(self.initial_caps, dtype=np.float64)
+        n0 = len(caps) if caps.ndim == 1 else 0
+        if n0 < 2:
+            problems.append(
+                "initial_caps must be a 1-d vector of at least 2 caps, "
+                f"got shape {caps.shape}"
+            )
+        elif not (np.isfinite(caps) & (caps > 0.0)).all():
+            problems.append("initial_caps must be positive and finite")
+        if n0 >= self.params.n_max:
+            problems.append(
+                f"initial_caps: {n0} companies but n_max = {self.params.n_max}"
+            )
+        dt = self.params.dt
+        if not self.horizon > 0.0:
+            problems.append(f"horizon must be positive, got {self.horizon!r}")
+        elif dt > 0.0:
+            # the engines run round(horizon / dt) steps; a horizon that is
+            # not a whole number of steps would be rounded silently
+            ratio = self.horizon / dt
+            if not math.isfinite(ratio):
+                problems.append(f"horizon must be finite, got {self.horizon!r}")
+            elif round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
+                problems.append(
+                    f"horizon = {self.horizon!r} is not a whole number of "
+                    f"steps of dt = {dt!r}; it would round to "
+                    f"{round(ratio)} steps"
+                )
+        if self.n_paths <= 0:
+            problems.append(f"n_paths must be positive, got {self.n_paths}")
+        if self.seed < 0:
+            problems.append(f"seed must be nonnegative, got {self.seed}")
+        if self.workers < 1:
+            problems.append(f"workers must be at least 1, got {self.workers}")
+        if self.stride < 0:
+            problems.append(f"stride must be nonnegative, got {self.stride}")
+        for rl in self.rules:
+            if rl.kind in ("rank", "name") and rl.k >= n0:
+                problems.append(
+                    f"rules: {rl.name} targets company {rl.k + 1} "
+                    f"but only {n0} companies start"
+                )
+        if self.series_cols is not None and not all(
+            0 <= i < len(self.rules) for i in self.series_cols
+        ):
+            problems.append(
+                f"series_cols = {self.series_cols} indexes outside the "
+                f"{len(self.rules)} rules"
+            )
+        return problems
+
+    def require_valid(self) -> "EngineRun":
+        problems = self.validate()
+        if problems:
+            raise ValueError("invalid run:\n  " + "\n  ".join(problems))
+        return self
+
 
 @dataclass
 class EngineResult:
@@ -664,7 +731,7 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
     rules = run.rules
     n_rules = len(rules)
     dt = params.dt
-    last = _step_count(run.horizon, dt)
+    last = int(round(run.horizon / dt))
     p_cnt = stop - start
     n0 = len(run.initial_caps)
     n_max = params.n_max
@@ -753,12 +820,12 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
             )
 
     ar_rows = np.arange(p_cnt)
-    mu1 = np.zeros(p_cnt)
 
-    # entry resolution at t = 0 (same initial caps on every path, so the
-    # check is done once; the per-path resolution still draws its own xi)
-    w0 = market_weights(caps[:n0, 0].tolist())
-    if detect_split(w0, params.delta) is not None:
+    # entry resolution at t = 0, flagged by the step's own split test (see
+    # "Boundary semantics"); every path starts from the same caps, so one
+    # column decides, and each path still draws its own xi
+    mu1 = caps.max(axis=0) / _col_sum(caps)
+    if mu1[0] >= 1.0 - params.delta:
         mu1[:] = _resolve_paths(ar_rows, np.zeros(p_cnt, dtype=bool), 0.0)
         _record_top(mu1)
 
@@ -790,7 +857,6 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         series_vm, series_vp = run.series_cols
 
     if run.stride > 0:
-        mu1 = caps.max(axis=0) / _col_sum(caps)
         _series_rows(0)
 
     step = 0
@@ -922,22 +988,7 @@ def run_paths(run: EngineRun) -> EngineResult:
     layout is fixed by :data:`CHUNK` and blocks are reassembled in
     order.
     """
-    run.params.require_valid()
-    if run.n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    _step_count(run.horizon, run.params.dt)
-    caps0 = np.asarray(run.initial_caps, dtype=np.float64)
-    check_caps(caps0)
-    if len(caps0) >= run.params.n_max:
-        raise ValueError("initial company count must be below n_max")
-    for rl in run.rules:
-        if rl.kind in ("rank", "name") and rl.k >= len(caps0):
-            raise ValueError(f"rule {rl.name} targets a missing company")
-    if run.series_cols is not None:
-        for idx in run.series_cols:
-            if not 0 <= idx < len(run.rules):
-                raise ValueError("series_cols indexes outside rules")
-
+    run.require_valid()
     tables = StepTables.build(run.params)
     parts = _chunk_args(run)
     if run.workers > 1 and len(parts) > 1:
@@ -957,7 +1008,7 @@ def run_paths(run: EngineRun) -> EngineResult:
         final_n=np.empty(p_tot, dtype=np.int64),
         max_n=np.empty(p_tot, dtype=np.int64),
         final_total=np.empty(p_tot),
-        initial_total=float(total_cap(caps0)),
+        initial_total=float(total_cap(np.asarray(run.initial_caps, dtype=np.float64))),
         status=np.empty(p_tot, dtype=np.int8),
         instr=Instrumentation(),
         final_caps=[] if run.collect_final_caps else None,

@@ -299,16 +299,10 @@ def check_double_jump(
     for caps0, h, s in runs:
         part = estimate_double_jump(params, caps0, h, paths, s, workers)
         for n, st in part.items():
-            if n in stats:
-                prev = stats[n]
-                stats[n] = DoubleJumpStat(
-                    level=n,
-                    segments=prev.segments + st.segments,
-                    doubles=prev.doubles + st.doubles,
-                    censored=prev.censored + st.censored,
-                )
-            else:
-                stats[n] = st
+            acc = stats.setdefault(n, DoubleJumpStat(level=n))
+            acc.segments += st.segments
+            acc.doubles += st.doubles
+            acc.censored += st.censored
     sigma_bar = params.sigma_range()[1]
     rows = []
     passed = True
@@ -397,20 +391,9 @@ def check_martingale(
     rows = []
     passed = True
 
-    # event-active market, martingale convention: everything is a
-    # martingale, so all five statistics sit on 1 up to Monte Carlo noise
-    params = active_params(theta_mode="martingale")
-    res = run_paths(
-        EngineRun(
-            params=params,
-            initial_caps=active_initial(),
-            horizon=1.0,
-            n_paths=paths,
-            seed=seed,
-            rules=SHARED_RULES,
-            workers=workers,
-        )
-    )
+    # the shared event-active market, martingale convention: everything is
+    # a martingale, so all five statistics sit on 1 up to Monte Carlo noise
+    _, _, res = run_shared(seed, paths, workers)
     for name, est, se in _zv_stats(res):
         ok = abs(est - 1.0) <= 3.0 * se
         passed = passed and ok

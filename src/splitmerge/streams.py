@@ -20,8 +20,6 @@ at a time; the engine relies on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "PROBE",
     "path_key",
     "path_generator",
-    "PathStreams",
 ]
 
 ALGORITHM_ID = "numpy.random.Philox key=[seed, path*4+stream]"
@@ -53,20 +50,3 @@ def path_key(seed: int, path: int, stream: int) -> np.ndarray:
 
 def path_generator(seed: int, path: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=path_key(seed, path, stream)))
-
-
-@dataclass
-class PathStreams:
-    """The three live streams of one path."""
-
-    noise: np.random.Generator
-    clock: np.random.Generator
-    events: np.random.Generator
-
-    @classmethod
-    def for_path(cls, seed: int, path: int) -> "PathStreams":
-        return cls(
-            noise=path_generator(seed, path, NOISE),
-            clock=path_generator(seed, path, CLOCK),
-            events=path_generator(seed, path, EVENTS),
-        )

@@ -358,7 +358,6 @@ class TestExplosionBound:
         # L = 2, u = 3, T = 1/2, rate(3) = 3, delta0 = 1/2
         params = make_params(clock_c=1.0)
         eb = explosion_bound_terms(2, 3.0, 0.5, params)
-        assert eb.lam_low == 3.0 and eb.lam_high == 3.0
         assert eb.log_sigma1 == pytest.approx(3.3763727870505065, rel=1e-12)
         assert eb.log_sigma2 == pytest.approx(-0.5794415416798359, rel=1e-12)
         assert math.exp(eb.log_total) == pytest.approx(

@@ -160,6 +160,14 @@ class TestFlags:
         assert rc == 2
         assert problem in capsys.readouterr().err
 
+    def test_bad_split_dist_shape_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[model]\nsplit_dist = beta\nbeta_a = -1\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert (
+            "[model] split_dist: beta split distribution needs positive "
+            "shape parameters" in capsys.readouterr().err
+        )
+
     def test_flag_equals_the_same_value_in_the_file(self, tmp_path, capsys):
         flags = write_cfg(tmp_path, TINY)
         assert main(["simulate", "--config", flags, "--seed", "9",

@@ -182,7 +182,7 @@ class TestProblems:
 
     def test_single_cap_rejected(self, tmp_path):
         e = self.err(tmp_path, "[initial]\ncaps = 5\n")
-        assert any("at least two" in p for p in e.problems)
+        assert any("at least 2" in p for p in e.problems)
 
     def test_nonpositive_caps_rejected(self, tmp_path):
         e = self.err(tmp_path, "[initial]\ncaps = 1, -2, 1\n")

@@ -5,7 +5,6 @@ import pytest
 
 from splitmerge.dynamics import (
     assign_ranks,
-    check_caps,
     euler_step,
     market_weights,
     total_cap,
@@ -17,22 +16,6 @@ def make_params(**kw):
     base = dict(drift=RankTable(0.0, 0.0), vol=RankTable(1.0, 0.0))
     base.update(kw)
     return ModelParams(**base)
-
-
-class TestCheckCaps:
-    def test_check_accepts_valid(self):
-        caps = np.array([1.0, 2.0])
-        assert check_caps(caps) is caps
-
-    def test_check_rejects_single_company(self):
-        with pytest.raises(ValueError):
-            check_caps(np.array([7.0]))
-
-    def test_check_rejects_nonpositive_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            check_caps(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            check_caps(np.array([1.0, np.inf]))
 
 
 class TestRanks:

@@ -8,6 +8,7 @@ handling) follows from that plus the per-path stream derivation.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from splitmerge.config import load_config
+from splitmerge.cli import main
+from splitmerge.config import ConfigError, load_config
 from splitmerge.engine import (
     CHUNK,
     EngineRun,
@@ -53,17 +55,19 @@ def make_params(**kw):
 
 
 def assert_paths_match(
-    params, caps0, horizon, seed, res, paths, rules=RULES, stride=50
+    params, caps0, horizon, seed, res, paths, rules=RULES, stride=50,
+    series_cols=(0, 1),
 ):
     """Field-by-field bit comparison of the batch result against the
     scalar reference for each path.
 
-    ``paths`` is a path count (paths 0..paths-1) or a list of indices.
+    ``paths`` is a path count (paths 0..paths-1) or a list of indices;
+    ``rules``, ``stride`` and ``series_cols`` are the batch run's.
     """
     for p in range(paths) if isinstance(paths, int) else paths:
         ref = reference_path(
             params, caps0, horizon, seed, p, rules=rules,
-            stride=stride, series_cols=(0, 1),
+            stride=stride, series_cols=series_cols,
         )
         assert ref["status"] == int(res.status[p])
         if ref["status"] == 0:
@@ -244,7 +248,10 @@ class TestBitExactness:
             for p in range(4)
         )
         assert res.instr.max_sample_weight == want == 0.8999999999995
-        assert_paths_match(params, caps0, 0.05, 3, res, 4, rules=rules, stride=0)
+        assert_paths_match(
+            params, caps0, 0.05, 3, res, 4, rules=rules, stride=0,
+            series_cols=None,
+        )
 
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -529,14 +536,14 @@ class TestValidation:
         # dt is 1e-3: a horizon of 0.0004 rounds to zero steps
         params = make_params()
         caps0 = np.array([1.0, 1.0])
-        with pytest.raises(ValueError, match="no step would run"):
+        with pytest.raises(ValueError, match="would round to 0 steps"):
             run_paths(
                 EngineRun(
                     params=params, initial_caps=caps0, horizon=0.0004,
                     n_paths=1, seed=0,
                 )
             )
-        with pytest.raises(ValueError, match="no step would run"):
+        with pytest.raises(ValueError, match="would round to 0 steps"):
             reference_path(params, caps0, 0.0004, 0, 0)
 
     def test_zero_paths_rejected(self):
@@ -548,6 +555,92 @@ class TestValidation:
                     horizon=0.1, n_paths=0, seed=0,
                 )
             )
+
+    # each row: the EngineRun fields that differ from a valid run, the
+    # config file that states the same run (None where a file cannot),
+    # and the problem every front end must name; dt is 1e-3 throughout
+    @pytest.mark.parametrize(
+        "fields, cfg_text, problem",
+        [
+            ({"horizon": 0.0015}, "[run]\nhorizon = 0.0015\n",
+             "would round to 2 steps"),
+            ({"horizon": 0.0004}, "[run]\nhorizon = 0.0004\n",
+             "would round to 0 steps"),
+            ({"workers": 0}, "[run]\nworkers = 0\n",
+             "workers must be at least 1"),
+            ({"stride": -1}, "[run]\nstride = -1\n",
+             "stride must be nonnegative"),
+            ({"seed": -1}, "[run]\nseed = -1\n", "seed must be nonnegative"),
+            ({"initial_caps": np.array([1.0, -1.0])},
+             "[initial]\ncaps = 1, -1\n", "initial_caps must be positive"),
+            ({"initial_caps": np.ones(64)}, "[initial]\nn = 64\n",
+             "64 companies but n_max = 64"),
+            ({"rules": (PortfolioRule("name", 6),)},
+             "[run]\nportfolio = name:7\n", "targets company 7"),
+            ({"rules": (PortfolioRule("market"),), "series_cols": (0, 3)},
+             None, "series_cols"),
+        ],
+        ids=[
+            "horizon-1.5-steps", "horizon-0.4-steps", "workers-0",
+            "stride-negative", "seed-negative", "cap-negative",
+            "caps-at-n_max", "name-7-of-3", "series_cols-outside-rules",
+        ],
+    )
+    def test_invalid_run_rejected_everywhere(
+        self, fields, cfg_text, problem, tmp_path, capsys
+    ):
+        run = EngineRun(
+            params=make_params(), initial_caps=np.ones(3), horizon=0.01,
+            n_paths=2, seed=0,
+        )
+        run = replace(run, **fields)
+        assert any(problem in p for p in run.validate())
+        with pytest.raises(ValueError, match=problem):
+            run_paths(run)
+        # reference_path takes every field but workers
+        if "workers" not in fields:
+            with pytest.raises(ValueError, match=problem):
+                reference_path(
+                    run.params, run.initial_caps, run.horizon, run.seed, 0,
+                    rules=run.rules, stride=run.stride,
+                    series_cols=run.series_cols,
+                )
+        if cfg_text is None:
+            return
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)  # three unit caps unless it says otherwise
+        with pytest.raises(ConfigError) as ei:
+            load_config(str(cfg))
+        assert any(problem in p for p in ei.value.problems)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert problem in capsys.readouterr().err
+
+
+class TestCheckCaps:
+    """A market from outside the program, as :meth:`EngineRun.validate`
+    sees it."""
+
+    def caps_problems(self, caps):
+        return EngineRun(
+            params=make_params(), initial_caps=np.array(caps), horizon=0.1,
+            n_paths=1, seed=0,
+        ).validate()
+
+    def test_check_accepts_valid(self):
+        assert self.caps_problems([1.0, 2.0]) == []
+
+    def test_check_rejects_single_company(self):
+        for caps in ([7.0], [[1.0, 2.0]]):
+            assert self.caps_problems(caps) == [
+                "initial_caps must be a 1-d vector of at least 2 caps, "
+                f"got shape {np.shape(caps)}"
+            ]
+
+    def test_check_rejects_nonpositive_and_nonfinite(self):
+        for caps in ([1.0, 0.0], [1.0, np.inf], [np.nan, 1.0]):
+            assert self.caps_problems(caps) == [
+                "initial_caps must be positive and finite"
+            ]
 
 
 class TestSeries:

@@ -5,7 +5,6 @@ from splitmerge.streams import (
     EVENTS,
     NOISE,
     PROBE,
-    PathStreams,
     path_generator,
     path_key,
 )
@@ -52,12 +51,3 @@ def test_bulk_equals_sequential():
     seq_u = np.array([gen.random() for _ in range(64)])
     assert np.array_equal(bulk_u, seq_u)
 
-
-def test_path_streams_bundle():
-    ps = PathStreams.for_path(5, 9)
-    a = ps.noise.standard_normal(4)
-    b = path_generator(5, 9, NOISE).standard_normal(4)
-    assert np.array_equal(a, b)
-    u = ps.clock.random(4)
-    v = path_generator(5, 9, CLOCK).random(4)
-    assert np.array_equal(u, v)
