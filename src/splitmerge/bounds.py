@@ -20,9 +20,12 @@ here quantifies that race:
 Each closed form ships with a Monte Carlo estimator that measures the
 same probability by simulation, so the bounds can be verified rather
 than trusted (``estimate_split_before_clock``, ``simulate_rbm_hit``,
-``estimate_double_jump``, ``tail_of_max_count``).  The engine-driven
-estimators read only the engine's result (``max_n``, or the events it
-collects), so they run at any worker count.
+``estimate_double_jump``, ``tail_of_max_count``).  Each gives the same
+result at any worker count.  The engine-driven ones read only the
+engine's result (``max_n``, or the events it collects).  The two probes
+count hits per block of :func:`~splitmerge.engine.map_blocks`, the
+engine's own partition of the paths, drawing from one ``PROBE``
+generator per block, and sum the counts in block order.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import StepTables, _col_sum, rank_step
+from .engine import CHUNK, StepTables, _col_sum, map_blocks, rank_step
 from .events import clock_rate
 from .params import ModelParams
 from .streams import PROBE, path_generator
 
-PROBE_BLOCK = 4096  # paths per probe block; one generator per block
 DOUBLE_JUMP_LEVELS = (3, 4, 5)  # company counts whose entry splits are scored
 DOUBLE_JUMP_MARGIN = 10.0  # a segment opens no later than horizon - this / lambda_N
 
@@ -148,6 +150,7 @@ def estimate_split_before_clock(
     n_paths: int,
     seed: int,
     max_steps: int | None = None,
+    workers: int = 1,
 ) -> TailEstimate:
     """Measure P(split before clock) by simulating the pure diffusion.
 
@@ -157,51 +160,59 @@ def estimate_split_before_clock(
     boundary no later than the step during which the clock rings; ties
     go to the split, matching the engine's boundary semantics.  With
     ``lam == 0`` a ``max_steps`` horizon is required and unresolved
-    paths count as misses.
+    paths count as misses.  ``workers`` processes share the blocks.
     """
     params.require_valid()
     caps0 = np.asarray(initial_caps, dtype=np.float64)
-    n = len(caps0)
-    if n > params.n_max:
+    if len(caps0) > params.n_max:
         raise ValueError("initial company count exceeds n_max")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0 and max_steps is None:
         raise ValueError("lam == 0 requires max_steps")
-    dt = params.dt
-    tables = StepTables.build(params)
-    thr = 1.0 - params.delta
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    args = (params, StepTables.build(params), caps0, lam, seed, max_steps)
+    hits = map_blocks(_race_hits, n_paths, workers, *args)
+    return TailEstimate.from_counts(sum(hits), n_paths)
 
+
+def _race_hits(
+    params: ModelParams, tables: StepTables, caps0: np.ndarray, lam: float,
+    seed: int, max_steps: int | None, start: int, stop: int,
+) -> int:
+    """Split-race hits among paths ``start .. stop - 1``, one block, which
+    draws from its own ``PROBE`` generator."""
+    m = stop - start
+    n = len(caps0)
+    dt = params.dt
+    thr = 1.0 - params.delta
+    gen = path_generator(seed, start // CHUNK, PROBE)
+    if lam > 0.0:
+        eta = gen.exponential(scale=1.0 / lam, size=m)
+        eta_steps = np.ceil(eta / dt).astype(np.int64)
+    else:
+        eta_steps = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
+    # company-major, as in the batch engine: caps[k, p]; a resolved path's
+    # column is dropped, with its clock
+    caps = np.repeat(caps0[:, None], m, axis=1)
     hits = 0
-    for b, blk_start in enumerate(range(0, n_paths, PROBE_BLOCK)):
-        m = min(PROBE_BLOCK, n_paths - blk_start)
-        gen = path_generator(seed, b, PROBE)
-        if lam > 0.0:
-            eta = gen.exponential(scale=1.0 / lam, size=m)
-            eta_steps = np.ceil(eta / dt).astype(np.int64)
-        else:
-            eta_steps = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-        # company-major, as in the batch engine: caps[k, p]
-        caps = np.repeat(caps0[:, None], m, axis=1)
-        alive = np.arange(m)
-        step = 0
-        while alive.size:
-            step += 1
-            if max_steps is not None and step > max_steps:
-                break
-            # path-major draws, transposed: the same stream values per path
-            z = gen.standard_normal((alive.size, n)).T
-            caps = rank_step(caps, n, tables, z)[0]
-            mu1 = caps.max(axis=0) / _col_sum(caps)
-            ev = eta_steps[alive]
-            hit_now = (mu1 >= thr) & (step <= ev)
-            miss_now = ~hit_now & (step >= ev)
-            hits += int(np.count_nonzero(hit_now))
-            keep = ~(hit_now | miss_now)
-            if not keep.all():
-                caps = caps[:, keep]
-                alive = alive[keep]
-    return TailEstimate.from_counts(hits, n_paths)
+    step = 0
+    while caps.shape[1]:
+        step += 1
+        if max_steps is not None and step > max_steps:
+            break
+        # path-major draws, transposed: the same stream values per path
+        z = gen.standard_normal((caps.shape[1], n)).T
+        caps = rank_step(caps, n, tables, z)[0]
+        mu1 = caps.max(axis=0) / _col_sum(caps)
+        hit_now = (mu1 >= thr) & (step <= eta_steps)
+        hits += int(np.count_nonzero(hit_now))
+        keep = ~hit_now & (step < eta_steps)  # neither a hit nor a miss yet
+        if not keep.all():
+            caps = caps[:, keep]
+            eta_steps = eta_steps[keep]
+    return hits
 
 
 def simulate_rbm_hit(
@@ -212,6 +223,7 @@ def simulate_rbm_hit(
     n_paths: int,
     dt: float,
     seed: int,
+    workers: int = 1,
 ) -> TailEstimate:
     """Monte Carlo oracle for :func:`rbm_hit_before_exp`.
 
@@ -222,7 +234,7 @@ def simulate_rbm_hit(
     pinned Brownian path between a step's endpoints catches within-step
     crossings of either barrier, removing the O(sqrt(dt)) discretization
     bias of boundary sampling.  Hits take precedence over kills within a
-    step (an O(dt) bias).
+    step (an O(dt) bias).  ``workers`` processes share the blocks.
     """
     if not 0.0 <= x < y:
         raise ValueError("need 0 <= x < y")
@@ -230,34 +242,38 @@ def simulate_rbm_hit(
         raise ValueError("sigma_bar and dt must be positive")
     if lam <= 0.0:
         raise ValueError("lam must be positive")
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
+    hits = map_blocks(_rbm_hits, n_paths, workers, x, y, sigma_bar, lam, dt, seed)
+    return TailEstimate.from_counts(sum(hits), n_paths)
+
+
+def _rbm_hits(
+    x: float, y: float, sigma_bar: float, lam: float, dt: float, seed: int,
+    start: int, stop: int,
+) -> int:
+    """Walk-oracle hits among paths ``start .. stop - 1``, one block, which
+    draws from its own ``PROBE`` generator."""
     sd = sigma_bar * math.sqrt(2.0 * dt)
     var_step = 2.0 * sigma_bar * sigma_bar * dt
     pkill = -math.expm1(-lam * dt)
-
+    gen = path_generator(seed, start // CHUNK, PROBE)
+    b = np.full(stop - start, float(x))
     hits = 0
-    for blk, blk_start in enumerate(range(0, n_paths, PROBE_BLOCK)):
-        m = min(PROBE_BLOCK, n_paths - blk_start)
-        gen = path_generator(seed, blk, PROBE)
-        b = np.full(m, float(x))
-        while b.size:
-            z = gen.standard_normal(b.size)
-            u_kill = gen.random(b.size)
-            u_bridge = gen.random(b.size)
-            b_new = b + sd * z
-            crossed = np.abs(b_new) >= y
-            inside = ~crossed
-            with np.errstate(over="ignore"):
-                p_up = np.exp(-2.0 * (y - b) * (y - b_new) / var_step)
-                p_dn = np.exp(-2.0 * (y + b) * (y + b_new) / var_step)
-                p_cross = 1.0 - (1.0 - p_up) * (1.0 - p_dn)
-            crossed = crossed | (inside & (u_bridge < p_cross))
-            killed = u_kill < pkill
-            hit_now = crossed
-            miss_now = ~crossed & killed
-            hits += int(np.count_nonzero(hit_now))
-            keep = ~(hit_now | miss_now)
-            b = b_new[keep]
-    return TailEstimate.from_counts(hits, n_paths)
+    while b.size:
+        z = gen.standard_normal(b.size)
+        u_kill = gen.random(b.size)
+        u_bridge = gen.random(b.size)
+        b_new = b + sd * z
+        with np.errstate(over="ignore"):
+            p_up = np.exp(-2.0 * (y - b) * (y - b_new) / var_step)
+            p_dn = np.exp(-2.0 * (y + b) * (y + b_new) / var_step)
+            p_cross = 1.0 - (1.0 - p_up) * (1.0 - p_dn)
+        # an endpoint past a barrier, or the bridge crossing within the step
+        crossed = (np.abs(b_new) >= y) | (u_bridge < p_cross)
+        hits += int(np.count_nonzero(crossed))
+        b = b_new[~crossed & (u_kill >= pkill)]  # neither hit nor killed
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +386,11 @@ def estimate_double_jump(
     """Run the engine and score its consecutive-split frequencies."""
     from .engine import EngineRun, run_paths
 
-    res = run_paths(
-        EngineRun(
-            params=params,
-            initial_caps=np.asarray(initial_caps, dtype=np.float64),
-            horizon=horizon,
-            n_paths=n_paths,
-            seed=seed,
-            workers=workers,
-            collect_events=True,
-        )
-    )
+    res = run_paths(EngineRun(
+        params=params, initial_caps=np.asarray(initial_caps, dtype=np.float64),
+        horizon=horizon, n_paths=n_paths, seed=seed, workers=workers,
+        collect_events=True,
+    ))
     return score_double_jumps(res.events, horizon, params)
 
 
@@ -498,16 +508,10 @@ def tail_of_max_count(
     """Estimate P(max_t N(t) >= u) on a grid of levels u."""
     from .engine import EngineRun, run_paths
 
-    res = run_paths(
-        EngineRun(
-            params=params,
-            initial_caps=np.asarray(initial_caps, dtype=np.float64),
-            horizon=horizon,
-            n_paths=n_paths,
-            seed=seed,
-            workers=workers,
-        )
-    )
+    res = run_paths(EngineRun(
+        params=params, initial_caps=np.asarray(initial_caps, dtype=np.float64),
+        horizon=horizon, n_paths=n_paths, seed=seed, workers=workers,
+    ))
     curve = TailCurve(
         u_grid=tuple(u_grid),
         peak=int(res.max_n.max()),

@@ -70,8 +70,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed < 0 or args.workers < 1:
-        print("--seed must be nonnegative and --workers at least 1", file=sys.stderr)
+    if args.seed < 0 or args.workers < 1 or not 0.0 < args.scale < math.inf:
+        print(
+            "--seed must be nonnegative, --workers at least 1 and --scale "
+            "a positive finite number",
+            file=sys.stderr,
+        )
         return 2
     wanted = [s.strip() for s in args.only.split(",")] if args.only else []
     for name in wanted:

@@ -113,7 +113,10 @@ def _to_caps(raw: str) -> np.ndarray:
 
 
 def _to_count(raw: str) -> np.ndarray:
-    return np.ones(int(raw))
+    # n unit caps as a read-only view that allocates nothing (a negative n
+    # is an empty market), so the run's checks see a huge count before
+    # parse_config builds the vector
+    return np.broadcast_to(1.0, (max(int(raw), 0),))
 
 
 # section -> key -> converter; any other section or key is a problem
@@ -181,7 +184,7 @@ def parse_config(cp: configparser.ConfigParser) -> RunConfig:
     )
     if problems:
         raise ConfigError(problems)
-    return RunConfig(params=params, initial_caps=caps, run=run)
+    return RunConfig(params=params, initial_caps=np.array(caps), run=run)
 
 
 def load_config(

@@ -34,9 +34,11 @@ over the caps, which break ties as the stable sort does.
 Determinism contract
 --------------------
 Results depend only on ``(seed, path index)`` and the run parameters.
-Paths are partitioned into fixed-size blocks of :data:`CHUNK` paths
-regardless of ``workers``, so the worker count can never change a
-single output byte; it only changes which process touches which block.
+:func:`map_blocks` cuts the paths into blocks of :data:`CHUNK` paths
+whatever ``workers`` is and returns the blocks' results in order, so
+the worker count can never change a single output byte; it only
+changes which process touches which block.  The split-race and walk
+probes of :mod:`splitmerge.bounds` count their hits on the same blocks.
 
 Every sum over companies is the left-to-right accumulation
 ``((0 + x_1) + x_2) + ...`` in company order, in both engines.  The
@@ -638,12 +640,12 @@ class EngineRun:
                 "initial_caps must be a 1-d vector of at least 2 caps, "
                 f"got shape {caps.shape}"
             )
-        elif not (np.isfinite(caps) & (caps > 0.0)).all():
-            problems.append("initial_caps must be positive and finite")
-        if n0 >= self.params.n_max:
+        elif n0 >= self.params.n_max:  # reported without scanning the caps
             problems.append(
                 f"initial_caps: {n0} companies but n_max = {self.params.n_max}"
             )
+        elif not (np.isfinite(caps) & (caps > 0.0)).all():
+            problems.append("initial_caps must be positive and finite")
         dt = self.params.dt
         if not self.horizon > 0.0:
             problems.append(f"horizon must be positive, got {self.horizon!r}")
@@ -726,7 +728,10 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0, initial=0.0)
 
 
-def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dict:
+def _run_chunk(
+    run: EngineRun, tables: StepTables, start: int, stop: int
+) -> EngineResult:
+    """Simulate paths ``start .. stop - 1``, one block of :func:`run_paths`."""
     params = run.params
     rules = run.rules
     n_rules = len(rules)
@@ -838,23 +843,15 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
 
     def _series_rows(step: int) -> None:
         t = float(step * dt)
-        logz = -m_acc - 0.5 * qv_acc
-        zz = np.exp(logz)
+        zz = np.exp(-m_acc - 0.5 * qv_acc)
+        # the market and portfolio value columns: two rules' wealth, or 1.0
+        cols = run.series_cols
+        vm, vp = np.ones((2, p_cnt)) if cols is None else v[list(cols)]
         for p in range(p_cnt):
-            if status[p] != 0:
-                continue
-            if series_vm is None:
-                vm, vp = 1.0, 1.0
-            else:
-                vm, vp = v[series_vm, p], v[series_vp, p]
-            series.append(
-                _series_row(start + p, t, n_arr[p], mu1[p], vm, vp, zz[p])
-            )
-
-    if run.series_cols is None:
-        series_vm = series_vp = None
-    else:
-        series_vm, series_vp = run.series_cols
+            if status[p] == 0:
+                series.append(
+                    _series_row(start + p, t, n_arr[p], mu1[p], vm[p], vp[p], zz[p])
+                )
 
     if run.stride > 0:
         _series_rows(0)
@@ -953,77 +950,63 @@ def _run_chunk(run: EngineRun, start: int, stop: int, tables: StepTables) -> dic
         if run.stride > 0 and (step % run.stride == 0 or step == last):
             _series_rows(step)
 
-    # finalize
-    log_z = -m_acc - 0.5 * qv_acc
-    out = {
-        "v": v,
-        "log_z": log_z,
-        "qv": qv_acc,
-        "n": n_arr,
-        "max_n": max_n,
-        "total": _col_sum(caps),
-        "status": status,
-        "instr": instr,
-        "series": series,
-        "events": events_list,
-    }
+    res = EngineResult(
+        final_wealth=v, final_log_z=-m_acc - 0.5 * qv_acc, final_qv=qv_acc,
+        final_n=n_arr, max_n=max_n, final_total=_col_sum(caps),
+        initial_total=float(total_cap(np.asarray(run.initial_caps, dtype=np.float64))),
+        status=status, instr=instr, series=series, events=events_list,
+    )
     if run.collect_final_caps:
-        out["caps"] = [caps[: n_arr[p], p].copy() for p in range(p_cnt)]
-    return out
+        res.final_caps = [caps[: n_arr[p], p].copy() for p in range(p_cnt)]
+    return res
 
 
-def _chunk_args(run: EngineRun) -> list[tuple[int, int]]:
-    return [(s, min(s + CHUNK, run.n_paths)) for s in range(0, run.n_paths, CHUNK)]
+def map_blocks(fn: Callable, n_paths: int, workers: int, *args) -> list:
+    """``fn(*args, start, stop)`` for every block of paths, in block order.
+
+    Paths ``0 .. n_paths - 1`` are cut into blocks of :data:`CHUNK` paths
+    (the last may be shorter), whatever ``workers`` is.  With ``workers >
+    1`` and more than one block the blocks run on a process pool of that
+    size, so ``fn`` must be a module-level function that pickles by
+    name.  The results come back in block order either way, so a caller
+    that reduces them in that order gets the same bytes at any worker
+    count.
+    """
+    starts = range(0, n_paths, CHUNK)
+    stops = [min(a + CHUNK, n_paths) for a in starts]
+    fixed = [[a] * len(starts) for a in args]
+    if workers > 1 and len(starts) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, *fixed, starts, stops))
+    return list(map(fn, *fixed, starts, stops))
 
 
-def _run_chunk_star(args) -> dict:
-    run, start, stop, tables = args
-    return _run_chunk(run, start, stop, tables)
+def _run_block(run: EngineRun, tables: StepTables, start: int, stop: int):
+    # the pool pickles this function by name, and it looks up the global
+    # `_run_chunk` when called, which a tracer may rebind to a wrapper
+    return _run_chunk(run, tables, start, stop)
 
 
 def run_paths(run: EngineRun) -> EngineResult:
     """Simulate ``run.n_paths`` paths and aggregate the results.
 
-    Output is byte-identical for any ``workers`` value: the path block
-    layout is fixed by :data:`CHUNK` and blocks are reassembled in
+    Output is byte-identical for any ``workers`` value: the blocks of
+    :func:`map_blocks` are fixed by :data:`CHUNK` and joined here in
     order.
     """
     run.require_valid()
     tables = StepTables.build(run.params)
-    parts = _chunk_args(run)
-    if run.workers > 1 and len(parts) > 1:
-        with ProcessPoolExecutor(max_workers=run.workers) as ex:
-            chunks = list(
-                ex.map(_run_chunk_star, [(run, a, b, tables) for a, b in parts])
-            )
-    else:
-        chunks = [_run_chunk(run, a, b, tables) for a, b in parts]
-
-    n_rules = len(run.rules)
-    p_tot = run.n_paths
-    res = EngineResult(
-        final_wealth=np.empty((n_rules, p_tot)),
-        final_log_z=np.empty(p_tot),
-        final_qv=np.empty(p_tot),
-        final_n=np.empty(p_tot, dtype=np.int64),
-        max_n=np.empty(p_tot, dtype=np.int64),
-        final_total=np.empty(p_tot),
-        initial_total=float(total_cap(np.asarray(run.initial_caps, dtype=np.float64))),
-        status=np.empty(p_tot, dtype=np.int8),
-        instr=Instrumentation(),
-        final_caps=[] if run.collect_final_caps else None,
-    )
-    for (a, b), ch in zip(parts, chunks):
-        res.final_wealth[:, a:b] = ch["v"]
-        res.final_log_z[a:b] = ch["log_z"]
-        res.final_qv[a:b] = ch["qv"]
-        res.final_n[a:b] = ch["n"]
-        res.max_n[a:b] = ch["max_n"]
-        res.final_total[a:b] = ch["total"]
-        res.status[a:b] = ch["status"]
-        res.instr.merge(ch["instr"])
-        res.series.extend(ch["series"])
-        res.events.extend(ch["events"])
+    blocks = map_blocks(_run_block, run.n_paths, run.workers, run, tables)
+    res, *rest = blocks
+    if rest:
+        for name in ("final_wealth", "final_log_z", "final_qv", "final_n",
+                     "max_n", "final_total", "status"):
+            parts = [getattr(blk, name) for blk in blocks]
+            setattr(res, name, np.concatenate(parts, axis=-1))
+    for blk in rest:
+        res.instr.merge(blk.instr)
+        res.series += blk.series
+        res.events += blk.events
         if run.collect_final_caps:
-            res.final_caps.extend(ch["caps"])
+            res.final_caps += blk.final_caps
     return res

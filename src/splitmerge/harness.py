@@ -234,7 +234,9 @@ def check_market_identity(res: EngineResult) -> CheckRow:
 # check 5: split-before-clock race on a (lambda, delta) grid
 
 
-def check_split_race(seed: int = 13, paths: int = 100_000) -> CheckRow:
+def check_split_race(
+    seed: int = 13, paths: int = 100_000, workers: int = 1
+) -> CheckRow:
     caps0 = np.array([4.0, 1.0, 1.0, 1.0, 1.0])  # top weight exactly 1/2
     rows = []
     passed = True
@@ -242,7 +244,7 @@ def check_split_race(seed: int = 13, paths: int = 100_000) -> CheckRow:
         params = replace(active_params(), delta=delta)
         for lam in (4.0, 9.0, 16.0):
             est = estimate_split_before_clock(
-                params, caps0, lam, paths, seed
+                params, caps0, lam, paths, seed, workers=workers
             )
             bound = split_before_clock_bound(0.5, delta, 1.0, lam)
             ok = est.phat <= bound + 3.0 * est.se
@@ -258,7 +260,9 @@ def check_split_race(seed: int = 13, paths: int = 100_000) -> CheckRow:
 # check 6: hitting formula against the walk oracle
 
 
-def check_rbm_oracle(seed: int = 17, paths: int = 100_000) -> CheckRow:
+def check_rbm_oracle(
+    seed: int = 17, paths: int = 100_000, workers: int = 1
+) -> CheckRow:
     points = (
         (0.2, math.log(1.8), 1.0, 4.0),
         (0.0, math.log(2.0), 1.0, 9.0),
@@ -268,7 +272,7 @@ def check_rbm_oracle(seed: int = 17, paths: int = 100_000) -> CheckRow:
     passed = True
     for x, y, sig, lam in points:
         formula = rbm_hit_before_exp(x, y, sig, lam)
-        est = simulate_rbm_hit(x, y, sig, lam, paths, 5e-4, seed)
+        est = simulate_rbm_hit(x, y, sig, lam, paths, 5e-4, seed, workers)
         ok = abs(formula - est.phat) <= 3.0 * est.se
         passed = passed and ok
         rows.append(
@@ -540,8 +544,8 @@ def verify_all(
         "conservation": lambda: check_conservation(res),
         "suppression": lambda: check_no_suppressed(params, res),
         "market-identity": lambda: check_market_identity(res),
-        "split-race": lambda: check_split_race(seed + 2, n(100_000)),
-        "rbm-oracle": lambda: check_rbm_oracle(seed + 6, n(100_000)),
+        "split-race": lambda: check_split_race(seed + 2, n(100_000), workers),
+        "rbm-oracle": lambda: check_rbm_oracle(seed + 6, n(100_000), workers),
         "double-jump": lambda: check_double_jump(seed + 8, n(30_000), workers),
         "tail-monotone": lambda: check_tail_monotone(seed + 12, n(100_000), workers),
         "martingale": lambda: check_martingale(seed + 18, n(100_000), workers),

@@ -165,6 +165,16 @@ class TestRbmSimulator:
             simulate_rbm_hit(1.0, 0.5, 1.0, 1.0, 10, 1e-3, seed=0)
         with pytest.raises(ValueError):
             simulate_rbm_hit(0.0, 0.5, 1.0, 0.0, 10, 1e-3, seed=0)
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_rbm_hit(0.0, 0.5, 1.0, 1.0, 0, 1e-3, seed=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_two_blocks(self, workers):
+        # CHUNK + 100 paths: two blocks, each on its own PROBE generator
+        est = simulate_rbm_hit(
+            0.2, 1.0, 1.0, 4.0, CHUNK + 100, 1e-3, seed=7, workers=workers
+        )
+        assert est.hits == 1212
 
 
 class TestSplitRaceEstimator:
@@ -196,6 +206,13 @@ class TestSplitRaceEstimator:
                 make_params(), np.array([1.0, 1.0]), 0.0, 10, seed=0
             )
 
+    def test_domain(self):
+        caps0 = np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match="n_paths"):
+            estimate_split_before_clock(make_params(), caps0, 1.0, 0, seed=0)
+        with pytest.raises(ValueError, match="lam"):
+            estimate_split_before_clock(make_params(), caps0, -1.0, 10, seed=0)
+
     @pytest.mark.parametrize(
         "caps0, lam, n_paths, seed, max_steps, hits",
         [
@@ -211,10 +228,12 @@ class TestSplitRaceEstimator:
         params = make_params(
             drift=RankTable(0.0, 0.5), vol=RankTable(1.0, -0.4), delta=0.13
         )
-        est = estimate_split_before_clock(
-            params, np.array(caps0), lam, n_paths, seed, max_steps=max_steps
-        )
-        assert est.hits == hits
+        # two blocks, so two workers take one each; the count is the same
+        for workers in (1, 2):
+            est = estimate_split_before_clock(
+                params, np.array(caps0), lam, n_paths, seed, max_steps, workers
+            )
+            assert est.hits == hits, workers
 
     @pytest.mark.parametrize(
         "caps0, lam, n_paths, seed, max_steps, hits",
@@ -229,10 +248,11 @@ class TestSplitRaceEstimator:
         # the tables are rank-flat, so the step skips the sort
         params = make_params(delta=0.16)
         assert StepTables.build(params).flat
-        est = estimate_split_before_clock(
-            params, np.array(caps0), lam, n_paths, seed, max_steps=max_steps
-        )
-        assert est.hits == hits
+        for workers in (1, 2):
+            est = estimate_split_before_clock(
+                params, np.array(caps0), lam, n_paths, seed, max_steps, workers
+            )
+            assert est.hits == hits, workers
 
     @pytest.mark.parametrize(
         "vol", [RankTable(1.0, 0.0), RankTable(1.0, -0.4)], ids=["flat", "sloped"]

@@ -146,6 +146,10 @@ class TestFlags:
             (["bound-check", "--paths", "5"], "unrecognized arguments: --paths"),
             (["martingale"], "invalid choice: 'martingale'"),
             (["tail"], "invalid choice: 'tail'"),
+            (["verify", "--scale", "nan"], "--scale a positive finite number"),
+            (["verify", "--scale", "inf"], "--scale a positive finite number"),
+            (["verify", "--scale", "0"], "--scale a positive finite number"),
+            (["verify", "--scale", "-1"], "--scale a positive finite number"),
         ],
     )
     def test_bad_flag_exits_two_naming_the_problem(

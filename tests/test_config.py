@@ -197,6 +197,17 @@ class TestProblems:
         e = self.err(tmp_path, "[initial]\nn = 1\n")
         assert any("at least 2" in p for p in e.problems)
 
+    def test_negative_count(self, tmp_path):
+        e = self.err(tmp_path, "[initial]\nn = -3\n")
+        assert any("at least 2" in p for p in e.problems)
+
+    def test_huge_count_is_reported_not_allocated(self, tmp_path):
+        # 10**15 unit caps would take 7 PiB; the count alone is compared
+        e = self.err(tmp_path, "[initial]\nn = 1000000000000000\n")
+        assert e.problems == [
+            "initial_caps: 1000000000000000 companies but n_max = 64"
+        ]
+
     def test_portfolio_target_outside_market(self, tmp_path):
         e = self.err(
             tmp_path, "[initial]\nn = 3\n[run]\nportfolio = name:7\n"

@@ -362,18 +362,25 @@ class TestDeterminism:
             params=params, initial_caps=caps0, horizon=0.05,
             n_paths=CHUNK + 64, seed=5, rules=(PortfolioRule("market"),),
             stride=25, series_cols=(0, 0), collect_events=True,
+            collect_final_caps=True,
         )
         a = run_paths(EngineRun(workers=1, **kw))
         b = run_paths(EngineRun(workers=2, **kw))
-        assert np.array_equal(a.final_wealth, b.final_wealth)
-        assert np.array_equal(a.final_log_z, b.final_log_z)
-        assert np.array_equal(a.status, b.status)
+        assert len(a.status) == CHUNK + 64
+        for name in ("final_wealth", "final_log_z", "final_qv", "final_n",
+                     "max_n", "final_total", "status"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert a.initial_total == b.initial_total
         assert a.series == b.series
         assert [r.to_json() for r in a.events] == [
             r.to_json() for r in b.events
         ]
-        assert a.instr.splits == b.instr.splits
-        assert a.instr.mergers == b.instr.mergers
+        assert len(a.final_caps) == len(b.final_caps) == CHUNK + 64
+        for x, y in zip(a.final_caps, b.final_caps):
+            assert x.tobytes() == y.tobytes()
+        for name in Instrumentation.__slots__:
+            assert getattr(a.instr, name) == getattr(b.instr, name), name
 
 
 class TestFirstEvent:

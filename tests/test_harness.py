@@ -6,6 +6,7 @@ import os
 import numpy as np
 
 from splitmerge import harness
+from splitmerge.bounds import TailEstimate
 from splitmerge.config import load_config
 from splitmerge.events import EventRecord
 from splitmerge.harness import (
@@ -97,6 +98,25 @@ class TestMartingaleCheck:
         monkeypatch.setattr(harness, "run_paths", recording)
         harness.check_martingale(paths=256, workers=2)
         assert seen == [2, 2, 2]
+
+
+class TestProbeChecks:
+    def test_every_estimate_uses_the_workers_given(self, monkeypatch):
+        seen = []
+
+        def race(params, caps0, lam, paths, seed, workers=1):
+            seen.append(("race", workers))
+            return TailEstimate.from_counts(0, paths)
+
+        def rbm(x, y, sig, lam, paths, dt, seed, workers=1):
+            seen.append(("rbm", workers))
+            return TailEstimate.from_counts(0, paths)
+
+        monkeypatch.setattr(harness, "estimate_split_before_clock", race)
+        monkeypatch.setattr(harness, "simulate_rbm_hit", rbm)
+        harness.check_split_race(paths=256, workers=2)
+        harness.check_rbm_oracle(paths=256, workers=2)
+        assert seen == [("race", 2)] * 9 + [("rbm", 2)] * 3
 
 
 class TestSimulateRun:
