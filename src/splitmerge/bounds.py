@@ -35,7 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import CHUNK, StepTables, _col_sum, map_blocks, rank_step
+from .engine import (
+    CHUNK, EngineRun, StepTables, _col_sum, caps_problems, map_blocks, rank_step,
+    run_paths,
+)
 from .events import clock_rate
 from .params import ModelParams
 from .streams import PROBE, path_generator
@@ -164,8 +167,8 @@ def estimate_split_before_clock(
     """
     params.require_valid()
     caps0 = np.asarray(initial_caps, dtype=np.float64)
-    if len(caps0) > params.n_max:
-        raise ValueError("initial company count exceeds n_max")
+    for problem in caps_problems(caps0, params.n_max):  # raise the first
+        raise ValueError(problem)
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0 and max_steps is None:
@@ -384,8 +387,6 @@ def estimate_double_jump(
     workers: int = 1,
 ) -> dict[int, DoubleJumpStat]:
     """Run the engine and score its consecutive-split frequencies."""
-    from .engine import EngineRun, run_paths
-
     res = run_paths(EngineRun(
         params=params, initial_caps=np.asarray(initial_caps, dtype=np.float64),
         horizon=horizon, n_paths=n_paths, seed=seed, workers=workers,
@@ -506,8 +507,6 @@ def tail_of_max_count(
     workers: int = 1,
 ) -> TailCurve:
     """Estimate P(max_t N(t) >= u) on a grid of levels u."""
-    from .engine import EngineRun, run_paths
-
     res = run_paths(EngineRun(
         params=params, initial_caps=np.asarray(initial_caps, dtype=np.float64),
         horizon=horizon, n_paths=n_paths, seed=seed, workers=workers,

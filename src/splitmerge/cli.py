@@ -30,7 +30,7 @@ from .bounds import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .events import clock_rate
-from .harness import ALL_CHECKS, simulate_run, verify_all
+from .harness import ALL_CHECKS, select_checks, simulate_run, verify_all
 
 
 # flags that override a config key: flag name -> (section, key)
@@ -70,22 +70,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed < 0 or args.workers < 1 or not 0.0 < args.scale < math.inf:
-        print(
-            "--seed must be nonnegative, --workers at least 1 and --scale "
-            "a positive finite number",
-            file=sys.stderr,
-        )
+    checks = [s.strip() for s in args.only.split(",")] if args.only else ALL_CHECKS
+    try:
+        if args.seed < 0 or args.workers < 1 or not 0.0 < args.scale < math.inf:
+            raise ValueError(
+                "--seed must be nonnegative, --workers at least 1 and --scale "
+                "a positive finite number"
+            )
+        select_checks(checks)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    wanted = [s.strip() for s in args.only.split(",")] if args.only else []
-    for name in wanted:
-        if name not in ALL_CHECKS:
-            print(f"unknown check {name!r}; choices: {', '.join(ALL_CHECKS)}")
-            return 2
-    report = verify_all(
-        seed=args.seed, scale=args.scale, workers=args.workers,
-        checks=wanted or ALL_CHECKS,
-    )
+    report = verify_all(args.seed, args.scale, args.workers, checks)
     text = report.render()
     print(text)
     if args.out:

@@ -15,7 +15,7 @@ minimal valid file is empty::
     beta_b = 2.0
     clock_c = 1.0
     clock_alpha = 2.0
-    n_max = 64
+    n_max = 64         ; 3 .. 1024 (params.N_MAX_LIMIT)
     dt = 0.001
     theta_mode = martingale   ; martingale | growth
 
@@ -48,7 +48,7 @@ file is rejected exactly when the engines would reject its run.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +80,19 @@ class RunConfig:
     params: ModelParams
     initial_caps: np.ndarray
     run: RunSettings
+
+    def engine_run(self, collect_events: bool = False) -> EngineRun:
+        """The run ``simulate`` makes: rules market and then portfolio (once
+        if it is the market), the series showing the first and the last."""
+        run = self.run
+        rules = tuple(dict.fromkeys((PortfolioRule("market"), run.portfolio)))
+        return EngineRun(
+            params=self.params, initial_caps=self.initial_caps,
+            horizon=run.horizon, n_paths=run.paths, seed=run.seed, rules=rules,
+            workers=run.workers, stride=run.stride,
+            series_cols=(0, len(rules) - 1) if run.stride > 0 else None,
+            collect_events=collect_events,
+        )
 
 
 def parse_rule(text: str) -> PortfolioRule:
@@ -174,17 +187,11 @@ def parse_config(cp: configparser.ConfigParser) -> RunConfig:
     if len(initial) > 1:
         problems.append("[initial] give either caps or n, not both")
     caps = next(iter(initial.values()), np.ones(3))
-    run = RunSettings(**vals["run"])
-    problems.extend(
-        EngineRun(
-            params=params, initial_caps=caps, horizon=run.horizon,
-            n_paths=run.paths, seed=run.seed, rules=(run.portfolio,),
-            workers=run.workers, stride=run.stride,
-        ).validate()
-    )
+    cfg = RunConfig(params=params, initial_caps=caps, run=RunSettings(**vals["run"]))
+    problems.extend(cfg.engine_run().validate())
     if problems:
         raise ConfigError(problems)
-    return RunConfig(params=params, initial_caps=np.array(caps), run=run)
+    return replace(cfg, initial_caps=np.array(caps))
 
 
 def load_config(

@@ -207,13 +207,8 @@ class StepTables:
         for n in range(2, n_max + 1):
             th[n, 1 : n + 1] = theta_row(params, n)
         ths = th * sqdt
-        th2 = (th * th) * dt
-        qrow = np.zeros(n_max + 1)
-        for n in range(2, n_max + 1):
-            acc = np.float64(0.0)
-            for k in range(1, n + 1):
-                acc = acc + th2[n, k]
-            qrow[n] = acc
+        # the padding adds +0.0 to sums of squares, which changes no sum
+        qrow = _col_sum(np.ascontiguousarray(((th * th) * dt).T))
         lam = clock_rate_row(params)
         pstep = -np.expm1(-lam * dt)
         return cls(gdt=gdt, ssq=ssq, ths=ths, qrow=qrow, pstep=pstep)
@@ -602,6 +597,23 @@ def reference_path(
 # batch engine
 
 
+def caps_problems(initial_caps, n_max: int) -> list[str]:
+    """What is wrong with a starting market (empty when nothing is): it
+    must be a 1-d vector of 2 .. n_max - 1 positive finite caps."""
+    caps = np.asarray(initial_caps, dtype=np.float64)
+    n0 = len(caps) if caps.ndim == 1 else 0
+    if n0 < 2:
+        return [
+            "initial_caps must be a 1-d vector of at least 2 caps, "
+            f"got shape {caps.shape}"
+        ]
+    if n0 >= n_max:  # reported without scanning the caps
+        return [f"initial_caps: {n0} companies but n_max = {n_max}"]
+    if not (np.isfinite(caps) & (caps > 0.0)).all():
+        return ["initial_caps must be positive and finite"]
+    return []
+
+
 @dataclass(frozen=True)
 class EngineRun:
     """Specification of a simulation run.
@@ -633,19 +645,8 @@ class EngineRun:
         the run's own inputs.  Both engines and the config file accept
         exactly the runs this accepts."""
         problems = self.params.validate()
-        caps = np.asarray(self.initial_caps, dtype=np.float64)
-        n0 = len(caps) if caps.ndim == 1 else 0
-        if n0 < 2:
-            problems.append(
-                "initial_caps must be a 1-d vector of at least 2 caps, "
-                f"got shape {caps.shape}"
-            )
-        elif n0 >= self.params.n_max:  # reported without scanning the caps
-            problems.append(
-                f"initial_caps: {n0} companies but n_max = {self.params.n_max}"
-            )
-        elif not (np.isfinite(caps) & (caps > 0.0)).all():
-            problems.append("initial_caps must be positive and finite")
+        problems += caps_problems(self.initial_caps, self.params.n_max)
+        n0 = len(self.initial_caps) if np.ndim(self.initial_caps) == 1 else 0
         dt = self.params.dt
         if not self.horizon > 0.0:
             problems.append(f"horizon must be positive, got {self.horizon!r}")

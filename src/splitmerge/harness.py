@@ -1,45 +1,28 @@
 """Verification harness: the checks that gate the simulator.
 
-Each ``check_*`` function builds its own configuration, runs the
-engine or a probe, and returns one :class:`CheckRow` with a pass/fail
-verdict and the measured numbers.  ``verify_all`` runs the full suite;
-the acceptance tests call the same functions, so the command line and
-the test suite can never drift apart.
-
-The checks, in order:
-
-1.  diversity      - no post-event sample breaches the split threshold,
-                     and detection overshoot stays within 5 sigma sqrt(dt)
-                     of the threshold in log scale.
-2.  conservation   - total capitalization moves by at most 4 ulp across
-                     any event, portfolio weight sums are preserved by
-                     transfers, and wealth never jumps at events.
-3.  suppression    - with delta < 1/6 and mergers drawn from non-top
-                     pairs, no merger is ever suppressed.
-4.  market-identity- the market portfolio's wealth equals C(T)/C(0) to
-                     1e-9 on every path.
-5.  split-race     - the split-before-clock probability is below its
-                     closed-form bound on a 3x3 (lambda, delta) grid.
-6.  rbm-oracle     - the cosh hitting formula matches a random walk oracle,
-                     corrected for crossings within a step, at three points.
-7.  double-jump    - the measured consecutive-split frequency is below
-                     p_N = 2 exp(-alpha_1 sqrt(lambda_N)) for N in {3,4,5}.
-8.  tail-monotone  - -log phat(u)/u is nondecreasing across levels with
-                     disjoint confidence intervals; the hard cap never
-                     fires.
-9.  martingale     - under the martingale theta convention, E[Z] = 1 and
-                     E[Z V] = 1 for four rules with events active; a
-                     fixed-count single-name market separates the two
-                     theta conventions decisively.
-10. workers        - byte-identical output for 1 and 8 workers.
+The paper claims a non-explosive, diverse market without arbitrage; the
+ten checks test those claims.  :data:`PLAN` is the one verification
+plan: for each check, in report order, its name, what it tests, whether
+it reads the shared event-active run, its seed offset and its base path
+count.  Each ``check_*`` function takes its seed and path count from the
+caller, builds its own configuration, runs the engine or a probe, and
+returns one :class:`CheckRow` with a pass/fail verdict and the measured
+numbers.  ``verify_all`` is the only reader of the plan: ``splitmerge
+verify`` and the acceptance tests (``verify_all(seed=11)`` at scale 1)
+both run it, so the command line and the test suite can never drift
+apart.
 """
 
 from __future__ import annotations
 
+import filecmp
 import json
 import math
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +37,8 @@ from .bounds import (
     split_before_clock_bound,
     tail_of_max_count,
 )
-from .engine import SERIES_HEADER, EngineResult, EngineRun, run_paths
+from .config import RunConfig, RunSettings
+from .engine import CHUNK, SERIES_HEADER, EngineResult, EngineRun, run_paths
 from .events import EventRecord
 from .params import ModelParams, RankTable, SplitDist
 from .portfolio import PortfolioRule
@@ -154,14 +138,13 @@ SHARED_RULES = (
 
 
 def run_shared(
-    seed: int = 11, paths: int = 10_000, workers: int = 1
-) -> tuple[ModelParams, np.ndarray, EngineResult]:
+    seed: int, paths: int, workers: int = 1
+) -> tuple[ModelParams, EngineResult]:
     params = active_params()
-    caps0 = active_initial()
     res = run_paths(
         EngineRun(
             params=params,
-            initial_caps=caps0,
+            initial_caps=active_initial(),
             horizon=1.0,
             n_paths=paths,
             seed=seed,
@@ -169,7 +152,7 @@ def run_shared(
             workers=workers,
         )
     )
-    return params, caps0, res
+    return params, res
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +217,7 @@ def check_market_identity(res: EngineResult) -> CheckRow:
 # check 5: split-before-clock race on a (lambda, delta) grid
 
 
-def check_split_race(
-    seed: int = 13, paths: int = 100_000, workers: int = 1
-) -> CheckRow:
+def check_split_race(seed: int, paths: int, workers: int = 1) -> CheckRow:
     caps0 = np.array([4.0, 1.0, 1.0, 1.0, 1.0])  # top weight exactly 1/2
     rows = []
     passed = True
@@ -260,9 +241,7 @@ def check_split_race(
 # check 6: hitting formula against the walk oracle
 
 
-def check_rbm_oracle(
-    seed: int = 17, paths: int = 100_000, workers: int = 1
-) -> CheckRow:
+def check_rbm_oracle(seed: int, paths: int, workers: int = 1) -> CheckRow:
     points = (
         (0.2, math.log(1.8), 1.0, 4.0),
         (0.0, math.log(2.0), 1.0, 9.0),
@@ -286,9 +265,7 @@ def check_rbm_oracle(
 # check 7: consecutive splits
 
 
-def check_double_jump(
-    seed: int = 19, paths: int = 30_000, workers: int = 1
-) -> CheckRow:
+def check_double_jump(seed: int, paths: int, workers: int = 1) -> CheckRow:
     params = active_params()
     horizon = 6.0
     # two complementary fluxes: a near-threshold 3-company start feeds the
@@ -341,9 +318,7 @@ def check_double_jump(
 # check 8: tail of the running company count
 
 
-def check_tail_monotone(
-    seed: int = 23, paths: int = 100_000, workers: int = 1
-) -> CheckRow:
+def check_tail_monotone(seed: int, paths: int, workers: int = 1) -> CheckRow:
     params = replace(active_params(), clock_c=1.0, clock_alpha=2.0)
     # concentrated start: the top weight reaches the threshold quickly, so
     # the upper levels get enough traffic for the confidence intervals on
@@ -389,15 +364,13 @@ def _zv_stats(res: EngineResult) -> list[tuple[str, float, float]]:
     return out
 
 
-def check_martingale(
-    seed: int = 29, paths: int = 100_000, workers: int = 1
-) -> CheckRow:
+def check_martingale(seed: int, paths: int, workers: int = 1) -> CheckRow:
     rows = []
     passed = True
 
     # the shared event-active market, martingale convention: everything is
     # a martingale, so all five statistics sit on 1 up to Monte Carlo noise
-    _, _, res = run_shared(seed, paths, workers)
+    _, res = run_shared(seed, paths, workers)
     for name, est, se in _zv_stats(res):
         ok = abs(est - 1.0) <= 3.0 * se
         passed = passed and ok
@@ -449,27 +422,14 @@ def check_martingale(
 # check 10: worker invariance
 
 
-def check_workers(seed: int = 11, paths: int = 10_240) -> CheckRow:
+def check_workers(seed: int, paths: int) -> CheckRow:
     """Run the shipped scenario with 1 and 8 workers and compare the
-    output files byte for byte, unsorted, as they were written."""
-    import filecmp
-    import os
-    import tempfile
-
-    from .config import RunConfig, RunSettings
-
-    cfg = RunConfig(
-        params=active_params(),
-        initial_caps=active_initial(),
-        run=RunSettings(
-            horizon=0.5,
-            paths=paths,
-            seed=seed,
-            workers=1,
-            stride=100,
-            portfolio=PortfolioRule("equal"),
-        ),
-    )
+    output files byte for byte, unsorted, as they were written.  ``paths``
+    is raised to more than two blocks, so 8 workers have blocks to take."""
+    cfg = RunConfig(active_params(), active_initial(), RunSettings(
+        horizon=0.5, paths=max(paths, 2 * CHUNK + 512), seed=seed, stride=100,
+        portfolio=PortfolioRule("equal"),
+    ))
 
     with tempfile.TemporaryDirectory() as tmp:
         dirs = []
@@ -506,19 +466,71 @@ def check_workers(seed: int = 11, paths: int = 10_240) -> CheckRow:
 
 
 # ---------------------------------------------------------------------------
-# orchestration
+# the verification plan
 
 
-# the checks that read the shared run, then the ones that make their own
-SHARED_CHECKS = ("diversity", "conservation", "suppression", "market-identity")
-ALL_CHECKS = SHARED_CHECKS + (
-    "split-race",
-    "rbm-oracle",
-    "double-jump",
-    "tail-monotone",
-    "martingale",
-    "workers",
+@dataclass(frozen=True)
+class PlannedCheck:
+    """One row of the plan.  The ``check`` of a ``shared`` row takes the
+    (params, result) of the one run :func:`run_shared` makes for all of
+    them, at the base seed plus the default ``seed_offset`` from the
+    default ``paths``; any other row's ``check`` takes (seed, paths,
+    workers) and makes its own runs.  Verify's scale multiplies ``paths``."""
+
+    name: str
+    check: Callable[..., CheckRow]
+    shared: bool = False
+    seed_offset: int = 0
+    paths: int = 10_000
+
+
+PLAN = (
+    # 1. no post-event sample breaches the split threshold, and detection
+    #    overshoot stays within 5 sigma sqrt(dt) of it in log scale
+    PlannedCheck("diversity", check_diversity, shared=True),
+    # 2. total capitalization moves by at most 4 ulp across any event,
+    #    transfers keep weight sums, and wealth never jumps at events
+    PlannedCheck("conservation", lambda p, r: check_conservation(r), shared=True),
+    # 3. with delta < 1/6 and non-top merger pairs, no merger is suppressed
+    PlannedCheck("suppression", check_no_suppressed, shared=True),
+    # 4. the market portfolio's wealth equals C(T)/C(0) to 1e-9 on every path
+    PlannedCheck("market-identity", lambda p, r: check_market_identity(r), shared=True),
+    # 5. P(split before clock) is below its closed-form bound on a 3x3
+    #    (lambda, delta) grid
+    PlannedCheck("split-race", check_split_race, seed_offset=2, paths=100_000),
+    # 6. the cosh hitting formula matches a random walk oracle, corrected
+    #    for crossings within a step, at three points
+    PlannedCheck("rbm-oracle", check_rbm_oracle, seed_offset=6, paths=100_000),
+    # 7. the consecutive-split frequency is below
+    #    p_N = 2 exp(-alpha_1 sqrt(lambda_N)) for N in {3, 4, 5}
+    PlannedCheck("double-jump", check_double_jump, seed_offset=8, paths=30_000),
+    # 8. -log phat(u)/u is nondecreasing across levels with disjoint
+    #    confidence intervals; the hard cap never fires
+    PlannedCheck("tail-monotone", check_tail_monotone, seed_offset=12, paths=100_000),
+    # 9. under the martingale theta, E[Z] = 1 and E[Z V] = 1 for four rules
+    #    with events active; a fixed-count single-name market separates the
+    #    two theta conventions
+    PlannedCheck("martingale", check_martingale, seed_offset=18, paths=100_000),
+    # 10. byte-identical output for 1 and 8 workers
+    PlannedCheck(
+        "workers", lambda seed, paths, _: check_workers(seed, paths),
+        seed_offset=20, paths=10_240,
+    ),
 )
+ALL_CHECKS = tuple(c.name for c in PLAN)
+SHARED_CHECKS = tuple(c.name for c in PLAN if c.shared)
+
+
+def select_checks(names: tuple[str, ...] | list[str]) -> tuple[PlannedCheck, ...]:
+    """The named checks, in plan order.  Raises ``ValueError`` naming
+    every unknown name, or when no name is given."""
+    unknown = [f"unknown check {n!r}" for n in names if n not in ALL_CHECKS]
+    if unknown or not names:
+        raise ValueError(
+            f"{'; '.join(unknown) or 'no check selected'}; "
+            f"choices: {', '.join(ALL_CHECKS)}"
+        )
+    return tuple(c for c in PLAN if c.name in names)
 
 
 def verify_all(
@@ -527,31 +539,26 @@ def verify_all(
     workers: int = 1,
     checks: tuple[str, ...] | list[str] = ALL_CHECKS,
 ) -> RunReport:
-    """Run the named ``checks`` (default: all) in :data:`ALL_CHECKS`
-    order.  ``scale`` multiplies path counts (use < 1 for a quick smoke
-    run; acceptance uses 1.0).  The shared run is made only when a check
-    that reads it is selected."""
+    """Run the named ``checks`` (default: all) in plan order.  ``scale``
+    multiplies path counts (use < 1 for a quick smoke run; acceptance
+    uses 1.0).  The shared run is made only when a check that reads it
+    is selected."""
+    plan = select_checks(checks)
 
     def n(base: int) -> int:
         return max(256, int(base * scale))
 
     t0 = time.perf_counter()
     report = RunReport(seed=seed, algorithm=ALGORITHM_ID)
-    if any(name in SHARED_CHECKS for name in checks):
-        params, _, res = run_shared(seed=seed, paths=n(10_000), workers=workers)
-    table = {
-        "diversity": lambda: check_diversity(params, res),
-        "conservation": lambda: check_conservation(res),
-        "suppression": lambda: check_no_suppressed(params, res),
-        "market-identity": lambda: check_market_identity(res),
-        "split-race": lambda: check_split_race(seed + 2, n(100_000), workers),
-        "rbm-oracle": lambda: check_rbm_oracle(seed + 6, n(100_000), workers),
-        "double-jump": lambda: check_double_jump(seed + 8, n(30_000), workers),
-        "tail-monotone": lambda: check_tail_monotone(seed + 12, n(100_000), workers),
-        "martingale": lambda: check_martingale(seed + 18, n(100_000), workers),
-        "workers": lambda: check_workers(seed + 20, max(2 * 4096 + 512, n(10_240))),
-    }
-    report.rows = [table[name]() for name in ALL_CHECKS if name in checks]
+    shared = [c for c in plan if c.shared]
+    if shared:
+        c = shared[0]
+        params, res = run_shared(seed + c.seed_offset, n(c.paths), workers)
+    for c in plan:
+        report.rows.append(
+            c.check(params, res) if c.shared
+            else c.check(seed + c.seed_offset, n(c.paths), workers)
+        )
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -563,28 +570,7 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
     columns are (market portfolio, configured portfolio); the events
     file holds one JSON object per line.
     """
-    import os
-
-    rules = [PortfolioRule("market")]
-    if cfg.run.portfolio == rules[0]:
-        cols = (0, 0)
-    else:
-        rules.append(cfg.run.portfolio)
-        cols = (0, 1)
-    res = run_paths(
-        EngineRun(
-            params=cfg.params,
-            initial_caps=cfg.initial_caps,
-            horizon=cfg.run.horizon,
-            n_paths=cfg.run.paths,
-            seed=cfg.run.seed,
-            rules=tuple(rules),
-            workers=cfg.run.workers,
-            stride=cfg.run.stride,
-            series_cols=cols if cfg.run.stride > 0 else None,
-            collect_events=out_dir is not None,
-        )
-    )
+    res = run_paths(cfg.engine_run(collect_events=out_dir is not None))
     summary = {
         "paths": cfg.run.paths,
         "ok_paths": int(res.ok.sum()),
@@ -599,7 +585,7 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
         "mean_v_market": float(res.final_wealth[0, res.ok].mean())
         if res.ok.any()
         else None,
-        "mean_v_portfolio": float(res.final_wealth[cols[1], res.ok].mean())
+        "mean_v_portfolio": float(res.final_wealth[-1, res.ok].mean())
         if res.ok.any()
         else None,
     }

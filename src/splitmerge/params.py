@@ -54,6 +54,9 @@ __all__ = [
 
 THETA_MODES = ("martingale", "growth")
 
+# largest company cap: the five step tables grow as n_max**2 (42 MB at the cap)
+N_MAX_LIMIT = 1024
+
 _SPLIT_KINDS = ("uniform", "point", "beta")
 
 
@@ -95,14 +98,15 @@ class RankTable:
         return tab
 
     def extremes(self, n_max: int) -> tuple[float, float]:
-        """(min, max) over all table cells with N = 2..n_max."""
+        """(min, max) over all table cells with N = 2..n_max; nan when any
+        cell is nan."""
         lo = math.inf
         hi = -math.inf
         for n in range(2, n_max + 1):
             r = self.row(n)
-            lo = min(lo, float(r.min()))
-            hi = max(hi, float(r.max()))
-        return lo, hi
+            lo = np.minimum(lo, r.min())
+            hi = np.maximum(hi, r.max())
+        return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,37 @@ class ModelParams:
 
     def validate(self) -> list[str]:
         """All assumption violations (empty list when the model is valid)."""
+        if 3 <= self.n_max <= N_MAX_LIMIT:
+            problems = self._table_problems()
+        else:  # n_max sizes every table, so none is read
+            problems = [
+                f"company cap n_max must lie in [3, {N_MAX_LIMIT}], got {self.n_max}"
+            ]
+        if not 0.0 < self.delta < 1.0 / 6.0:
+            problems.append(
+                f"Assumption 2 violated: delta in (0, 1/6), got {self.delta:g}"
+            )
+        if not 0.0 < self.eps0 < 0.5:
+            problems.append(
+                f"Assumption 3 violated: eps0 in (0, 1/2), got {self.eps0:g}"
+            )
+        if self.clock_c < 0.0:
+            problems.append(
+                f"Assumption 5 violated: clock constant c >= 0, got {self.clock_c:g}"
+            )
+        if self.clock_alpha <= 0.0:
+            problems.append(
+                f"Assumption 5 violated: clock exponent alpha > 0, got {self.clock_alpha:g}"
+            )
+        if not self.dt > 0.0:
+            problems.append(f"time step dt must be > 0, got {self.dt:g}")
+        if self.theta_mode not in THETA_MODES:
+            problems.append(
+                f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}"
+            )
+        return problems
+
+    def _table_problems(self) -> list[str]:
         problems: list[str] = []
         # Assumption 1: top rank has the smallest drift, for every N
         for n in range(2, self.n_max + 1):
@@ -189,30 +224,6 @@ class ModelParams:
             problems.append(
                 "Assumption 2 violated: volatilities must satisfy "
                 f"0 < sigma0 <= sigma_bar < inf (table range [{s0:g}, {sbar:g}])"
-            )
-        if not 0.0 < self.delta < 1.0 / 6.0:
-            problems.append(
-                f"Assumption 2 violated: delta in (0, 1/6), got {self.delta:g}"
-            )
-        if not 0.0 < self.eps0 < 0.5:
-            problems.append(
-                f"Assumption 3 violated: eps0 in (0, 1/2), got {self.eps0:g}"
-            )
-        if self.clock_c < 0.0:
-            problems.append(
-                f"Assumption 5 violated: clock constant c >= 0, got {self.clock_c:g}"
-            )
-        if self.clock_alpha <= 0.0:
-            problems.append(
-                f"Assumption 5 violated: clock exponent alpha > 0, got {self.clock_alpha:g}"
-            )
-        if self.n_max < 3:
-            problems.append(f"company cap n_max must be >= 3, got {self.n_max}")
-        if not self.dt > 0.0:
-            problems.append(f"time step dt must be > 0, got {self.dt:g}")
-        if self.theta_mode not in THETA_MODES:
-            problems.append(
-                f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}"
             )
         return problems
 

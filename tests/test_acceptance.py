@@ -1,27 +1,18 @@
 """Acceptance gate: the ten headline checks at full scale.
 
-Each test prints its harness row (one PASS/FAIL line with the measured
-numbers) and then asserts it.  The first four share one event-active
-run; the rest own their configurations.  Full scale means 1e4 paths
-for the shared run and 1e5 for the statistical checks, so this file
-dominates the suite's runtime (several minutes).
+The rows are those of ``verify_all(seed=11)`` at scale 1 and one
+worker, so this suite and ``splitmerge verify`` run the same plan: the
+four checks that read the shared run take their rows from one
+``verify_all`` call, and each other check has a call of its own, so a
+crash fails only its own test.  Each test prints its row (one PASS/FAIL
+line with the measured numbers) and then asserts it.  Full scale means
+1e4 paths for the shared run and 1e5 for most statistical checks, so
+this file dominates the suite's runtime (several minutes).
 """
 
 import pytest
 
-from splitmerge.harness import (
-    check_conservation,
-    check_diversity,
-    check_double_jump,
-    check_market_identity,
-    check_martingale,
-    check_no_suppressed,
-    check_rbm_oracle,
-    check_split_race,
-    check_tail_monotone,
-    check_workers,
-    run_shared,
-)
+from splitmerge.harness import SHARED_CHECKS, verify_all
 
 pytestmark = pytest.mark.slow
 
@@ -29,55 +20,54 @@ SEED = 11
 
 
 @pytest.fixture(scope="module")
-def shared():
-    """Event-active market: 1e4 paths, T = 1, dt = 1e-3, delta = 0.1."""
-    return run_shared(seed=SEED, paths=10_000, workers=1)
+def shared_rows():
+    return {row.name: row for row in verify_all(seed=SEED, checks=SHARED_CHECKS).rows}
 
 
-def show(row):
+def show(name, rows=None):
+    """Print the row of check ``name`` and assert that it passed; a
+    check that does not read the shared run is run here on its own."""
+    row = rows[name] if rows else verify_all(seed=SEED, checks=(name,)).rows[0]
     print(row.render())
+    assert row.name == name
     assert row.passed, row.detail
 
 
-def test_c01_diversity_holds_with_bounded_overshoot(shared):
-    params, _, res = shared
-    show(check_diversity(params, res))
+def test_c01_diversity_holds_with_bounded_overshoot(shared_rows):
+    show("diversity", shared_rows)
 
 
-def test_c02_capital_and_weight_conservation(shared):
-    _, _, res = shared
-    show(check_conservation(res))
+def test_c02_capital_and_weight_conservation(shared_rows):
+    show("conservation", shared_rows)
 
 
-def test_c03_no_merger_is_ever_suppressed(shared):
-    params, _, res = shared
-    show(check_no_suppressed(params, res))
+def test_c03_no_merger_is_ever_suppressed(shared_rows):
+    show("suppression", shared_rows)
 
 
-def test_c04_market_portfolio_tracks_total_cap(shared):
-    _, _, res = shared
-    show(check_market_identity(res))
+def test_c04_market_portfolio_tracks_total_cap(shared_rows):
+    show("market-identity", shared_rows)
 
 
 def test_c05_split_before_clock_bound_on_grid():
-    show(check_split_race(SEED + 2, paths=100_000))
+    show("split-race")
 
 
 def test_c06_reflected_bm_formula_vs_oracle():
-    show(check_rbm_oracle(SEED + 6, paths=100_000))
+    show("rbm-oracle")
 
 
 def test_c07_consecutive_split_frequency_bounded():
-    show(check_double_jump(SEED + 8, paths=30_000))
+    show("double-jump")
 
 
 def test_c08_company_count_tail_steepens():
-    show(check_tail_monotone(SEED + 12, paths=100_000, workers=1))
+    show("tail-monotone")
 
 
 def test_c09_change_of_measure_prices_every_rule():
-    show(check_martingale(SEED + 18, paths=100_000))
+    show("martingale")
 
 
 def test_c10_worker_count_cannot_change_output():
-    show(check_workers(SEED + 20, paths=10_240))
+    show("workers")

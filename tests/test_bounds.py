@@ -212,6 +212,18 @@ class TestSplitRaceEstimator:
             estimate_split_before_clock(make_params(), caps0, 1.0, 0, seed=0)
         with pytest.raises(ValueError, match="lam"):
             estimate_split_before_clock(make_params(), caps0, -1.0, 10, seed=0)
+        # the market is checked by the engine's own rule
+        for bad, problem in (
+            ((4.0, 1.0, -1.0, 1.0, 1.0), "positive and finite"),
+            ((4.0, 1.0, np.nan, 1.0, 1.0), "positive and finite"),
+            ((5.0,), "at least 2 caps"),
+            (np.ones((2, 3)), "1-d vector"),
+            (np.ones(64), "64 companies but n_max = 64"),
+        ):
+            with pytest.raises(ValueError, match=problem):
+                estimate_split_before_clock(
+                    make_params(), np.array(bad), 4.0, 200, seed=0
+                )
 
     @pytest.mark.parametrize(
         "caps0, lam, n_paths, seed, max_steps, hits",

@@ -1,6 +1,7 @@
 """Command line entry points, run in-process through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "Assumption 2" in err
 
+    def test_huge_n_max_exits_two_before_building_anything(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[model]\nn_max = 100000000\n")
+        t0 = time.perf_counter()
+        assert main(["simulate", "--config", cfg]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert "n_max must lie in [3, 1024], got 100000000" in err
+
     def test_defaults_run_without_config(self, capsys):
         rc = main(["simulate", "--paths", "16", "--horizon", "0.02"])
         assert rc == 0
@@ -78,7 +87,11 @@ class TestVerify:
     def test_unknown_check_rejected(self, capsys):
         rc = main(["verify", "--only", "made-up-check"])
         assert rc == 2
-        assert "unknown check" in capsys.readouterr().out
+        # on stderr, like every exit-2 problem, so a redirected report
+        # cannot hide it
+        err = capsys.readouterr().err
+        assert "unknown check 'made-up-check'" in err
+        assert "choices: diversity, conservation" in err
 
     def test_shared_checks_smoke(self, tmp_path, capsys):
         report_file = tmp_path / "report.txt"

@@ -28,6 +28,7 @@ from splitmerge.engine import (
     reference_path,
     run_paths,
 )
+from splitmerge.girsanov import theta_row
 from splitmerge.harness import SHARED_RULES, active_initial, active_params
 from splitmerge.params import ModelParams, RankTable, SplitDist
 from splitmerge.portfolio import PortfolioRule
@@ -280,6 +281,23 @@ class TestRankFlat:
     )
     def test_flat_is_read_off_the_built_tables(self, params, flat):
         assert StepTables.build(params).flat is flat
+
+    @pytest.mark.parametrize("mode", ["martingale", "growth"])
+    def test_qrow_is_the_left_to_right_rank_sum(self, mode):
+        params = make_params(
+            drift=RankTable(0.0, 0.5), vol=RankTable(1.0, -0.4), theta_mode=mode
+        )
+        th = np.zeros((params.n_max + 1, params.n_max + 2))
+        for n in range(2, params.n_max + 1):
+            th[n, 1 : n + 1] = theta_row(params, n)
+        th2 = (th * th) * params.dt
+        want = np.zeros(params.n_max + 1)
+        for n in range(2, params.n_max + 1):
+            acc = np.float64(0.0)
+            for k in range(1, n + 1):
+                acc = acc + th2[n, k]
+            want[n] = acc
+        assert StepTables.build(params).qrow.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "params, caps0, flat",

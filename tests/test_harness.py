@@ -2,12 +2,15 @@
 
 import json
 import os
+import re
 
 import numpy as np
+import pytest
 
 from splitmerge import harness
 from splitmerge.bounds import TailEstimate
 from splitmerge.config import load_config
+from splitmerge.engine import CHUNK
 from splitmerge.events import EventRecord
 from splitmerge.harness import (
     SERIES_HEADER,
@@ -47,6 +50,23 @@ class TestReport:
     def test_report_without_seed_has_no_header(self):
         rep = RunReport(rows=[CheckRow("a", True, "x")])
         assert rep.render().splitlines()[0].startswith("PASS")
+
+    @pytest.mark.parametrize(
+        "checks, problem",
+        [
+            (("bogus",), "unknown check 'bogus'; choices: diversity, "),
+            (("workers", "x", "y"), "unknown check 'x'; unknown check 'y'; "),
+            ((), "no check selected; choices: diversity, "),
+        ],
+        ids=["unknown", "two-unknown", "empty"],
+    )
+    def test_verify_all_rejects_a_bad_selection(self, checks, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            harness.verify_all(checks=checks)
+
+    def test_selection_follows_the_plan_order(self):
+        picked = harness.select_checks(["workers", "diversity", "workers"])
+        assert [c.name for c in picked] == ["diversity", "workers"]
 
 
 class TestWriters:
@@ -96,7 +116,7 @@ class TestMartingaleCheck:
             return run_paths(run)
 
         monkeypatch.setattr(harness, "run_paths", recording)
-        harness.check_martingale(paths=256, workers=2)
+        harness.check_martingale(29, paths=256, workers=2)
         assert seen == [2, 2, 2]
 
 
@@ -114,9 +134,23 @@ class TestProbeChecks:
 
         monkeypatch.setattr(harness, "estimate_split_before_clock", race)
         monkeypatch.setattr(harness, "simulate_rbm_hit", rbm)
-        harness.check_split_race(paths=256, workers=2)
-        harness.check_rbm_oracle(paths=256, workers=2)
+        harness.check_split_race(13, paths=256, workers=2)
+        harness.check_rbm_oracle(17, paths=256, workers=2)
         assert seen == [("race", 2)] * 9 + [("rbm", 2)] * 3
+
+
+class TestWorkerInvariance:
+    def test_two_workers_give_every_row_of_one(self):
+        # scale 0.042 gives each check 4200 paths, two blocks, so the pool
+        # starts (at 0.03 every check fits in one block)
+        checks = ("split-race", "rbm-oracle", "tail-monotone")
+        assert min(c.paths for c in harness.select_checks(checks)) * 0.042 > CHUNK
+        rows = [
+            harness.verify_all(seed=11, scale=0.042, workers=w, checks=checks).rows
+            for w in (1, 2)
+        ]
+        assert [r.name for r in rows[0]] == list(checks)
+        assert rows[0] == rows[1]
 
 
 class TestSimulateRun:

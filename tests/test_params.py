@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitmerge.params import ModelParams, RankTable, SplitDist
+from splitmerge.params import N_MAX_LIMIT, ModelParams, RankTable, SplitDist
 
 
 def make_params(**kw):
@@ -125,6 +125,22 @@ class TestModelParams:
     def test_theta_mode_checked(self):
         msgs = make_params(theta_mode="riskless").validate()
         assert any("theta_mode" in m for m in msgs)
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_vol_cell_cites_assumption_2(self, cell):
+        vol = RankTable(1.0, 0.0, overrides={3: (1.0, cell, 1.0)})
+        msgs = make_params(n_max=8, vol=vol).validate()
+        assert len(msgs) == 1
+        assert msgs[0].startswith("Assumption 2 violated: volatilities")
+
+    @pytest.mark.parametrize("n_max", [2, -4, N_MAX_LIMIT + 1, 100_000_000])
+    def test_n_max_out_of_range_is_the_only_table_problem(self, n_max):
+        # checked first; no table is read, so no bogus table range
+        msgs = make_params(n_max=n_max, vol=RankTable(0.0, 0.0)).validate()
+        assert msgs == [f"company cap n_max must lie in [3, 1024], got {n_max}"]
+
+    def test_n_max_limit_is_valid(self):
+        assert make_params(n_max=N_MAX_LIMIT).validate() == []
 
     def test_sigma_range(self):
         p = make_params(vol=RankTable(0.5, 1.0))
