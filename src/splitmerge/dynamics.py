@@ -16,12 +16,8 @@ of Python floats where events are resolved.  A market from outside the
 program is checked once, with the rest of its run, by
 :meth:`splitmerge.engine.EngineRun.validate`.
 
-All reductions over companies here and in the engine run left to right
-in company order.  Here they are explicit loops; the batch engine holds
-caps company-major, ``(slots, paths)``, and reduces over axis 0, which
-numpy does row by row and hence in the same order, with an explicit loop
-for a single path, where numpy would sum pairwise.  See
-:mod:`splitmerge.engine` for the contract.
+All reductions over companies run left to right in company order, here
+by explicit loops; :mod:`splitmerge.engine` states the contract.
 """
 
 from __future__ import annotations

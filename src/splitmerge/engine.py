@@ -16,20 +16,18 @@ Two engines produce the paths:
     counter-based streams and perform floating-point reductions in the
     same order.  The test suite enforces the equality.
 
-:func:`rank_step` is the one vectorized frozen-rank step: the batch
-engine and the split-race probe of :mod:`splitmerge.bounds` both call
-it.  ``euler_step`` stays a separate scalar step on purpose: it is the
-oracle the twin tests hold ``rank_step`` against, and routing it
-through ``rank_step`` would make those tests compare the kernel with
-itself.
-
-Ranks are computed only where the tables need them.  When every row of
-the drift, volatility and theta tables holds one float across its valid
-ranks (:attr:`StepTables.flat`, as for ``RankTable(a, 0)``), a rank
-selects nothing: ``rank_step`` skips the sort and gathers by slot, which
-reads the same floats, and returns ``order = None``.  A ``rank k``
-portfolio rule then finds its slot by ``k + 1`` first-maximum passes
-over the caps, which break ties as the stable sort does.
+:func:`rank_step` is the one vectorized frozen-rank step, of the batch
+engine and the split-race probe (``euler_step`` is its scalar oracle,
+see :mod:`splitmerge.dynamics`).  It ranks only where the tables need
+it.  With rank-flat tables (:attr:`StepTables.flat`, as for
+``RankTable(a, 0)``) it gathers by slot, which reads the same floats,
+and returns ``order = None``; a ``rank k`` portfolio rule then finds its
+slot by ``k + 1`` first-maximum passes over the caps, which break ties
+as the stable sort does.  Otherwise a block of :data:`PACKED_SORT_ROWS`
+rows or more is ranked by one packed integer sort per path, exact for
+caps in [+0.0, +inf] except on ties and near-ties, where it falls back
+to the stable argsort that also ranks narrower blocks
+(:func:`_rank_order`).
 
 Determinism contract
 --------------------
@@ -45,21 +43,20 @@ Every sum over companies is the left-to-right accumulation
 batch engine keeps a block's caps *company-major*: one C-contiguous
 ``(slots, paths)`` array, with company ``k`` of path ``p`` at ``[k, p]``
 and the slots past a path's company count held at exactly 0.0.  A sum
-over companies is then a reduction over axis 0 (:func:`_col_sum`),
-which numpy performs row by row into the output vector, i.e. in
-exactly the loop's order.  The one exception is a block of a single
-path: numpy collapses the ``(slots, 1)`` array to a 1-d reduction and
-sums that pairwise, which differs from the loop from about 9 slots up,
-so that case runs the loop explicitly.  A test pins the reduction
-against the loop byte for byte, nan and signed zeros included.
+over companies is then a reduction over axis 0, which numpy performs
+row by row, in the loop's order; :func:`_col_sum` runs the loop itself
+for a single path, which numpy would sum pairwise, and a test pins it
+byte for byte.  Each step drops the rows past the widest path's count,
+but not rows ``0..k`` that a ``rank k`` or ``name k`` rule reads; no
+value moves, as a dropped row holds 0.0, noise is consumed by count
+rather than by row, and a failed path keeps its count.
 
-Events are resolved on lists of Python floats, in both engines, by the
-one resolver :func:`_resolve_boundary` and the helpers it calls: a
-boundary touches a handful of companies, where a numpy call on a tiny
-array costs more than the arithmetic.  The batch engine reads the
-columns it resolves into lists and writes them back in one block per
-step.  The results stay bit-identical to array arithmetic because the
-same IEEE operations run in the same order:
+Events are resolved on lists of Python floats in both engines (see
+:mod:`splitmerge.events`), by the one resolver :func:`_resolve_boundary`
+and its helpers.  The batch engine reads the columns it resolves into
+lists and writes them back in one block per step.  The results stay
+bit-identical to array arithmetic because the same IEEE operations run
+in the same order:
 
 * totals are explicit left-to-right loops from ``0.0``, never the
   built-in ``sum()``, which from Python 3.12 compensates rounding;
@@ -71,12 +68,9 @@ same IEEE operations run in the same order:
 * the overshoot keeps ``np.log``/``np.log1p`` and the conservation
   audit ``np.spacing``.
 
-Per step, an alive path with ``n`` companies consumes exactly ``n``
-standard normals from its noise stream and exactly one uniform from
-its clock stream (the uniform is consumed even on steps where a split
-preempts the merger clock).  Event draws (split fractions, merger
-pairs) come from a third per-path stream, consumed only when an event
-actually needs them.  Finished paths consume nothing.
+Per step, an alive path draws from its streams as
+:mod:`splitmerge.streams` lists them, its clock uniform even on steps
+where a split preempts the merger clock; finished paths draw nothing.
 
 Boundary semantics at each step boundary, in order:
 
@@ -96,16 +90,16 @@ Boundary semantics at each step boundary, in order:
 Each of these decisions has one definition.  The batch engine flags a
 path for resolution, at entry and after every step, with the resolver's
 own split test, ``max(x)/C >= 1 - delta``, which is exact rather than a
-filter: ``C`` is the
-resolver's left-to-right total (the padded +0.0 slots leave a positive
-total unchanged), and a correctly rounded division by one positive
-``C`` is monotone, so ``max(x)/C`` is bit for bit the ``max(x_i/C)``
-that :func:`~splitmerge.events.detect_split` compares.  A flagged path
-therefore always splits, and a path that does not split keeps its
-clock.  :func:`_resolve_boundary` builds the rule weights it transfers
-from the caps it is given.  The top weight after a boundary is recorded
-by each engine's loop, as ``max(x)/C`` (:func:`_mu_top` in the scalar
-engine), and one :func:`_series_row` formats the series rows of both.
+filter: ``C`` is the resolver's left-to-right total (the padded +0.0
+slots leave a positive total unchanged), and a correctly rounded
+division by one positive ``C`` is monotone, so ``max(x)/C`` is bit for
+bit the ``max(x_i/C)`` that :func:`~splitmerge.events.detect_split`
+compares.  A flagged path therefore always splits, and a path that does
+not split keeps its clock.  :func:`_resolve_boundary` builds the rule
+weights it transfers from the caps it is given.  The top weight after a
+boundary is recorded by each engine's loop, as ``max(x)/C``
+(:func:`_mu_top` in the scalar engine), and one :func:`_series_row`
+formats the series rows of both.
 
 A valid run has one definition as well, :meth:`EngineRun.validate`:
 ``run_paths`` calls it, ``reference_path`` calls it on the run of its
@@ -157,6 +151,12 @@ from .streams import CLOCK, EVENTS, NOISE, path_generator
 CHUNK = 4096        # paths per block; part of the determinism contract
 NOISE_BUF = 768     # buffered normals per path in the batch engine
 CLOCK_BUF = 1024    # buffered clock uniforms per path
+
+# Rows from which _rank_order packs its sort.  Packed time over argsort
+# time for 1024 paths (numpy 2.4, Python 3.11, shared 2-core VM): 2.3x at
+# 3 rows, 1.2-1.3x at 6, 0.98-1.10x at 7, 0.85-0.94x at 8, 0.73-0.75x at
+# 10, 0.42-0.44x at 16, 0.44-0.45x at 32; about 120 us of it is fixed.
+PACKED_SORT_ROWS = 8
 
 SERIES_HEADER = "path,t,n,mu_1,v_market,v_pi,z"
 
@@ -233,6 +233,7 @@ def rank_step(
     slot then gathers the float its rank would (the row holds one value
     across ranks 1..n), and a padded slot, whose rank is also >= n,
     gathers zero padding either way, so the result is bit-identical.
+    Otherwise :func:`_rank_order` ranks, for caps in [+0.0, +inf].
     ``new_caps`` is C-contiguous on both paths, whatever the layout of
     ``z``: :func:`_col_sum` reduces it in the loop's order only then.
     """
@@ -241,16 +242,46 @@ def rank_step(
         order = None
         cell = (n * width + 1) + np.arange(caps.shape[0], dtype=np.int64)[:, None]
     else:
-        order = np.argsort(-caps, axis=0, kind="stable")
-        ranks = np.empty_like(order)
-        ranks[order, np.arange(caps.shape[1])] = np.arange(
-            caps.shape[0], dtype=np.int64
-        )[:, None]
-        cell = (n * width + 1) + ranks
+        order, ranks = _rank_order(caps, n)
+        # C order: a gather through a transposed index runs at half speed
+        cell = np.add(n * width + 1, ranks, order="C")
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.exp(tables.gdt.take(cell) + tables.ssq.take(cell) * z)
         new_caps = np.multiply(caps, growth, order="C")
     return new_caps, order, cell
+
+
+def _rank_order(caps: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """``order[j, p]``, the slot of rank ``j``, and ``ranks[s, p]``, the
+    rank of slot ``s``, as the stable argsort of ``-caps`` gives them.
+
+    From :data:`PACKED_SORT_ROWS` rows up, one integer sort per path of
+    the keys ``~bits(cap)`` with the slot in their low ``sb`` bits
+    (``2**sb >= rows``): the stable order, unless two of a path's first
+    ``n`` sorted keys share their high bits (caps tied, or within
+    ``2**sb`` ulp) and the block falls back to the argsort.  Padded zeros
+    tie only with each other, in slot order, as the stable sort has them.
+    Domain, not checked: caps in [+0.0, +inf], no nan, no -0.0; the
+    padding and an underflowed cap (its path fails) are +0.0.
+    """
+    rows, paths = caps.shape
+    if rows >= PACKED_SORT_ROWS:
+        sb = (rows - 1).bit_length()
+        low = np.uint64((1 << sb) - 1)
+        keys = np.invert(caps.T.view(np.uint64), order="C")  # (paths, rows)
+        keys &= ~low
+        keys |= np.arange(rows, dtype=np.uint64)
+        keys.sort(axis=1)
+        tied = (keys[:, 1:] ^ keys[:, :-1]) <= low  # same high bits
+        if not (tied & (np.arange(1, rows) < np.reshape(n, (-1, 1)))).any():
+            order = np.bitwise_and(keys, low, out=keys).view(np.int64)
+            ranks = np.empty(rows * paths, dtype=np.int64)
+            ranks[order + np.arange(0, rows * paths, rows)[:, None]] = np.arange(rows)
+            return order.T, ranks.reshape(paths, rows).T
+    order = np.argsort(-caps, axis=0, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[order, np.arange(paths)] = np.arange(rows, dtype=np.int64)[:, None]
+    return order, ranks
 
 
 def _rank_slot(caps: np.ndarray, k: int) -> np.ndarray:
@@ -740,13 +771,10 @@ def _run_chunk(
     last = int(round(run.horizon / dt))
     p_cnt = stop - start
     n0 = len(run.initial_caps)
-    n_max = params.n_max
 
     # company-major: caps[k, p] is slot k of path p; the slots from
     # n_arr[p] up are padding and hold exactly 0.0
-    cap_k = min(n_max, n0 + 4)
-    caps = np.zeros((cap_k, p_cnt))
-    caps[:n0] = np.asarray(run.initial_caps, dtype=np.float64)[:, None]
+    caps = np.repeat(np.asarray(run.initial_caps, dtype=np.float64)[:, None], p_cnt, 1)
     n_arr = np.full(p_cnt, n0, dtype=np.int64)
     max_n = np.full(p_cnt, n0, dtype=np.int64)
     status = np.zeros(p_cnt, dtype=np.int8)
@@ -790,7 +818,7 @@ def _run_chunk(
         The columns are read into lists in one batch and written back in
         one block.  Returns each path's top weight after the boundary.
         """
-        nonlocal caps, cap_k
+        nonlocal caps
         cols = caps[:, paths].T.tolist()
         done: list[list[float]] = []
         mu: list[float] = []
@@ -807,12 +835,9 @@ def _run_chunk(
             done.append(caps_p)
             mu.append(_mu_top(caps_p))
         n_new = np.array([len(c) for c in done])
-        widest = int(n_new.max())
-        if widest > cap_k:
-            grow = min(n_max, max(widest, cap_k + 4))
-            caps = np.vstack([caps, np.zeros((grow - cap_k, p_cnt))])
-            cap_k = grow
-        block = [c + [0.0] * (cap_k - len(c)) for c in done]
+        if n_new.max() > len(caps):
+            caps = np.vstack([caps, np.zeros((n_new.max() - len(caps), p_cnt))])
+        block = [c + [0.0] * (len(caps) - len(c)) for c in done]
         caps[:, paths] = np.array(block).T
         n_arr[paths] = n_new
         max_n[paths] = np.maximum(max_n[paths], n_new)
@@ -826,6 +851,11 @@ def _run_chunk(
             )
 
     ar_rows = np.arange(p_cnt)
+    # a `rank k` or `name k` rule reads row k whatever the paths' counts
+    k_floor = max((rl.k + 1 for rl in rules if rl.kind in ("rank", "name")), default=0)
+
+    def _alive(x, other):  # `x` on alive paths, `other` on the rest
+        return x if all_act else np.where(act, x, other)
 
     # entry resolution at t = 0, flagged by the step's own split test (see
     # "Boundary semantics"); every path starts from the same caps, so one
@@ -859,9 +889,11 @@ def _run_chunk(
 
     step = 0
     while step < last:
-        if not act.any():
+        all_act = act.all()
+        if not all_act and not act.any():
             break
-        k_n = cap_k
+        k_n = max(int(n_arr.max()), k_floor)
+        caps = caps[:k_n]  # the rows past the widest path hold 0.0
         ar_k = np.arange(k_n, dtype=np.int64)[:, None]
 
         # refill per-path buffers, preserving unconsumed values
@@ -878,10 +910,10 @@ def _run_chunk(
             upos[p] = 0
 
         z = nflat.take((noise_row + npos) + ar_k)
-        npos = npos + np.where(act, n_arr, 0)
+        npos = npos + _alive(n_arr, 0)
         new_caps, order, cell = rank_step(caps, n_arr, tables, z)
         ths = ths_flat.take(cell)
-        new_caps = np.where(act, new_caps, caps)
+        new_caps = _alive(new_caps, caps)
 
         pos = caps > 0.0
         r = np.ones((k_n, p_cnt))
@@ -910,12 +942,11 @@ def _run_chunk(
                 acc = r[slot, ar_rows]
             else:  # name
                 acc = r[rl.k]
-            v[idx] = v[idx] * np.where(act, 1.0 + acc, 1.0)
+            v[idx] = v[idx] * _alive(1.0 + acc, 1.0)
 
         # measure-change accumulators
-        dm = _col_sum(ths * z)
-        m_acc = m_acc + np.where(act, dm, 0.0)
-        qv_acc = qv_acc + np.where(act, tables.qrow[n_arr], 0.0)
+        m_acc = m_acc + _alive(_col_sum(ths * z), 0.0)
+        qv_acc = qv_acc + _alive(tables.qrow[n_arr], 0.0)
 
         caps = new_caps
         c_tot = _col_sum(caps)
@@ -938,7 +969,8 @@ def _run_chunk(
         split_flag = act & (mu1 >= 1.0 - params.delta)
 
         u = uflat.take(clock_row + upos)
-        upos = upos + np.where(act, 1, 0)
+        # a path failed in this step moves on, but its clock is never read
+        upos = upos + _alive(1, 0)
         ring = act & ~split_flag & (u < tables.pstep[n_arr])
 
         todo = np.nonzero(split_flag | ring)[0]

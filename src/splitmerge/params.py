@@ -195,6 +195,16 @@ class ModelParams:
             problems.append(
                 f"Assumption 5 violated: clock exponent alpha > 0, got {self.clock_alpha:g}"
             )
+        elif self.clock_c > 0.0 and 3 <= self.n_max <= N_MAX_LIMIT and not (
+            # c * N**alpha, and N**alpha alone, finite up to n_max, in logs
+            max(math.log(self.clock_c), 0.0) + self.clock_alpha * math.log(self.n_max)
+            < math.log(np.finfo(np.float64).max)
+        ):
+            problems.append(
+                "Assumption 5 violated: clock rate c * N**alpha overflows at "
+                f"N = n_max = {self.n_max} (clock_c = {self.clock_c:g}, "
+                f"clock_alpha = {self.clock_alpha:g})"
+            )
         if not self.dt > 0.0:
             problems.append(f"time step dt must be > 0, got {self.dt:g}")
         if self.theta_mode not in THETA_MODES:
@@ -205,6 +215,16 @@ class ModelParams:
 
     def _table_problems(self) -> list[str]:
         problems: list[str] = []
+        # override rows that do not fit a table are listed, not read
+        for name, table in (("drift", self.drift), ("vol", self.vol)):
+            for n, row in table.overrides.items():
+                where = f"{name} override row for N={n}"
+                if not 2 <= n <= self.n_max:
+                    problems.append(f"{where} lies outside 2..n_max = 2..{self.n_max}")
+                elif np.shape(row) != (n,):
+                    problems.append(f"{where} has length {np.size(row)}, not {n}")
+        if problems:
+            return problems
         # Assumption 1: top rank has the smallest drift, for every N
         for n in range(2, self.n_max + 1):
             g = self.drift.row(n)
@@ -220,7 +240,14 @@ class ModelParams:
                 )
                 break
         s0, sbar = self.vol.extremes(self.n_max)
-        if not (math.isfinite(s0) and math.isfinite(sbar)) or s0 <= 0.0:
+        if not (math.isfinite(s0) and math.isfinite(sbar)):
+            rows = range(2, self.n_max + 1)
+            n = next(n for n in rows if not np.all(np.isfinite(self.vol.row(n))))
+            problems.append(
+                "Assumption 2 violated: volatilities must be finite; vol table "
+                f"has non-finite entries at N={n}"
+            )
+        elif s0 <= 0.0:
             problems.append(
                 "Assumption 2 violated: volatilities must satisfy "
                 f"0 < sigma0 <= sigma_bar < inf (table range [{s0:g}, {sbar:g}])"

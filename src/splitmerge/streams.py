@@ -16,9 +16,14 @@ Stream ids:
 Bulk draws from a numpy Generator equal sequential draws bit-for-bit, so a
 prefetched buffer read in order is indistinguishable from drawing one value
 at a time; the engine relies on this.
+
+No OS entropy is drawn: ``Philox(key=...)`` would build and discard an
+OS-entropy ``SeedSequence()``, so the key is passed as a seed sequence.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,5 +53,25 @@ def path_key(seed: int, path: int, stream: int) -> np.ndarray:
     return np.array([seed, (path << 2) | stream], dtype=np.uint64)
 
 
+@functools.cache
+def _key_sequence() -> type:
+    """The class of a seed sequence whose one state is a Philox key, made
+    on first use: numpy loads ``numpy.random`` lazily, and a module-level
+    subclass would add that import to every import of this package."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a path key is 2 uint64 words, not {n_words}")
+            return self.key
+
+    return KeySequence
+
+
 def path_generator(seed: int, path: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=path_key(seed, path, stream)))
+    key = _key_sequence()(path_key(seed, path, stream))
+    return np.random.Generator(np.random.Philox(key))

@@ -77,6 +77,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "n_max must lie in [3, 1024], got 100000000" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "bound-check"])
+    def test_clock_rate_overflow_exits_two(self, command, tmp_path, capsys):
+        # 64**1000 overflows; validation reports it before any table is built
+        cfg = write_cfg(tmp_path, "[model]\nclock_alpha = 1000\n")
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Assumption 5 violated" in err and "clock_alpha = 1000" in err
+
     def test_defaults_run_without_config(self, capsys):
         rc = main(["simulate", "--paths", "16", "--horizon", "0.02"])
         assert rc == 0

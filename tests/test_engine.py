@@ -7,9 +7,11 @@ field, including event logs and CSV series rows.  Everything else
 handling) follows from that plus the per-path stream derivation.
 """
 
+import ast
 import hashlib
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import splitmerge
+from splitmerge import engine
 from splitmerge.cli import main
 from splitmerge.config import ConfigError, load_config
 from splitmerge.engine import (
@@ -182,8 +186,8 @@ class TestBitExactness:
         assert_paths_match(params, caps0, 0.03, 29, res, [CHUNK], stride=25)
 
     def test_splits_grow_slots_past_nine(self):
-        # five companies start in 9 slots; a volatile split-prone market
-        # pushes the count past that, so the slot array must grow
+        # five companies start in five slots; a volatile split-prone
+        # market pushes the count past nine, so the slot array must grow
         params = make_params(
             drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
             delta=0.16, eps0=0.01, clock_c=0.5,
@@ -326,6 +330,180 @@ class TestRankFlat:
         # rank 3 loses its target on the paths that fall to two names
         assert res.final_n.min() == 2
         assert_paths_match(params, caps0, 0.5, 5, res, 24, rules=rules)
+
+
+class TestLeanStep:
+    """The step drops rows past the widest live path and skips the alive
+    masks while every path is alive; neither may move a value."""
+
+    @pytest.mark.parametrize(
+        "drift, vol",
+        [
+            (RankTable(0.0, 0.0), RankTable(1.0, 0.0)),
+            (RankTable(-0.3, 0.6), RankTable(1.0, -0.5)),
+        ],
+        ids=["rank-flat", "rank-dependent"],
+    )
+    @pytest.mark.parametrize("kind", ["rank", "name"])
+    def test_rules_past_every_count_keep_their_row(self, drift, vol, kind):
+        # every path merges down to 2 companies; a `rank 4` or `name 4`
+        # rule still reads row 4, so the rows never drop below 5
+        params = make_params(drift=drift, vol=vol, clock_c=20.0)
+        rules = (
+            PortfolioRule("market"), PortfolioRule(kind, 4),
+            PortfolioRule("name", 1),
+        )
+        caps0 = np.ones(6)
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=0.5, n_paths=12,
+                seed=3, rules=rules, stride=50, series_cols=(0, 2),
+                collect_events=True, collect_final_caps=True,
+            )
+        )
+        assert res.final_n.max() <= 4 and res.instr.mergers >= 48
+        assert_paths_match(
+            params, caps0, 0.5, 3, res, 12, rules=rules, series_cols=(0, 2)
+        )
+
+    def test_one_path_grows_past_nine_slots_and_shrinks_back(self):
+        # a block of one path sums its columns by the explicit loop,
+        # whatever its row count does as splits and mergers come
+        params = make_params(
+            drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
+            delta=0.16, eps0=0.01, clock_c=2.0,
+        )
+        caps0 = np.array([40.0, 1.0, 1.0, 1.0, 1.0])
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=0.5, n_paths=1,
+                seed=21, rules=RULES, stride=50, series_cols=(0, 1),
+                collect_events=True, collect_final_caps=True,
+            )
+        )
+        assert res.max_n[0] >= 9 and res.final_n[0] <= 6
+        assert_paths_match(params, caps0, 0.5, 21, res, 1)
+
+    def test_rank_dependent_paths_that_fail_mid_run(self):
+        # caps fall by e**-1 a step and underflow near step 745, path by
+        # path: the steps before the first failure run without the alive
+        # masks, the steps after it with them
+        params = make_params(
+            drift=RankTable(-1000.0, 0.0), vol=RankTable(3.0, -1.0),
+            clock_c=0.0,
+        )
+        assert not StepTables.build(params).flat
+        caps0 = np.ones(9)
+        res = run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=1.0, n_paths=16,
+                seed=7, rules=RULES, stride=50, series_cols=(0, 1),
+                collect_events=True, collect_final_caps=True,
+            )
+        )
+        assert (res.status == 2).all()
+        # the domain of the packed sort: no nan and no -0.0 among the caps
+        caps = np.concatenate(res.final_caps)
+        assert not np.isnan(caps).any() and not np.signbit(caps).any()
+        assert_paths_match(params, caps0, 1.0, 7, res, 16)
+
+
+def _packed_order(caps, n):
+    """``_rank_order`` with the packed sort at every row count."""
+    with mock.patch.object(engine, "PACKED_SORT_ROWS", 2):
+        return engine._rank_order(caps, n)
+
+
+def _stable_ranks(caps):
+    order = np.argsort(-caps, axis=0, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[order, np.arange(caps.shape[1])] = np.arange(caps.shape[0])[:, None]
+    return order, ranks
+
+
+# caps in the packed sort's domain, [+0.0, +inf]: zero, denormals,
+# extremes and inf, with no nan; adding +0.0 turns a drawn -0.0 into +0.0
+DOMAIN = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-323, 2.2e-308, 1.0, 1.7e308, np.inf]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=True).map(
+        lambda x: x + 0.0
+    ),
+)
+
+
+class TestPackedRankOrder:
+    """The packed integer sort ranks as the stable argsort does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(2, 1024),
+        paths=st.integers(1, 5),
+        pool=st.lists(DOMAIN, min_size=1, max_size=6),
+        ulps=st.integers(0, 1100),
+        share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        one_n=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_stable_argsort(
+        self, rows, paths, pool, ulps, share, one_n, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # the pool's values, their next 8 floats up and the float `ulps`
+        # up: exact ties, and near-ties within and past 2**sb ulp
+        near = [np.array(pool)]
+        with np.errstate(over="ignore"):  # the float past 1.7e308 is inf
+            for _ in range(min(ulps, 8)):
+                near.append(np.nextafter(near[-1], np.inf))
+            far = near[0]
+            for _ in range(ulps):
+                far = np.nextafter(far, np.inf)
+        pool = np.concatenate(near + [far])
+        caps = rng.lognormal(0.0, 3.0, size=(rows, paths))
+        mask = rng.random(caps.shape) < share
+        caps[mask] = rng.choice(pool, size=int(mask.sum()))
+        n = np.full(paths, rng.integers(2, rows + 1)) if one_n else (
+            rng.integers(2, rows + 1, size=paths)
+        )
+        caps[np.arange(rows)[:, None] >= n] = 0.0  # padded slots
+        order, ranks = _packed_order(caps, int(n[0]) if one_n else n)
+        want_order, want_ranks = _stable_ranks(caps)
+        assert order.tolist() == want_order.tolist()
+        assert ranks.tolist() == want_ranks.tolist()
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+    def test_crossover(self, below):
+        # distinct caps: the argsort runs below the crossover only
+        rows = engine.PACKED_SORT_ROWS - below
+        caps = np.random.default_rng(1).lognormal(size=(rows, 64))
+        n = np.full(64, rows)
+        want = _stable_ranks(caps)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            order, ranks = engine._rank_order(caps, n)
+        assert spy.called is below
+        assert order.tolist() == want[0].tolist()
+        assert ranks.tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize(
+        "tie", ["exact", "one-ulp", "live-denormals"]
+    )
+    def test_ties_fall_back_to_the_argsort(self, tie):
+        rows = engine.PACKED_SORT_ROWS + 4
+        caps = np.random.default_rng(2).lognormal(size=(rows, 8))
+        caps[rows - 3 :, 5] = 0.0  # padded zeros never force the fallback
+        if tie == "exact":
+            caps[3, 2] = caps[1, 2]
+        elif tie == "one-ulp":
+            caps[3, 2] = np.nextafter(caps[1, 2], 0.0)
+        else:  # 2 and 1 ulp above zero, in slot order: the packed keys
+            caps[2:4, 2] = [5e-324, 1e-323]  # would rank them backwards
+        n = np.full(8, rows)
+        n[5] = rows - 3
+        want = _stable_ranks(caps)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            order, ranks = engine._rank_order(caps, n)
+        assert spy.call_count == 1
+        assert order.tolist() == want[0].tolist()
+        assert ranks.tolist() == want[1].tolist()
 
 
 class TestGolden:
@@ -604,11 +782,17 @@ class TestValidation:
              "[run]\nportfolio = name:7\n", "targets company 7"),
             ({"rules": (PortfolioRule("market"),), "series_cols": (0, 3)},
              None, "series_cols"),
+            ({"params": make_params(clock_alpha=1000.0)},
+             "[model]\nclock_alpha = 1000\n", "clock_alpha = 1000"),
+            ({"params": make_params(
+                vol=RankTable(1.0, 0.0, overrides={3: (1.0, 2.0)}))},
+             None, "vol override row for N=3 has length 2"),
         ],
         ids=[
             "horizon-1.5-steps", "horizon-0.4-steps", "workers-0",
             "stride-negative", "seed-negative", "cap-negative",
             "caps-at-n_max", "name-7-of-3", "series_cols-outside-rules",
+            "clock-rate-overflow", "override-row-short",
         ],
     )
     def test_invalid_run_rejected_everywhere(
@@ -741,3 +925,23 @@ class TestColumnSum:
         a[mask] = rng.choice(np.array(pool), size=int(mask.sum()))
         with np.errstate(all="ignore"):
             assert _col_sum(a).tobytes() == _loop_sum(a).tobytes()
+
+
+# the modules whose floats the twin contract pins bit for bit
+BIT_EXACT = ("engine", "dynamics", "events", "portfolio", "girsanov",
+             "streams", "params")
+
+
+@pytest.mark.parametrize("module", BIT_EXACT)
+def test_no_builtin_sum_on_the_bit_exact_path(module):
+    # from Python 3.12 the built-in sum() compensates its rounding, so a
+    # float total would differ between interpreter versions
+    path = Path(splitmerge.__file__).parent / f"{module}.py"
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+    assert calls == [], f"{module}.py calls sum() at lines {calls}"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitmerge.engine import StepTables
 from splitmerge.params import N_MAX_LIMIT, ModelParams, RankTable, SplitDist
 
 
@@ -132,6 +133,56 @@ class TestModelParams:
         msgs = make_params(n_max=8, vol=vol).validate()
         assert len(msgs) == 1
         assert msgs[0].startswith("Assumption 2 violated: volatilities")
+
+    @pytest.mark.parametrize(
+        "drift, vol, problem",
+        [
+            (RankTable(0.0, 0.0), RankTable(1.0, 0.0, overrides={3: (1.0, 2.0)}),
+             "vol override row for N=3 has length 2, not 3"),
+            (RankTable(0.0, 0.0, overrides={99: (0.0,) * 99}), RankTable(1.0, 0.0),
+             "drift override row for N=99 lies outside 2..n_max = 2..8"),
+            (RankTable(0.0, 0.0), RankTable(1.0, 0.0, overrides={1: (1.0,)}),
+             "vol override row for N=1 lies outside 2..n_max = 2..8"),
+            (RankTable(0.0, 0.0, overrides={2: (0.0, np.inf)}), RankTable(1.0, 0.0),
+             "Assumption 2 violated: drift table has non-finite entries at N=2"),
+        ],
+        ids=["short-row", "key-past-n_max", "key-below-2", "non-finite-cell"],
+    )
+    def test_bad_override_rows_are_listed_not_raised(self, drift, vol, problem):
+        assert make_params(n_max=8, drift=drift, vol=vol).validate() == [problem]
+
+    def test_every_bad_override_row_is_listed(self):
+        drift = RankTable(0.0, 0.0, overrides={3: (1.0,), 9: (0.0,) * 9})
+        vol = RankTable(1.0, 0.0, overrides={4: (1.0, 1.0, 1.0)})
+        assert make_params(n_max=8, drift=drift, vol=vol).validate() == [
+            "drift override row for N=3 has length 1, not 3",
+            "drift override row for N=9 lies outside 2..n_max = 2..8",
+            "vol override row for N=4 has length 3, not 4",
+        ]
+
+    def test_non_finite_vol_cell_names_its_row(self):
+        vol = RankTable(1.0, 0.0, overrides={4: (1.0, np.nan, 1.0, 1.0)})
+        assert make_params(n_max=8, vol=vol).validate() == [
+            "Assumption 2 violated: volatilities must be finite; vol table "
+            "has non-finite entries at N=4"
+        ]
+
+    @pytest.mark.parametrize(
+        "c, alpha", [(1.0, 1000.0), (1e-300, 200.0), (1e308, 1.0), (1.0, np.inf)]
+    )
+    def test_clock_rate_overflow_cites_assumption_5(self, c, alpha):
+        # c * N**alpha, or N**alpha on its own, overflows at n_max = 64
+        msgs = make_params(clock_c=c, clock_alpha=alpha).validate()
+        assert len(msgs) == 1
+        assert msgs[0].startswith("Assumption 5 violated: clock rate")
+        assert f"clock_alpha = {alpha:g}" in msgs[0]
+
+    def test_largest_finite_clock_rate_is_valid(self):
+        # 64**170 = 2**1020 is finite, as is every rate below it
+        p = make_params(clock_c=1.0, clock_alpha=170.0)
+        assert p.validate() == []
+        assert np.isfinite(StepTables.build(p).pstep).all()
+        assert make_params(clock_c=0.0, clock_alpha=1000.0).validate() == []
 
     @pytest.mark.parametrize("n_max", [2, -4, N_MAX_LIMIT + 1, 100_000_000])
     def test_n_max_out_of_range_is_the_only_table_problem(self, n_max):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from splitmerge.streams import (
     CLOCK,
@@ -51,3 +52,24 @@ def test_bulk_equals_sequential():
     seq_u = np.array([gen.random() for _ in range(64)])
     assert np.array_equal(bulk_u, seq_u)
 
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("path", [0, 2**62 - 1])
+@pytest.mark.parametrize("stream", [NOISE, CLOCK, EVENTS, PROBE])
+def test_generator_is_philox_keyed_by_path_key(seed, path, stream):
+    # the generator skips the OS-entropy seed sequence of Philox(key=...),
+    # and must give that generator's state and draws exactly
+    want = np.random.Generator(np.random.Philox(key=path_key(seed, path, stream)))
+    got = path_generator(seed, path, stream)
+    assert str(got.bit_generator.state) == str(want.bit_generator.state)
+    assert got.standard_normal(1000).tobytes() == want.standard_normal(1000).tobytes()
+    assert got.random(1000).tobytes() == want.random(1000).tobytes()
+
+
+def test_key_sequence_gives_only_the_key():
+    seq = path_generator(1, 2, NOISE).bit_generator.seed_seq
+    assert seq.generate_state(2, np.uint64).tolist() == [1, (2 << 2) | NOISE]
+    for n_words, dtype in [(4, np.uint32), (2, np.uint32), (3, np.uint64)]:
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            seq.generate_state(n_words, dtype)
