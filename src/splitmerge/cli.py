@@ -127,6 +127,11 @@ def _cmd_bound_check(args) -> int:
     eval_params = dataclasses.replace(
         params, n_max=max(params.n_max, 2 * grid[-1])
     )
+    # a clock rate valid at the config's n_max can overflow at the wider cap
+    problems = eval_params.validate()
+    if problems:
+        where = f"bound-check evaluates at n_max = {eval_params.n_max}"
+        raise ConfigError([f"{where}: {p}" for p in problems])
     prev = None
     for L in grid:
         lam_high = max(clock_rate(n, eval_params) for n in range(3, 2 * L))

@@ -71,6 +71,19 @@ in the same order:
 Per step, an alive path draws from its streams as
 :mod:`splitmerge.streams` lists them, its clock uniform even on steps
 where a split preempts the merger clock; finished paths draw nothing.
+The batch engine buffers the noise and clock streams, and a block holds
+only what it reads.  Every path starts with an empty clock buffer and
+every alive path reads one uniform per step, so all alive paths sit at
+one shared position of a step-major ``(rows, paths)`` buffer.  When it
+runs out, each alive path draws ``min(CLOCK_BUF, steps left)``
+uniforms, a prefix of its stream, so nothing past the horizon is drawn.
+Noise rows are path-major, ``max(min(NOISE_STEPS * n0, N_MAX_LIMIT),
+n_max)`` cells for ``n0`` starting companies; a path's row is refilled,
+its unread values kept, when it holds fewer than the step reads.  A
+step reads at most ``n_max`` cells of a row, so a row always fits it.
+The gather reads cells past a path's count, which zero coefficients
+cancel, so every cell is finite: rows start at 0.0, and a failed path's
+stale cells are never refilled.
 
 Boundary semantics at each step boundary, in order:
 
@@ -138,7 +151,7 @@ from .events import (
     sample_merger_pair,
 )
 from .girsanov import GirsanovState, accumulate, theta_row
-from .params import ModelParams
+from .params import N_MAX_LIMIT, ModelParams
 from .portfolio import (
     PortfolioRule,
     WealthError,
@@ -149,8 +162,21 @@ from .portfolio import (
 from .streams import CLOCK, EVENTS, NOISE, path_generator
 
 CHUNK = 4096        # paths per block; part of the determinism contract
-NOISE_BUF = 768     # buffered normals per path in the batch engine
-CLOCK_BUF = 1024    # buffered clock uniforms per path
+
+# Buffered normals per path, in steps of the starting market: a row holds
+# NOISE_STEPS * n0 cells, at most N_MAX_LIMIT and at least n_max.  A refill
+# costs about 2 us per path besides its draws (19 ns a normal).  Median time
+# of one 1024-path event_heavy block (n0 = 4), 15 alternating rounds: 0.567 s
+# at 64 steps, 0.568 s at 96, 0.564 s at 128, 0.570 s at 192 (768 cells).
+# Capping rows at 1024 cells cost nothing at n0 = 64 (5.14 s against 5.58 s
+# uncapped, 4096 paths) or at n0 = 200, where an uncapped 4096-path block
+# would hold 420 MB of noise.  (numpy 2.4, Python 3.11, shared 2-core VM.)
+NOISE_STEPS = 64
+# Buffered clock uniforms per path, at most the steps left to the horizon.
+# One 4096-path default.cfg block (500 steps, two refills) took a median
+# 1.48 s at 256 against 1.47 s at 64 and 1.34 s at 1024 over 7 rounds, inside
+# the spread; 256 rows hold 8.4 MB where 500 would hold 16.4 MB.
+CLOCK_BUF = 256
 
 # Rows from which _rank_order packs its sort.  Packed time over argsort
 # time for 1024 paths (numpy 2.4, Python 3.11, shared 2-core VM): 2.3x at
@@ -786,11 +812,17 @@ def _run_chunk(
     ngens = [path_generator(run.seed, p, NOISE) for p in range(start, stop)]
     cgens = [path_generator(run.seed, p, CLOCK) for p in range(start, stop)]
     egens: list[np.random.Generator | None] = [None] * p_cnt
-    # the RNG buffers stay path-major because they are refilled per path
-    nbuf = np.zeros((p_cnt, NOISE_BUF))
-    npos = np.full(p_cnt, NOISE_BUF, dtype=np.int64)
-    ubuf = np.ones((p_cnt, CLOCK_BUF))
-    upos = np.full(p_cnt, CLOCK_BUF, dtype=np.int64)
+    # one path-major noise row per path; no step reads more than n_max
+    # cells of a row, so nw >= n_max cells always serve it.  Zeros, not
+    # empty: the gather reads cells past a path's count, which zero
+    # coefficients must cancel, so every cell must be finite
+    nw = max(min(NOISE_STEPS * n0, N_MAX_LIMIT), params.n_max)
+    nbuf = np.zeros((p_cnt, nw))
+    npos = np.full(p_cnt, nw, dtype=np.int64)
+    # clock rows are step-major: every alive path reads one uniform per
+    # step from an empty start, so one position `upos` serves them all
+    ubuf = np.zeros((min(CLOCK_BUF, last), p_cnt))
+    upos = urows = 0
 
     instr = Instrumentation()
     events_list: list[EventRecord] = []
@@ -808,7 +840,6 @@ def _run_chunk(
         status[p] = code
         act[p] = False
         npos[p] = 0
-        upos[p] = 0
 
     def _resolve_paths(
         paths: np.ndarray, ring: np.ndarray, t: float
@@ -865,12 +896,10 @@ def _run_chunk(
         mu1[:] = _resolve_paths(ar_rows, np.zeros(p_cnt, dtype=bool), 0.0)
         _record_top(mu1)
 
-    # flat views: buffer cell (p, i) is element p * BUF + i
+    # flat views: noise cell (p, i) is element p * nw + i
     ths_flat = tables.ths.reshape(-1)
     nflat = nbuf.reshape(-1)
-    uflat = ubuf.reshape(-1)
-    noise_row = ar_rows * NOISE_BUF
-    clock_row = ar_rows * CLOCK_BUF
+    noise_row = ar_rows * nw
 
     def _series_rows(step: int) -> None:
         t = float(step * dt)
@@ -896,18 +925,21 @@ def _run_chunk(
         caps = caps[:k_n]  # the rows past the widest path hold 0.0
         ar_k = np.arange(k_n, dtype=np.int64)[:, None]
 
-        # refill per-path buffers, preserving unconsumed values
-        need = np.nonzero(act & (npos + k_n > NOISE_BUF))[0]
-        for p in need:
-            left = NOISE_BUF - npos[p]
-            if left > 0:
-                nbuf[p, :left] = nbuf[p, npos[p] :]
-            nbuf[p, left:] = ngens[p].standard_normal(NOISE_BUF - left)
-            npos[p] = 0
-        need = np.nonzero(act & (upos >= CLOCK_BUF))[0]
-        for p in need:
-            ubuf[p] = cgens[p].random(CLOCK_BUF)
-            upos[p] = 0
+        # refill the noise rows that cannot serve this step, keeping their
+        # unread values; the clock rows of every alive path run out together
+        need = np.nonzero(act & (npos + k_n > nw))[0]
+        for p, pos in zip(need.tolist(), npos[need].tolist()):
+            row = nbuf[p]
+            left = nw - pos
+            row[:left] = row[pos:]
+            ngens[p].standard_normal(out=row[left:])
+        npos[need] = 0
+        if upos == urows:
+            # a prefix of each stream: nothing past the horizon is drawn
+            urows = min(CLOCK_BUF, last - step)
+            for p in np.nonzero(act)[0].tolist():
+                ubuf[:urows, p] = cgens[p].random(urows)
+            upos = 0
 
         z = nflat.take((noise_row + npos) + ar_k)
         npos = npos + _alive(n_arr, 0)
@@ -968,9 +1000,9 @@ def _run_chunk(
             mu1 = x_max / c_tot    # nan on failed paths; masked by `act`
         split_flag = act & (mu1 >= 1.0 - params.delta)
 
-        u = uflat.take(clock_row + upos)
-        # a path failed in this step moves on, but its clock is never read
-        upos = upos + _alive(1, 0)
+        # a failed path's stale column is masked by `act`
+        u = ubuf[upos]
+        upos += 1
         ring = act & ~split_flag & (u < tables.pstep[n_arr])
 
         todo = np.nonzero(split_flag | ring)[0]

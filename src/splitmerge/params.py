@@ -187,11 +187,12 @@ class ModelParams:
             problems.append(
                 f"Assumption 3 violated: eps0 in (0, 1/2), got {self.eps0:g}"
             )
-        if self.clock_c < 0.0:
+        # written so that nan fails them
+        if not self.clock_c >= 0.0:
             problems.append(
                 f"Assumption 5 violated: clock constant c >= 0, got {self.clock_c:g}"
             )
-        if self.clock_alpha <= 0.0:
+        if not self.clock_alpha > 0.0:
             problems.append(
                 f"Assumption 5 violated: clock exponent alpha > 0, got {self.clock_alpha:g}"
             )

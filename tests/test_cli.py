@@ -85,6 +85,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "Assumption 5 violated" in err and "clock_alpha = 1000" in err
 
+    @pytest.mark.parametrize("key", ["clock_c", "clock_alpha"])
+    def test_nan_clock_parameter_exits_two(self, key, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"[model]\n{key} = nan\n")
+        assert main(["simulate", "--config", cfg, "--paths", "8"]) == 2
+        assert "Assumption 5 violated" in capsys.readouterr().err
+
     def test_defaults_run_without_config(self, capsys):
         rc = main(["simulate", "--paths", "16", "--horizon", "0.02"])
         assert rc == 0
@@ -123,6 +129,18 @@ class TestBoundCheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "identities hold" in out
+
+    def test_rate_that_overflows_at_the_wider_cap_exits_two(self, tmp_path, capsys):
+        # 64**170 is finite, so the config is valid; bound-check evaluates
+        # the explosion bound at n_max = 80, where 79**170 is not
+        cfg = write_cfg(tmp_path, "[model]\nclock_alpha = 170\n")
+        assert main(["bound-check", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (
+            "bound-check evaluates at n_max = 80: Assumption 5 violated: "
+            "clock rate c * N**alpha overflows at N = n_max = 80" in err
+        )
 
 
 class TestMartingale:

@@ -9,6 +9,7 @@ handling) follows from that plus the per-path stream derivation.
 
 import ast
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -406,6 +407,79 @@ class TestLeanStep:
         caps = np.concatenate(res.final_caps)
         assert not np.isnan(caps).any() and not np.signbit(caps).any()
         assert_paths_match(params, caps0, 1.0, 7, res, 16)
+
+
+@pytest.fixture(params=["sized", "refill-every-step"])
+def buffers(request, monkeypatch):
+    """The batch engine's RNG buffers as shipped, or one step deep, so a
+    noise or clock refill lands on almost every step."""
+    if request.param == "refill-every-step":
+        monkeypatch.setattr(engine, "NOISE_STEPS", 1)
+        monkeypatch.setattr(engine, "CLOCK_BUF", 1)
+
+
+class TestBufferEdges:
+    """Refills of the noise rows and of the shared clock position read
+    each stream exactly where the reference does."""
+
+    def _run(self, params, caps0, horizon, n_paths, seed):
+        return run_paths(
+            EngineRun(
+                params=params, initial_caps=caps0, horizon=horizon,
+                n_paths=n_paths, seed=seed, rules=RULES, stride=50,
+                series_cols=(0, 1), collect_events=True,
+                collect_final_caps=True,
+            )
+        )
+
+    def test_market_of_800_companies(self, buffers):
+        # each step reads 800 normals per path, more than 768 cells
+        params = make_params(n_max=1024)
+        caps0 = np.ones(800)
+        res = self._run(params, caps0, 0.002, 3, 5)
+        assert_paths_match(params, caps0, 0.002, 5, res, 3)
+
+    def test_horizon_past_the_clock_buffer(self, buffers):
+        # 300 steps: the last clock refill draws only the steps left
+        assert engine.CLOCK_BUF < 300
+        params = make_params()
+        caps0 = np.array([3.0, 1.0, 1.0])
+        res = self._run(params, caps0, 0.3, 6, 13)
+        assert res.instr.mergers > 0
+        assert_paths_match(params, caps0, 0.3, 13, res, 6)
+
+    def test_paths_fail_mid_run_while_others_refill(self, buffers):
+        # splits push paths to n_max = 10 (status 1) before and after the
+        # clock refill at step 256, while the others run to step 400
+        params = make_params(
+            drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
+            delta=0.16, eps0=0.01, clock_c=0.5, n_max=10,
+        )
+        caps0 = np.array([40.0, 1.0, 1.0, 1.0, 1.0])
+        res = self._run(params, caps0, 0.4, 16, 31)
+        failed_at = {e.path: e.t for e in res.events if res.status[e.path]}
+        assert set(res.status.tolist()) == {0, 1}
+        assert min(failed_at.values()) < 0.256 < max(failed_at.values())
+        assert_paths_match(params, caps0, 0.4, 31, res, 16)
+
+
+def test_block_memory_follows_what_it_reads():
+    # one 1024-path default.cfg block of 50 steps reads 50 clock uniforms
+    # and a few hundred normals per path.  The peak is 5.9 MB; buffers of
+    # 1024 uniforms and 768 normals per path, allocated up front, made it
+    # 18.1 MB (numpy 2.4, Python 3.11)
+    run = replace(
+        load_config(DEFAULT_CFG).engine_run(collect_events=True),
+        n_paths=1024, horizon=0.05,
+    )
+    tables = StepTables.build(run.params)
+    tracemalloc.start()
+    try:
+        engine._run_chunk(run, tables, 0, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _packed_order(caps, n):

@@ -113,6 +113,17 @@ class TestModelParams:
             for m in make_params(clock_alpha=0.0).validate()
         )
 
+    @pytest.mark.parametrize(
+        "field, problem",
+        [
+            ("clock_c", "Assumption 5 violated: clock constant c >= 0, got nan"),
+            ("clock_alpha", "Assumption 5 violated: clock exponent alpha > 0, got nan"),
+        ],
+    )
+    def test_nan_clock_parameter_is_rejected(self, field, problem):
+        # a nan constant would silence every merger clock (u < nan is false)
+        assert make_params(**{field: np.nan}).validate() == [problem]
+
     def test_problems_are_collected(self):
         msgs = make_params(delta=0.3, eps0=0.9, clock_c=-2.0).validate()
         assert len(msgs) == 3
