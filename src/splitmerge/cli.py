@@ -103,7 +103,9 @@ def _cmd_bound_check(args) -> int:
         lam = clock_rate(n, params)
         b = split_before_clock_bound(0.5, params.delta, sig, lam)
         lines.append(f"  N={n} lam={lam:g}: {b:.6f}")
-        ok = ok and 0.0 < b <= 2.0
+        # nan or a negative bound fails; a fast clock underflows a bound to
+        # 0.0, which is still a valid one
+        ok = ok and 0.0 <= b <= 2.0
 
     lines.append("consecutive-split bound p_N (both forms):")
     for n in range(3, 9):
@@ -111,7 +113,7 @@ def _cmd_bound_check(args) -> int:
         b1 = double_jump_bound(params.delta, params.delta0, sig, lam)
         b2 = double_jump_bound_ratio_form(params.delta, params.delta0, sig, lam)
         agree = abs(b1 - b2) <= 1e-12 * max(1.0, b1)
-        ok = ok and agree and 0.0 < b1 <= 2.0
+        ok = ok and agree and 0.0 <= b1 <= 2.0
         lines.append(f"  N={n} lam={lam:g}: {b1:.6f} (forms agree: {agree})")
     a1 = double_jump_alpha1(params.delta, params.delta0, sig)
     lines.append(f"  alpha_1 = {a1:.6f}")

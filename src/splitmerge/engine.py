@@ -52,8 +52,9 @@ value moves, as a dropped row holds 0.0, noise is consumed by count
 rather than by row, and a failed path keeps its count.
 
 Events are resolved on lists of Python floats in both engines (see
-:mod:`splitmerge.events`), by the one resolver :func:`_resolve_boundary`
-and its helpers.  The batch engine reads the columns it resolves into
+:mod:`splitmerge.events`), by the one resolver :func:`_resolve_boundary`, which
+runs every split and merger through one sequence of apply, audit,
+transfer and log.  The batch engine reads the columns it resolves into
 lists and writes them back in one block per step.  The results stay
 bit-identical to array arithmetic because the same IEEE operations run
 in the same order:
@@ -382,48 +383,6 @@ def _transfer_err(pi_before: list[float], pi_after: list[float]) -> float:
 # shared per-path event resolution (used verbatim by both engines)
 
 
-def _apply_one_split(
-    caps: list[float],
-    i: int,
-    w_i: float,
-    t: float,
-    path: int,
-    params: ModelParams,
-    ev_gen: np.random.Generator,
-    rules: Sequence[PortfolioRule],
-    pis: list[list[float]],
-    instr: Instrumentation,
-    emit: Callable[[EventRecord], None] | None,
-) -> list[float]:
-    instr.max_overshoot = max(
-        instr.max_overshoot, float(np.log(w_i) - np.log1p(-params.delta))
-    )
-    xi = draw_split_fraction(params, ev_gen)
-    new_caps = apply_split(caps, i, xi)
-    instr.splits += 1
-    instr.max_conservation = max(
-        instr.max_conservation, _conservation_err(caps, new_caps)
-    )
-    for r in range(len(rules)):
-        pi_after = transfer_on_split(pis[r], i, caps, new_caps)
-        instr.max_transfer = max(instr.max_transfer, _transfer_err(pis[r], pi_after))
-        pis[r] = pi_after
-    if emit is not None:
-        emit(
-            EventRecord(
-                path=path,
-                t=t,
-                kind="split",
-                i=i + 1,
-                j=None,
-                xi=xi,
-                n_before=len(caps),
-                n_after=len(new_caps),
-            )
-        )
-    return new_caps
-
-
 def _resolve_boundary(
     caps: list[float],
     t: float,
@@ -438,11 +397,14 @@ def _resolve_boundary(
     """Resolve all events at one step boundary.
 
     ``caps`` is a list of Python floats.  Returns ``(caps, exploded,
-    had_event)``.  The per-rule portfolio weights at the boundary are
-    built here from ``caps`` and carried through the renaming, so every
-    transfer is audited on the weights the rule itself gives.  Splits
-    cascade until the top weight is below the threshold; a merger fires
-    only if the clock rang and no split fired at this boundary.
+    had_event)``.  Each pass picks one event: a split while the top weight
+    is at or above the threshold, else one merger (real or suppressed) if
+    the clock rang and no split fired at this boundary.  Every event is
+    counted and logged by one sequence, which also audits the total cap
+    and each rule's transferred weights of a split or a real merger, and
+    stops a path that reaches ``n_max``.  The rule weights are built here
+    from ``caps``, so every transfer is audited on the weights the rule
+    itself gives.
     """
     pis = [rl.weights(caps) for rl in rules]
     split_fired = False
@@ -451,66 +413,59 @@ def _resolve_boundary(
         w = market_weights(caps)
         i = detect_split(w, params.delta)
         if i is not None:
-            caps = _apply_one_split(
-                caps, i, w[i], t, path, params, ev_gen, rules, pis, instr, emit
+            instr.max_overshoot = max(
+                instr.max_overshoot, float(np.log(w[i]) - np.log1p(-params.delta))
             )
             split_fired = True
-            if len(caps) >= params.n_max:
-                return caps, True, True
-            continue
-        if not merge_pending or split_fired:
-            break
-        merge_pending = False
-        i, j = sample_merger_pair(caps, ev_gen)
-        if merger_suppressed(w, i, j, params.delta):
-            instr.suppressed += 1
-            kind, new_caps = "suppressed_merger", caps
+            j, xi = None, draw_split_fraction(params, ev_gen)
+            kind, new_caps = "split", apply_split(caps, i, xi)
+            instr.splits += 1
+        elif merge_pending and not split_fired:
+            merge_pending = False
+            (i, j), xi = sample_merger_pair(caps, ev_gen), None
+            if merger_suppressed(w, i, j, params.delta):
+                kind, new_caps = "suppressed_merger", caps
+                instr.suppressed += 1
+            else:
+                kind, new_caps = "merger", apply_merger(caps, i, j)
+                instr.mergers += 1
         else:
-            kind, new_caps = "merger", apply_merger(caps, i, j)
-            instr.mergers += 1
+            break
+        if kind != "suppressed_merger":
             instr.max_conservation = max(
                 instr.max_conservation, _conservation_err(caps, new_caps)
             )
             for r in range(len(rules)):
-                pi_after = transfer_on_merger(pis[r], i, j)
+                if j is None:
+                    pi_after = transfer_on_split(pis[r], i, caps, new_caps)
+                else:
+                    pi_after = transfer_on_merger(pis[r], i, j)
                 instr.max_transfer = max(
                     instr.max_transfer, _transfer_err(pis[r], pi_after)
                 )
                 pis[r] = pi_after
         if emit is not None:
-            emit(
-                EventRecord(
-                    path=path,
-                    t=t,
-                    kind=kind,
-                    i=i + 1,
-                    j=j + 1,
-                    xi=None,
-                    n_before=len(caps),
-                    n_after=len(new_caps),
-                )
-            )
-        if kind == "suppressed_merger":
-            break
-        # defensively loop once more to re-check the split threshold after
-        # the merger; under delta < 1/6 a merged non-top pair never reaches it
+            emit(EventRecord(
+                path=path, t=t, kind=kind, i=i + 1,
+                j=None if j is None else j + 1, xi=xi,
+                n_before=len(caps), n_after=len(new_caps),
+            ))
+        # the next pass re-checks the split threshold: defensively after a
+        # merger (under delta < 1/6 a merged non-top pair never reaches
+        # it); a suppressed merger moved nothing, so that pass stops
         caps = new_caps
+        if len(caps) >= params.n_max:
+            return caps, True, True
     return caps, False, split_fired or rang
 
 
 def _mu_top(caps: Sequence[float]) -> float:
-    """Top market weight as max(caps)/total, both via explicit loops.
+    """Top market weight as max(caps)/total, the total a left-to-right sum.
 
     This is the exact expression the batch engine evaluates per step, so
     the scalar engine uses it too wherever the value is recorded.
     """
-    c = 0.0
-    m = -math.inf
-    for x in caps:
-        c = c + x
-        if x > m:
-            m = x
-    return float(m / c)
+    return float(max(caps) / total_cap(caps))
 
 
 def _series_row(

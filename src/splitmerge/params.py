@@ -59,6 +59,48 @@ N_MAX_LIMIT = 1024
 
 _SPLIT_KINDS = ("uniform", "point", "beta")
 
+# draws the beta sampler makes before it gives up.  validate requires the
+# law to put at least 100 / MAX_DRAWS on the support, so the sampler gives
+# up at one split with probability (1 - 100/MAX_DRAWS)**MAX_DRAWS < e**-100
+MAX_DRAWS = 100_000
+
+
+def _beta_cdf(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_x(a, b), by the continued fraction of
+    Numerical Recipes, evaluated on the side where it converges fast."""
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _beta_cf(1.0 - x, b, a)
+    return _beta_cf(x, a, b)
+
+
+def _beta_cf(x: float, a: float, b: float) -> float:
+    """I_x(a, b) as x**a (1-x)**b / (a B(a, b)) times its continued
+    fraction, summed by the modified Lentz method."""
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    tiny = 1e-300
+
+    def _inv(v: float) -> float:
+        return 1.0 / (v if abs(v) >= tiny else tiny)
+
+    c = 1.0
+    d = _inv(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    # about sqrt(max(a, b)) terms on this side
+    for m in range(1, 10_000):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coef in (even, odd):
+            d = _inv(1.0 + coef * d)
+            c = 1.0 + coef / c
+            c = c if abs(c) >= tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return math.exp(log_front) * h / a
+
 
 @dataclass(frozen=True)
 class RankTable:
@@ -115,7 +157,7 @@ class SplitDist:
 
     Kinds: ``uniform`` on the full support (default), ``point`` mass at 1/2,
     ``beta`` = Beta(beta_a, beta_b) conditioned on the support (sampled by
-    rejection).
+    rejection, at most :data:`MAX_DRAWS` draws).
     """
 
     kind: str = "uniform"
@@ -135,7 +177,7 @@ class SplitDist:
         if self.kind == "uniform":
             return float(rng.uniform(0.5, hi))
         # truncated Beta: rejection against the support window
-        for _ in range(100_000):
+        for _ in range(MAX_DRAWS):
             x = float(rng.beta(self.beta_a, self.beta_b))
             if 0.5 <= x <= hi:
                 return x
@@ -143,6 +185,14 @@ class SplitDist:
             f"Beta({self.beta_a}, {self.beta_b}) puts too little mass on "
             f"[0.5, {hi}]; rejection sampling gave up"
         )
+
+    def support_mass(self, eps0: float) -> float:
+        """Mass the law puts on [1/2, 1 - eps0], eps0 in (0, 1/2), before
+        conditioning (1 for the uniform and point laws, which live there)."""
+        if self.kind != "beta":
+            return 1.0
+        a, b = self.beta_a, self.beta_b
+        return _beta_cdf(1.0 - eps0, a, b) - _beta_cdf(0.5, a, b)
 
 
 @dataclass(frozen=True)
@@ -186,6 +236,13 @@ class ModelParams:
         if not 0.0 < self.eps0 < 0.5:
             problems.append(
                 f"Assumption 3 violated: eps0 in (0, 1/2), got {self.eps0:g}"
+            )
+        elif not (mass := self.split_dist.support_mass(self.eps0)) >= 100 / MAX_DRAWS:
+            d = self.split_dist
+            problems.append(
+                f"Assumption 3 violated: Beta({d.beta_a:g}, {d.beta_b:g}) puts "
+                f"mass {mass:.3g} on [1/2, 1 - eps0] = [0.5, {1.0 - self.eps0:g}], "
+                f"below the {100 / MAX_DRAWS:g} its rejection sampler needs"
             )
         # written so that nan fails them
         if not self.clock_c >= 0.0:

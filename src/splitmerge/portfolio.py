@@ -8,7 +8,9 @@ Between events wealth compounds discretely with realized cap returns,
 
 which makes the market portfolio identity V^mu = C(t)/C(0) telescope exactly
 up to rounding. Wealth never jumps at an event; instead the departing
-company's allocation moves to its successors:
+company's allocation moves to its successors, renamed exactly as the caps
+are (:func:`~splitmerge.events.apply_merger` and
+:func:`~splitmerge.events.apply_split` on the weights):
 
   merger (A): the merged company inherits pi_i + pi_j;
   split (B):  each child inherits pi_i scaled by its share of the parent cap,
@@ -30,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import market_weights
+from .events import apply_merger, apply_split
 
 __all__ = [
     "PortfolioRule",
@@ -113,10 +116,7 @@ def wealth_step(v: float, pi: np.ndarray, returns: np.ndarray) -> float:
 
 def transfer_on_merger(pi: Sequence[float], i: int, j: int) -> list[float]:
     """Rule (A): the merged company (appended) inherits pi_i + pi_j."""
-    n = len(pi)
-    if not 0 <= i < j < n:
-        raise ValueError(f"bad merger pair ({i}, {j}) for N={n}")
-    return [*pi[:i], *pi[i + 1 : j], *pi[j + 1 :], pi[i] + pi[j]]
+    return apply_merger(pi, i, j)
 
 
 def transfer_on_split(
@@ -136,6 +136,4 @@ def transfer_on_split(
         raise ValueError(f"split position {i} out of range for N={n}")
     if len(caps_after) != n + 1:
         raise ValueError("caps_after must hold one more company than pi")
-    first = pi[i] * (caps_after[n - 1] / caps_before[i])
-    second = pi[i] - first
-    return [*pi[:i], *pi[i + 1 :], first, second]
+    return apply_split(pi, i, caps_after[n - 1] / caps_before[i])

@@ -130,6 +130,14 @@ class TestBoundCheck:
         out = capsys.readouterr().out
         assert "identities hold" in out
 
+    def test_fast_clock_bounds_underflow_to_a_valid_zero(self, tmp_path, capsys):
+        # every split-race and double-jump bound underflows to 0.0 here
+        cfg = write_cfg(tmp_path, "[model]\nclock_alpha = 100\n")
+        assert main(["bound-check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "N=3 lam=5.15378e+47: 0.000000\n" in out
+        assert out.rstrip().endswith("identities hold")
+
     def test_rate_that_overflows_at_the_wider_cap_exits_two(self, tmp_path, capsys):
         # 64**170 is finite, so the config is valid; bound-check evaluates
         # the explosion bound at n_max = 80, where 79**170 is not
@@ -202,6 +210,17 @@ class TestFlags:
             rc = exc.code
         assert rc == 2
         assert problem in capsys.readouterr().err
+
+    def test_beta_law_the_sampler_cannot_serve_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "[model]\nsplit_dist = beta\nbeta_a = 1000\nbeta_b = 1\neps0 = 0.3\n"
+            "[initial]\ncaps = 14, 0.5, 0.5, 0.5\n",
+        )
+        assert main(["simulate", "--config", cfg, "--paths", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Assumption 3 violated: Beta(1000, 1) puts mass" in err
 
     def test_bad_split_dist_shape_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[model]\nsplit_dist = beta\nbeta_a = -1\n")

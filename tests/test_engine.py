@@ -30,6 +30,7 @@ from splitmerge.engine import (
     Instrumentation,
     StepTables,
     _col_sum,
+    _resolve_boundary,
     reference_path,
     run_paths,
 )
@@ -37,6 +38,7 @@ from splitmerge.girsanov import theta_row
 from splitmerge.harness import SHARED_RULES, active_initial, active_params
 from splitmerge.params import ModelParams, RankTable, SplitDist
 from splitmerge.portfolio import PortfolioRule
+from splitmerge.streams import EVENTS, path_generator
 
 RULES = (
     PortfolioRule("market"),
@@ -82,9 +84,9 @@ def assert_paths_match(
             assert ref["log_z"] == res.final_log_z[p]
             assert ref["qv"] == res.final_qv[p]
             assert ref["total"] == res.final_total[p]
-            assert sorted(ref["caps"].tolist()) == sorted(
-                res.final_caps[p].tolist()
-            )
+            # in order: positions are what `name` rules and the event
+            # log's i/j refer to
+            assert ref["caps"].tolist() == res.final_caps[p].tolist()
         assert ref["n"] == int(res.final_n[p])
         assert ref["max_n"] == int(res.max_n[p])
         ev_batch = [r.to_json() for r in res.events if r.path == p]
@@ -605,6 +607,48 @@ class TestGolden:
         assert i.max_sample_weight == 0.8992896593502442
         assert i.max_conservation == 1.0
         assert i.max_transfer == 2.220446049250313e-16
+
+
+class TestEventSequence:
+    """The one resolver on hand-built boundaries."""
+
+    def test_suppressed_merger_is_logged_and_moves_nothing(self):
+        # delta = 0.4 is outside Assumption 2, so built without validate:
+        # the only eligible pair holds weight 0.66 >= 1 - delta
+        params = make_params(delta=0.4)
+        caps = [0.34, 0.33, 0.33]
+        instr = Instrumentation()
+        records = []
+        out, exploded, had_event = _resolve_boundary(
+            list(caps), 0.25, 7, params, path_generator(3, 7, EVENTS), True,
+            RULES, instr, records.append,
+        )
+        assert (out, exploded, had_event) == (caps, False, True)
+        assert [r.to_json() for r in records] == [
+            '{"path": 7, "t": 0.25, "kind": "suppressed_merger", "i": 2, '
+            '"j": 3, "xi": null, "n_before": 3, "n_after": 3}'
+        ]
+        assert (instr.splits, instr.mergers, instr.suppressed) == (0, 0, 1)
+        assert instr.max_conservation == 0.0
+        assert instr.max_transfer == 0.0
+
+    def test_split_cascade_at_one_boundary(self):
+        # seed 5 draws a first fraction large enough that the child splits
+        params = make_params(eps0=0.01)
+        instr = Instrumentation()
+        records = []
+        out, exploded, had_event = _resolve_boundary(
+            [1000.0, 1.0, 1.0], 0.0, 0, params, path_generator(5, 0, EVENTS),
+            False, RULES, instr, records.append,
+        )
+        assert len(records) >= 2
+        assert all(r.kind == "split" for r in records)
+        assert [(r.n_before, r.n_after) for r in records] == [
+            (n, n + 1) for n in range(3, 3 + len(records))
+        ]
+        assert instr.splits == len(records)
+        assert (exploded, had_event, len(out)) == (False, True, 3 + len(records))
+        assert engine._mu_top(out) < 1.0 - params.delta
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitmerge.engine import StepTables
-from splitmerge.params import N_MAX_LIMIT, ModelParams, RankTable, SplitDist
+from splitmerge.params import MAX_DRAWS, N_MAX_LIMIT, ModelParams, RankTable, SplitDist
 
 
 def make_params(**kw):
@@ -75,6 +75,17 @@ class TestSplitDist:
         with pytest.raises(ValueError):
             SplitDist("beta", beta_a=0.0)
 
+    @pytest.mark.parametrize("eps0", [0.01, 0.3, 4.0 / 9.0])
+    def test_support_mass_matches_closed_forms(self, eps0):
+        hi = 1.0 - eps0
+        mass = lambda a, b: SplitDist("beta", a, b).support_mass(eps0)
+        assert mass(1.0, 1.0) == pytest.approx(0.5 - eps0, rel=1e-12)
+        for a in (0.5, 3.0, 17.5, 1000.0):
+            # Beta(a, 1) has cdf x**a
+            assert mass(a, 1.0) == pytest.approx(hi**a - 0.5**a, rel=1e-9)
+        cdf = lambda x: 3 * x**2 - 2 * x**3  # Beta(2, 2)
+        assert mass(2.0, 2.0) == pytest.approx(cdf(hi) - 0.5, rel=1e-12)
+
 
 class TestModelParams:
     def test_delta0(self):
@@ -101,6 +112,24 @@ class TestModelParams:
 
     def test_eps0_rejection_cites_assumption_3(self):
         msgs = make_params(eps0=0.6).validate()
+        assert any(m.startswith("Assumption 3 violated:") for m in msgs)
+
+    def test_beta_law_with_too_little_mass_cites_assumption_3(self):
+        # Beta(1000, 1) puts 0.7**1000 on [0.5, 0.7]: the sampler would
+        # give up after MAX_DRAWS draws at the first split
+        msgs = make_params(
+            eps0=0.3, split_dist=SplitDist("beta", 1000.0, 1.0)
+        ).validate()
+        assert len(msgs) == 1
+        assert msgs[0].startswith("Assumption 3 violated: Beta(1000, 1) puts mass")
+        assert f"{100 / MAX_DRAWS:g}" in msgs[0]
+
+    @pytest.mark.parametrize("a, b", [(3.0, 1.5), (2.0, 2.0), (1.0, 1.0)])
+    def test_beta_law_with_enough_mass_is_valid(self, a, b):
+        assert make_params(eps0=0.3, split_dist=SplitDist("beta", a, b)).validate() == []
+
+    def test_beta_law_with_nan_shape_is_rejected(self):
+        msgs = make_params(split_dist=SplitDist("beta", float("nan"), 1.0)).validate()
         assert any(m.startswith("Assumption 3 violated:") for m in msgs)
 
     def test_clock_rejections_cite_assumption_5(self):

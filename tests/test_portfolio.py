@@ -122,3 +122,13 @@ class TestTransfers:
         spread = transfer_on_split(pi, 1, caps, after)
         back = transfer_on_merger(spread, 2, 3)
         assert sorted(back) == sorted(pi)
+
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_split_position_out_of_range_raises_before_indexing(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            transfer_on_split([0.5, 0.5], i, [1.0, 1.0], [1.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("i, j", [(1, 3), (-1, 1), (1, 1), (2, 1)])
+    def test_merger_pair_out_of_range_raises(self, i, j):
+        with pytest.raises(ValueError, match="bad merger pair"):
+            transfer_on_merger([0.2, 0.3, 0.5], i, j)
