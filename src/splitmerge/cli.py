@@ -31,6 +31,7 @@ from .bounds import (
 from .config import ConfigError, RunConfig, load_config
 from .events import clock_rate
 from .harness import ALL_CHECKS, select_checks, simulate_run, verify_all
+from .streams import SEED_LIMIT
 
 
 # flags that override a config key: flag name -> (section, key)
@@ -77,7 +78,13 @@ def _cmd_verify(args) -> int:
                 "--seed must be nonnegative, --workers at least 1 and --scale "
                 "a positive finite number"
             )
-        select_checks(checks)
+        # a check draws from seeds up to its offset + 1 past the base seed
+        top = max(c.seed_offset for c in select_checks(checks)) + 1
+        if args.seed + top >= SEED_LIMIT:
+            raise ValueError(
+                f"--seed must be below 2**64 - {top} for the selected checks, "
+                f"got {args.seed}"
+            )
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2

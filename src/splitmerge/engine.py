@@ -14,7 +14,12 @@ Two engines produce the paths:
     It is required to reproduce the reference engine bit for bit, path
     by path, for any seed: both engines draw from the same per-path
     counter-based streams and perform floating-point reductions in the
-    same order.  The test suite enforces the equality.
+    same order.
+
+:func:`twin_mismatches` is the one comparison of the two engines.  It
+runs :func:`reference_path` on each path of an :class:`EngineRun` and
+lists every field in which the batch result differs, by path and field;
+the tests and their fuzzer require the list to be empty.
 
 :func:`rank_step` is the one vectorized frozen-rank step, of the batch
 engine and the split-race probe (``euler_step`` is its scalar oracle,
@@ -49,7 +54,11 @@ for a single path, which numpy would sum pairwise, and a test pins it
 byte for byte.  Each step drops the rows past the widest path's count,
 but not rows ``0..k`` that a ``rank k`` or ``name k`` rule reads; no
 value moves, as a dropped row holds 0.0, noise is consumed by count
-rather than by row, and a failed path keeps its count.
+rather than by row, and a failed path keeps its count.  The array a
+block ends with is its result's ``final_caps``; :func:`run_paths` joins
+the blocks' arrays into one ``(rows, n_paths)`` array, padding the
+shorter ones with 0.0 rows, so ``final_caps[:final_n[p], p]`` are the
+caps of path ``p`` in order and the rest of its column is 0.0.
 
 Events are resolved on lists of Python floats in both engines (see
 :mod:`splitmerge.events`), by the one resolver :func:`_resolve_boundary`, which
@@ -136,7 +145,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -160,7 +169,7 @@ from .portfolio import (
     transfer_on_split,
     wealth_step,
 )
-from .streams import CLOCK, EVENTS, NOISE, path_generator
+from .streams import CLOCK, EVENTS, NOISE, SEED_LIMIT, path_generator
 
 CHUNK = 4096        # paths per block; part of the determinism contract
 
@@ -482,6 +491,9 @@ def _series_row(
 # scalar reference engine
 
 
+# a total that overflows ends the path with status 2, so numpy's warning
+# on it is noise, as in the batch engine
+@np.errstate(over="ignore")
 def reference_path(
     params: ModelParams,
     initial_caps: np.ndarray,
@@ -605,6 +617,89 @@ def reference_path(
     }
 
 
+def twin_mismatches(
+    run: EngineRun, res: EngineResult, paths: Iterable[int] | None = None
+) -> list[str]:
+    """Every way the batch result ``res`` of ``run`` differs from
+    :func:`reference_path`, one entry per path and field (empty when the
+    two engines agree bit for bit).
+
+    Each path of ``paths`` (default: every path of the run) is compared on
+    its status, ``n`` and ``max_n``; on status 0 also on each rule's
+    wealth, ``log_z``, ``qv``, the total and the final caps in order,
+    whose positions the ``name`` rules and the event log's ``i``/``j``
+    refer to; on its event records when ``run.collect_events``; and on its
+    series rows when ``run.stride > 0``.  When ``paths`` covers the run,
+    ``res.instr`` is compared with the merge of the reference paths'.
+    Values are compared by ``repr``, which tells every float apart,
+    -0.0 from 0.0 included.
+    """
+    tables = StepTables.build(run.params)
+    every = range(run.n_paths)
+    paths = every if paths is None else list(paths)
+    events: dict[int, list[str]] = {}
+    for rec in res.events:
+        events.setdefault(rec.path, []).append(rec.to_json())
+    rows: dict[int, list[str]] = {}
+    for row in res.series:
+        rows.setdefault(int(row.partition(",")[0]), []).append(row)
+    merged = Instrumentation()
+    out: list[str] = []
+    for p in paths:
+        ref = reference_path(
+            run.params, run.initial_caps, run.horizon, run.seed, p,
+            rules=run.rules, tables=tables, stride=run.stride,
+            series_cols=run.series_cols,
+        )
+        merged.merge(ref["instr"])
+        pairs = [
+            ("status", res.status[p], ref["status"]),
+            ("n", res.final_n[p], ref["n"]),
+            ("max_n", res.max_n[p], ref["max_n"]),
+        ]
+        if ref["status"] == 0:
+            pairs += [(f"wealth[{i}]", res.final_wealth[i, p], ref["v"][i])
+                      for i in range(len(run.rules))]
+            pairs += [
+                ("log_z", res.final_log_z[p], ref["log_z"]),
+                ("qv", res.final_qv[p], ref["qv"]),
+                ("total", res.final_total[p], ref["total"]),
+                ("caps", res.final_caps[:, p].tolist(), ref["caps"].tolist()
+                 + [0.0] * (len(res.final_caps) - ref["n"])),
+            ]
+        if run.collect_events:
+            pairs.append(("events", events.get(p, []),
+                          [rec.to_json() for rec in ref["events"]]))
+        if run.stride > 0:
+            pairs.append(("series", rows.get(p, []), ref["series"]))
+        out += [f"path {p}: {name}{d}" for name, got, want in pairs
+                if (d := _difference(got, want))]
+    if set(paths) == set(every):
+        out += [
+            f"instr.{name}{d}" for name in Instrumentation.__slots__
+            if (d := _difference(getattr(res.instr, name), getattr(merged, name)))
+        ]
+    return out
+
+
+def _difference(got, want) -> str:
+    """How ``got`` differs from ``want``, or "" when it does not.
+
+    Values are compared by ``repr``, numpy scalars as Python numbers; two
+    lists that differ are told by their first differing item, or else by
+    their lengths.
+    """
+    got, want = (x.item() if isinstance(x, np.generic) else x for x in (got, want))
+    if repr(got) == repr(want):
+        return ""
+    if isinstance(got, list) and isinstance(want, list):
+        for k, (a, b) in enumerate(zip(got, want)):
+            if repr(a) != repr(b):
+                return f"[{k}]: batch {a!r}, reference {b!r}"
+        return f": batch has {len(got)} items, reference {len(want)}"
+    return f": batch {got!r}, reference {want!r}"
+
+
 # ---------------------------------------------------------------------------
 # batch engine
 
@@ -649,7 +744,6 @@ class EngineRun:
     stride: int = 0
     series_cols: tuple[int, int] | None = None
     collect_events: bool = False
-    collect_final_caps: bool = False
 
     def validate(self) -> list[str]:
         """Every problem with the run, each naming its field (empty when
@@ -678,6 +772,8 @@ class EngineRun:
             problems.append(f"n_paths must be positive, got {self.n_paths}")
         if self.seed < 0:
             problems.append(f"seed must be nonnegative, got {self.seed}")
+        elif self.seed >= SEED_LIMIT:
+            problems.append(f"seed must be below 2**64, got {self.seed}")
         if self.workers < 1:
             problems.append(f"workers must be at least 1, got {self.workers}")
         if self.stride < 0:
@@ -712,12 +808,12 @@ class EngineResult:
     final_n: np.ndarray           # (n_paths,) int64
     max_n: np.ndarray             # (n_paths,) int64
     final_total: np.ndarray       # (n_paths,)
+    final_caps: np.ndarray        # (rows, n_paths); 0.0 past final_n
     initial_total: float
     status: np.ndarray            # (n_paths,) int8
     instr: Instrumentation
     series: list[str] = field(default_factory=list)
     events: list[EventRecord] = field(default_factory=list)
-    final_caps: list | None = None
 
     @property
     def ok(self) -> np.ndarray:
@@ -741,6 +837,10 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0, initial=0.0)
 
 
+# A cap or total that leaves (0, inf) fails its path by status code, and
+# the inf and nan its column then holds are masked by `act`: numpy's
+# overflow and invalid warnings on them are noise (as in reference_path).
+@np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(
     run: EngineRun, tables: StepTables, start: int, stop: int
 ) -> EngineResult:
@@ -951,8 +1051,7 @@ def _run_chunk(
             _fail(p, 2)
 
         # detect_split's own test, bit for bit (see "Boundary semantics")
-        with np.errstate(invalid="ignore"):
-            mu1 = x_max / c_tot    # nan on failed paths; masked by `act`
+        mu1 = x_max / c_tot    # nan on failed paths; masked by `act`
         split_flag = act & (mu1 >= 1.0 - params.delta)
 
         # a failed path's stale column is masked by `act`
@@ -970,15 +1069,12 @@ def _run_chunk(
         if run.stride > 0 and (step % run.stride == 0 or step == last):
             _series_rows(step)
 
-    res = EngineResult(
+    return EngineResult(
         final_wealth=v, final_log_z=-m_acc - 0.5 * qv_acc, final_qv=qv_acc,
-        final_n=n_arr, max_n=max_n, final_total=_col_sum(caps),
+        final_n=n_arr, max_n=max_n, final_total=_col_sum(caps), final_caps=caps,
         initial_total=float(total_cap(np.asarray(run.initial_caps, dtype=np.float64))),
         status=status, instr=instr, series=series, events=events_list,
     )
-    if run.collect_final_caps:
-        res.final_caps = [caps[: n_arr[p], p].copy() for p in range(p_cnt)]
-    return res
 
 
 def map_blocks(fn: Callable, n_paths: int, workers: int, *args) -> list:
@@ -986,17 +1082,18 @@ def map_blocks(fn: Callable, n_paths: int, workers: int, *args) -> list:
 
     Paths ``0 .. n_paths - 1`` are cut into blocks of :data:`CHUNK` paths
     (the last may be shorter), whatever ``workers`` is.  With ``workers >
-    1`` and more than one block the blocks run on a process pool of that
-    size, so ``fn`` must be a module-level function that pickles by
-    name.  The results come back in block order either way, so a caller
-    that reduces them in that order gets the same bytes at any worker
-    count.
+    1`` and more than one block the blocks run on a pool of
+    ``min(workers, blocks)`` processes, so ``fn`` must be a module-level
+    function that pickles by name.  The results come back in block order
+    either way, so a caller that reduces them in that order gets the same
+    bytes at any worker count.
     """
     starts = range(0, n_paths, CHUNK)
     stops = [min(a + CHUNK, n_paths) for a in starts]
     fixed = [[a] * len(starts) for a in args]
     if workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as ex:
             return list(ex.map(fn, *fixed, starts, stops))
     return list(map(fn, *fixed, starts, stops))
 
@@ -1023,10 +1120,13 @@ def run_paths(run: EngineRun) -> EngineResult:
                      "max_n", "final_total", "status"):
             parts = [getattr(blk, name) for blk in blocks]
             setattr(res, name, np.concatenate(parts, axis=-1))
+        # blocks end with their own row counts; the rows they lack are 0.0
+        caps = np.zeros((max(len(blk.final_caps) for blk in blocks), run.n_paths))
+        for a, blk in zip(range(0, run.n_paths, CHUNK), blocks):
+            caps[: len(blk.final_caps), a : a + CHUNK] = blk.final_caps
+        res.final_caps = caps
     for blk in rest:
         res.instr.merge(blk.instr)
         res.series += blk.series
         res.events += blk.events
-        if run.collect_final_caps:
-            res.final_caps += blk.final_caps
     return res

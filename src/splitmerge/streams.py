@@ -33,6 +33,7 @@ __all__ = [
     "CLOCK",
     "EVENTS",
     "PROBE",
+    "SEED_LIMIT",
     "path_key",
     "path_generator",
 ]
@@ -41,6 +42,8 @@ ALGORITHM_ID = "numpy.random.Philox key=[seed, path*4+stream]"
 
 NOISE, CLOCK, EVENTS, PROBE = 0, 1, 2, 3
 _MAX_PATH = 1 << 62
+# a seed is one 64-bit key word: every seed lies in 0 .. SEED_LIMIT - 1
+SEED_LIMIT = 1 << 64
 
 
 def path_key(seed: int, path: int, stream: int) -> np.ndarray:
@@ -48,7 +51,7 @@ def path_key(seed: int, path: int, stream: int) -> np.ndarray:
         raise ValueError(f"stream id must be in 0..3, got {stream}")
     if not 0 <= path < _MAX_PATH:
         raise ValueError(f"path index out of range: {path}")
-    if not 0 <= seed < (1 << 64):
+    if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return np.array([seed, (path << 2) | stream], dtype=np.uint64)
 

@@ -197,6 +197,9 @@ class TestFlags:
             (["verify", "--scale", "inf"], "--scale a positive finite number"),
             (["verify", "--scale", "0"], "--scale a positive finite number"),
             (["verify", "--scale", "-1"], "--scale a positive finite number"),
+            # split-race draws from the base seed + 2
+            (["verify", "--seed", str(2**64 - 1), "--only", "split-race"],
+             "--seed must be below 2**64 - 3 for the selected checks"),
         ],
     )
     def test_bad_flag_exits_two_naming_the_problem(

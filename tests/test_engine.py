@@ -9,14 +9,16 @@ handling) follows from that plus the per-path stream derivation.
 
 import ast
 import hashlib
+import re
 import tracemalloc
+from copy import deepcopy
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -33,6 +35,7 @@ from splitmerge.engine import (
     _resolve_boundary,
     reference_path,
     run_paths,
+    twin_mismatches,
 )
 from splitmerge.girsanov import theta_row
 from splitmerge.harness import SHARED_RULES, active_initial, active_params
@@ -62,150 +65,114 @@ def make_params(**kw):
     return ModelParams(**base)
 
 
-def assert_paths_match(
-    params, caps0, horizon, seed, res, paths, rules=RULES, stride=50,
-    series_cols=(0, 1),
-):
-    """Field-by-field bit comparison of the batch result against the
-    scalar reference for each path.
+# a volatile market whose top company splits often
+SPLIT_PRONE = make_params(
+    drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0), delta=0.16,
+    eps0=0.01, clock_c=2.0,
+)
 
-    ``paths`` is a path count (paths 0..paths-1) or a list of indices;
-    ``rules``, ``stride`` and ``series_cols`` are the batch run's.
-    """
-    for p in range(paths) if isinstance(paths, int) else paths:
-        ref = reference_path(
-            params, caps0, horizon, seed, p, rules=rules,
-            stride=stride, series_cols=series_cols,
-        )
-        assert ref["status"] == int(res.status[p])
-        if ref["status"] == 0:
-            for i in range(len(rules)):
-                assert ref["v"][i] == res.final_wealth[i, p], (p, i)
-            assert ref["log_z"] == res.final_log_z[p]
-            assert ref["qv"] == res.final_qv[p]
-            assert ref["total"] == res.final_total[p]
-            # in order: positions are what `name` rules and the event
-            # log's i/j refer to
-            assert ref["caps"].tolist() == res.final_caps[p].tolist()
-        assert ref["n"] == int(res.final_n[p])
-        assert ref["max_n"] == int(res.max_n[p])
-        ev_batch = [r.to_json() for r in res.events if r.path == p]
-        ev_ref = [r.to_json() for r in ref["events"]]
-        assert ev_batch == ev_ref, f"event mismatch on path {p}"
-        sr_batch = [s for s in res.series if s.startswith(f"{p},")]
-        assert sr_batch == ref["series"], f"series mismatch on path {p}"
+# the top weight sits a hair below 1 - delta = 0.9
+HAIR_BELOW = EngineRun(
+    params=make_params(vol=RankTable(1e-300, 0.0), eps0=0.3, clock_c=100.0),
+    initial_caps=np.array([9.0 - 5e-11, 0.5, 0.5]), horizon=0.05, n_paths=4,
+    seed=3, rules=(PortfolioRule("market"),), collect_events=True,
+)
+
+
+def twin_run(run, paths=None):
+    """``run_paths(run)``, after asserting that it matches the scalar
+    reference on ``paths`` (default: every path) in every field."""
+    res = run_paths(run)
+    assert twin_mismatches(run, res, paths) == []
+    return res
 
 
 class TestBitExactness:
     def test_event_rich_market(self):
         # forced entry split plus busy clocks: every event type and the
         # wealth/density accumulators all cross-checked bit for bit
-        params = make_params()
-        caps0 = np.array([14.0, 0.5, 0.5, 0.5])
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.5,
-                n_paths=8, seed=11, rules=RULES, stride=50,
+                params=make_params(), initial_caps=np.array([14.0, 0.5, 0.5, 0.5]),
+                horizon=0.5, n_paths=8, seed=11, rules=RULES, stride=50,
                 series_cols=(0, 1), collect_events=True,
-                collect_final_caps=True,
             )
         )
         assert res.instr.splits >= 8 and res.instr.mergers > 0
-        assert_paths_match(params, caps0, 0.5, 11, res, 8)
 
     def test_quiet_market(self):
         # no events at all: pure diffusion against the reference
-        params = make_params(clock_c=0.0, vol=RankTable(0.4, 0.2))
-        caps0 = np.array([2.0, 1.0, 1.5])
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.3,
+                params=make_params(clock_c=0.0, vol=RankTable(0.4, 0.2)),
+                initial_caps=np.array([2.0, 1.0, 1.5]), horizon=0.3,
                 n_paths=5, seed=3, rules=RULES, stride=50,
                 series_cols=(0, 1), collect_events=True,
-                collect_final_caps=True,
             )
         )
         assert res.instr.splits == 0 and res.instr.mergers == 0
-        assert_paths_match(params, caps0, 0.3, 3, res, 5)
 
     def test_rank_dependent_coefficients(self):
         # drift and vol vary by rank, so a wrong rank gather would show
-        params = make_params(
-            drift=RankTable(-0.3, 0.6), vol=RankTable(0.7, 0.6),
-            clock_c=3.0,
-        )
-        caps0 = np.array([6.0, 3.0, 2.0, 1.0, 1.0])
-        res = run_paths(
+        twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.4,
+                params=make_params(
+                    drift=RankTable(-0.3, 0.6), vol=RankTable(0.7, 0.6),
+                    clock_c=3.0,
+                ),
+                initial_caps=np.array([6.0, 3.0, 2.0, 1.0, 1.0]), horizon=0.4,
                 n_paths=6, seed=17, rules=RULES, stride=40,
                 series_cols=(0, 1), collect_events=True,
-                collect_final_caps=True,
             )
         )
-        assert_paths_match(params, caps0, 0.4, 17, res, 6, stride=40)
 
     def test_growth_theta_mode(self):
-        params = make_params(
-            drift=RankTable(0.1, 0.2), theta_mode="growth"
-        )
-        caps0 = np.array([5.0, 2.0, 2.0])
-        res = run_paths(
+        twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.3,
+                params=make_params(drift=RankTable(0.1, 0.2), theta_mode="growth"),
+                initial_caps=np.array([5.0, 2.0, 2.0]), horizon=0.3,
                 n_paths=4, seed=23, rules=RULES, stride=30,
                 series_cols=(0, 1), collect_events=True,
-                collect_final_caps=True,
             )
         )
-        assert_paths_match(params, caps0, 0.3, 23, res, 4, stride=30)
 
     # Markets wider than 8 slots: there numpy's pairwise sum and the
     # left-to-right loop part ways, so these pin the reduction order.
 
     def _wide_run(self, n_paths, horizon):
-        params = make_params(
-            drift=RankTable(-0.4, 0.8), vol=RankTable(1.2, -0.6),
-            clock_c=0.5,
+        return EngineRun(
+            params=make_params(
+                drift=RankTable(-0.4, 0.8), vol=RankTable(1.2, -0.6),
+                clock_c=0.5,
+            ),
+            # ties, so stable ranks matter
+            initial_caps=1.0 + np.arange(16) % 5 * 0.5, horizon=horizon,
+            n_paths=n_paths, seed=29, rules=RULES, stride=25,
+            series_cols=(0, 1), collect_events=True,
         )
-        caps0 = 1.0 + np.arange(16) % 5 * 0.5  # ties, so stable ranks matter
-        res = run_paths(
-            EngineRun(
-                params=params, initial_caps=caps0, horizon=horizon,
-                n_paths=n_paths, seed=29, rules=RULES, stride=25,
-                series_cols=(0, 1), collect_events=True,
-                collect_final_caps=True,
-            )
-        )
-        return params, caps0, res
 
     def test_wide_market_single_path(self):
-        params, caps0, res = self._wide_run(1, 0.3)
-        assert_paths_match(params, caps0, 0.3, 29, res, 1, stride=25)
+        twin_run(self._wide_run(1, 0.3))
 
     def test_wide_market_one_path_tail_chunk(self):
         # the last chunk of CHUNK + 1 paths holds a single path
-        params, caps0, res = self._wide_run(CHUNK + 1, 0.03)
-        assert_paths_match(params, caps0, 0.03, 29, res, [CHUNK], stride=25)
+        twin_run(self._wide_run(CHUNK + 1, 0.03), [CHUNK])
 
     def test_splits_grow_slots_past_nine(self):
         # five companies start in five slots; a volatile split-prone
         # market pushes the count past nine, so the slot array must grow
-        params = make_params(
-            drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
-            delta=0.16, eps0=0.01, clock_c=0.5,
-        )
-        caps0 = np.array([40.0, 1.0, 1.0, 1.0, 1.0])
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.5,
+                params=make_params(
+                    drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
+                    delta=0.16, eps0=0.01, clock_c=0.5,
+                ),
+                initial_caps=np.array([40.0, 1.0, 1.0, 1.0, 1.0]), horizon=0.5,
                 n_paths=6, seed=31, rules=RULES, stride=50,
                 series_cols=(0, 1), collect_events=True,
-                collect_final_caps=True,
             )
         )
         assert res.max_n.max() > 9
-        assert_paths_match(params, caps0, 0.5, 31, res, 6)
 
     @pytest.mark.parametrize(
         "drift, vol",
@@ -216,50 +183,25 @@ class TestBitExactness:
         ids=["rank-flat", "rank-dependent"],
     )
     def test_instrumentation_is_the_merge_of_reference_paths(self, drift, vol):
-        params = make_params(drift=drift, vol=vol)
-        caps0 = np.array([14.0, 0.5, 0.5, 0.5])
-        res = run_paths(
+        # the comparator checks the instrumentation on a run of all paths
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.5,
+                params=make_params(drift=drift, vol=vol),
+                initial_caps=np.array([14.0, 0.5, 0.5, 0.5]), horizon=0.5,
                 n_paths=40, seed=3, rules=RULES,
             )
         )
-        want = Instrumentation()
-        for p in range(40):
-            ref = reference_path(params, caps0, 0.5, 3, p, rules=RULES)
-            want.merge(ref["instr"])
         assert res.instr.splits > 0 and res.instr.mergers > 0
-        for name in Instrumentation.__slots__:
-            assert getattr(res.instr, name) == getattr(want, name), name
 
     def test_top_weight_a_hair_below_threshold_still_merges(self):
         # vol 1e-300 holds the caps fixed with the top weight at
         # 0.8999999999995, under 1 - delta by less than 1e-12 relative:
         # no split fires, so the batch engine must not flag one either,
         # and every path merges its two small companies when its clock rings
-        params = make_params(vol=RankTable(1e-300, 0.0), eps0=0.3, clock_c=100.0)
-        caps0 = np.array([9.0 - 5e-11, 0.5, 0.5])
-        rules = (PortfolioRule("market"),)
-        res = run_paths(
-            EngineRun(
-                params=params, initial_caps=caps0, horizon=0.05,
-                n_paths=4, seed=3, rules=rules, collect_events=True,
-                collect_final_caps=True,
-            )
-        )
+        res = twin_run(HAIR_BELOW)
         assert res.instr.splits == 0 and res.instr.mergers == 4
         assert res.final_n.tolist() == [2, 2, 2, 2]
-        want = max(
-            reference_path(params, caps0, 0.05, 3, p, rules=rules)[
-                "instr"
-            ].max_sample_weight
-            for p in range(4)
-        )
-        assert res.instr.max_sample_weight == want == 0.8999999999995
-        assert_paths_match(
-            params, caps0, 0.05, 3, res, 4, rules=rules, stride=0,
-            series_cols=None,
-        )
+        assert res.instr.max_sample_weight == 0.8999999999995
 
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -321,18 +263,15 @@ class TestRankFlat:
         rules = (PortfolioRule("market"),) + tuple(
             PortfolioRule("rank", k) for k in range(4)
         )
-        caps0 = np.array(caps0)
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.5,
+                params=params, initial_caps=np.array(caps0), horizon=0.5,
                 n_paths=24, seed=5, rules=rules, stride=50,
                 series_cols=(0, 1), collect_events=True,
-                collect_final_caps=True,
             )
         )
         # rank 3 loses its target on the paths that fall to two names
         assert res.final_n.min() == 2
-        assert_paths_match(params, caps0, 0.5, 5, res, 24, rules=rules)
 
 
 class TestLeanStep:
@@ -351,41 +290,32 @@ class TestLeanStep:
     def test_rules_past_every_count_keep_their_row(self, drift, vol, kind):
         # every path merges down to 2 companies; a `rank 4` or `name 4`
         # rule still reads row 4, so the rows never drop below 5
-        params = make_params(drift=drift, vol=vol, clock_c=20.0)
         rules = (
             PortfolioRule("market"), PortfolioRule(kind, 4),
             PortfolioRule("name", 1),
         )
-        caps0 = np.ones(6)
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.5, n_paths=12,
+                params=make_params(drift=drift, vol=vol, clock_c=20.0),
+                initial_caps=np.ones(6), horizon=0.5, n_paths=12,
                 seed=3, rules=rules, stride=50, series_cols=(0, 2),
-                collect_events=True, collect_final_caps=True,
+                collect_events=True,
             )
         )
         assert res.final_n.max() <= 4 and res.instr.mergers >= 48
-        assert_paths_match(
-            params, caps0, 0.5, 3, res, 12, rules=rules, series_cols=(0, 2)
-        )
 
     def test_one_path_grows_past_nine_slots_and_shrinks_back(self):
         # a block of one path sums its columns by the explicit loop,
         # whatever its row count does as splits and mergers come
-        params = make_params(
-            drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
-            delta=0.16, eps0=0.01, clock_c=2.0,
-        )
-        caps0 = np.array([40.0, 1.0, 1.0, 1.0, 1.0])
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=0.5, n_paths=1,
-                seed=21, rules=RULES, stride=50, series_cols=(0, 1),
-                collect_events=True, collect_final_caps=True,
+                params=SPLIT_PRONE,
+                initial_caps=np.array([40.0, 1.0, 1.0, 1.0, 1.0]), horizon=0.5,
+                n_paths=1, seed=21, rules=RULES, stride=50, series_cols=(0, 1),
+                collect_events=True,
             )
         )
         assert res.max_n[0] >= 9 and res.final_n[0] <= 6
-        assert_paths_match(params, caps0, 0.5, 21, res, 1)
 
     def test_rank_dependent_paths_that_fail_mid_run(self):
         # caps fall by e**-1 a step and underflow near step 745, path by
@@ -396,19 +326,17 @@ class TestLeanStep:
             clock_c=0.0,
         )
         assert not StepTables.build(params).flat
-        caps0 = np.ones(9)
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=1.0, n_paths=16,
+                params=params, initial_caps=np.ones(9), horizon=1.0, n_paths=16,
                 seed=7, rules=RULES, stride=50, series_cols=(0, 1),
-                collect_events=True, collect_final_caps=True,
+                collect_events=True,
             )
         )
         assert (res.status == 2).all()
         # the domain of the packed sort: no nan and no -0.0 among the caps
-        caps = np.concatenate(res.final_caps)
+        caps = res.final_caps
         assert not np.isnan(caps).any() and not np.signbit(caps).any()
-        assert_paths_match(params, caps0, 1.0, 7, res, 16)
 
 
 @pytest.fixture(params=["sized", "refill-every-step"])
@@ -424,31 +352,24 @@ class TestBufferEdges:
     """Refills of the noise rows and of the shared clock position read
     each stream exactly where the reference does."""
 
-    def _run(self, params, caps0, horizon, n_paths, seed):
-        return run_paths(
+    def _twin_run(self, params, caps0, horizon, n_paths, seed):
+        return twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=horizon,
+                params=params, initial_caps=np.array(caps0), horizon=horizon,
                 n_paths=n_paths, seed=seed, rules=RULES, stride=50,
                 series_cols=(0, 1), collect_events=True,
-                collect_final_caps=True,
             )
         )
 
     def test_market_of_800_companies(self, buffers):
         # each step reads 800 normals per path, more than 768 cells
-        params = make_params(n_max=1024)
-        caps0 = np.ones(800)
-        res = self._run(params, caps0, 0.002, 3, 5)
-        assert_paths_match(params, caps0, 0.002, 5, res, 3)
+        self._twin_run(make_params(n_max=1024), np.ones(800), 0.002, 3, 5)
 
     def test_horizon_past_the_clock_buffer(self, buffers):
         # 300 steps: the last clock refill draws only the steps left
         assert engine.CLOCK_BUF < 300
-        params = make_params()
-        caps0 = np.array([3.0, 1.0, 1.0])
-        res = self._run(params, caps0, 0.3, 6, 13)
+        res = self._twin_run(make_params(), [3.0, 1.0, 1.0], 0.3, 6, 13)
         assert res.instr.mergers > 0
-        assert_paths_match(params, caps0, 0.3, 13, res, 6)
 
     def test_paths_fail_mid_run_while_others_refill(self, buffers):
         # splits push paths to n_max = 10 (status 1) before and after the
@@ -457,12 +378,10 @@ class TestBufferEdges:
             drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
             delta=0.16, eps0=0.01, clock_c=0.5, n_max=10,
         )
-        caps0 = np.array([40.0, 1.0, 1.0, 1.0, 1.0])
-        res = self._run(params, caps0, 0.4, 16, 31)
+        res = self._twin_run(params, [40.0, 1.0, 1.0, 1.0, 1.0], 0.4, 16, 31)
         failed_at = {e.path: e.t for e in res.events if res.status[e.path]}
         assert set(res.status.tolist()) == {0, 1}
         assert min(failed_at.values()) < 0.256 < max(failed_at.values())
-        assert_paths_match(params, caps0, 0.4, 31, res, 16)
 
 
 def test_block_memory_follows_what_it_reads():
@@ -676,25 +595,97 @@ class TestDeterminism:
             params=params, initial_caps=caps0, horizon=0.05,
             n_paths=CHUNK + 64, seed=5, rules=(PortfolioRule("market"),),
             stride=25, series_cols=(0, 0), collect_events=True,
-            collect_final_caps=True,
         )
         a = run_paths(EngineRun(workers=1, **kw))
         b = run_paths(EngineRun(workers=2, **kw))
-        assert len(a.status) == CHUNK + 64
         for name in ("final_wealth", "final_log_z", "final_qv", "final_n",
-                     "max_n", "final_total", "status"):
+                     "max_n", "final_total", "final_caps", "status"):
             x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+            assert x.shape[-1] == CHUNK + 64, name
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
         assert a.initial_total == b.initial_total
         assert a.series == b.series
         assert [r.to_json() for r in a.events] == [
             r.to_json() for r in b.events
         ]
-        assert len(a.final_caps) == len(b.final_caps) == CHUNK + 64
-        for x, y in zip(a.final_caps, b.final_caps):
-            assert x.tobytes() == y.tobytes()
         for name in Instrumentation.__slots__:
             assert getattr(a.instr, name) == getattr(b.instr, name), name
+
+
+class TestTwinMismatches:
+    """The comparator names the path and the field of every difference."""
+
+    @pytest.fixture(scope="class")
+    def twins(self):
+        run = EngineRun(
+            params=make_params(), initial_caps=np.array([14.0, 0.5, 0.5, 0.5]),
+            horizon=0.1, n_paths=3, seed=11, rules=RULES, stride=50,
+            series_cols=(0, 1), collect_events=True,
+        )
+        return run, run_paths(run)
+
+    def _mismatches(self, twins, change, paths=None):
+        run, res = twins
+        res = deepcopy(res)
+        change(res)
+        return twin_mismatches(run, res, paths)
+
+    def test_agreeing_engines_give_none(self, twins):
+        assert twin_mismatches(*twins) == []
+
+    def test_one_ulp_of_qv(self, twins):
+        def change(res):
+            res.final_qv[1] = np.nextafter(res.final_qv[1], np.inf)
+
+        (entry,) = self._mismatches(twins, change)
+        assert entry.startswith("path 1: qv: batch ")
+
+    def test_a_series_row_an_event_and_a_padded_cap(self, twins):
+        def change(res):
+            res.series[1] += "0"
+            res.events.pop(0)
+            res.final_caps[-1, 2] = -0.0  # padding must be +0.0
+
+        # path 0 logs one event; series rows are step-major
+        events, row, cap = self._mismatches(twins, change)
+        assert events == "path 0: events: batch has 0 items, reference 1"
+        assert row.startswith("path 1: series[0]: batch '1,0.0,")
+        last = len(twins[1].final_caps) - 1
+        assert cap == f"path 2: caps[{last}]: batch -0.0, reference 0.0"
+
+    def test_instrumentation_only_on_the_whole_run(self, twins):
+        def change(res):
+            res.instr.max_transfer = 1.0
+
+        assert self._mismatches(twins, change) == [
+            "instr.max_transfer: batch 1.0, reference "
+            f"{twins[1].instr.max_transfer!r}"
+        ]
+        assert self._mismatches(twins, change, [0, 2]) == []
+
+
+def test_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # a fork pool starts all of its workers at the first submit
+    sizes = []
+
+    class Executor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Executor)
+    spans = engine.map_blocks(lambda a, b: (a, b), 2 * CHUNK + 1, 500)
+    assert spans == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 1)]
+    assert engine.map_blocks(lambda a, b: b - a, 2 * CHUNK, 2) == [CHUNK] * 2
+    assert sizes == [3, 2]
 
 
 class TestFirstEvent:
@@ -724,56 +715,44 @@ class TestFirstEvent:
 
 
 class TestFailureModes:
+    """Each engine stops a path for the same reason at the same step."""
+
     def test_explosion_guard(self):
-        # tiny cap: the first split at N = n_max - 1 trips the guard
-        params = make_params(n_max=4, clock_c=0.0)
-        caps0 = np.array([50.0, 1.0, 1.0])  # mu_1 = 0.96: immediate split
-        res = run_paths(
+        # tiny cap: the first split at N = n_max - 1 trips the guard;
+        # mu_1 = 0.96 splits at once
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=1.0,
-                n_paths=3, seed=1, collect_events=True,
+                params=make_params(n_max=4, clock_c=0.0),
+                initial_caps=np.array([50.0, 1.0, 1.0]), horizon=1.0,
+                n_paths=3, seed=1, stride=50, collect_events=True,
             )
         )
         assert np.all(res.status == 1)
         assert np.all(res.final_n == 4)
-        for p in range(3):
-            ref = reference_path(params, caps0, 1.0, 1, p)
-            assert ref["status"] == 1
-            assert ref["n"] == 4
 
     def test_overflow_flags_status_two(self):
-        params = make_params(drift=RankTable(0.0, 500.0), dt=1.0)
-        caps0 = np.array([1e300, 1.0])
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=5.0,
-                n_paths=2, seed=2,
+                params=make_params(drift=RankTable(0.0, 500.0), dt=1.0),
+                initial_caps=np.array([1e300, 1.0]), horizon=5.0,
+                n_paths=2, seed=2, stride=1, collect_events=True,
             )
         )
         assert np.all(res.status == 2)
-        for p in range(2):
-            ref = reference_path(params, caps0, 5.0, 2, p)
-            assert ref["status"] == 2
 
     def test_underflow_flags_status_two_like_reference(self):
         # caps decay by e^-1 a step until one underflows to 0.0; both
         # engines must stop the path there, not only when the total fails
-        params = make_params(
-            drift=RankTable(-1000.0, 0.0), vol=RankTable(3.0, 0.0),
-            clock_c=0.0,
-        )
-        caps0 = np.array([1.0, 1.0, 1.0])
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=1.0,
-                n_paths=8, seed=5,
+                params=make_params(
+                    drift=RankTable(-1000.0, 0.0), vol=RankTable(3.0, 0.0),
+                    clock_c=0.0,
+                ),
+                initial_caps=np.array([1.0, 1.0, 1.0]), horizon=1.0,
+                n_paths=8, seed=5, stride=50, collect_events=True,
             )
         )
-        for p in range(8):
-            ref = reference_path(params, caps0, 1.0, 5, p)
-            assert ref["status"] == int(res.status[p]), p
-            assert ref["n"] == int(res.final_n[p]), p
-            assert ref["max_n"] == int(res.max_n[p]), p
         assert np.all(res.status == 2)
 
     @pytest.mark.parametrize(
@@ -792,22 +771,17 @@ class TestFailureModes:
         # a cap that shrinks by more than a factor 2**-53 in one step has a
         # return of exactly -1.0, so a long-only rule's wealth reaches 0.0
         # (status 3); a cap that underflows to 0.0 is checked first (status 2)
-        params = make_params(
-            drift=RankTable(drift, 0.0), vol=RankTable(vol, 0.0), eps0=0.3,
-            clock_c=0.0, dt=1.0,
-        )
-        caps0 = np.array([1.0, 1.0, 1.0])
-        res = run_paths(
+        res = twin_run(
             EngineRun(
-                params=params, initial_caps=caps0, horizon=2.0,
-                n_paths=6, seed=5, rules=(rule,),
+                params=make_params(
+                    drift=RankTable(drift, 0.0), vol=RankTable(vol, 0.0),
+                    eps0=0.3, clock_c=0.0, dt=1.0,
+                ),
+                initial_caps=np.array([1.0, 1.0, 1.0]), horizon=2.0,
+                n_paths=6, seed=5, rules=(rule,), stride=1,
+                series_cols=(0, 0), collect_events=True,
             )
         )
-        for p in range(6):
-            ref = reference_path(params, caps0, 2.0, 5, p, rules=(rule,))
-            assert ref["status"] == int(res.status[p]), p
-            assert ref["n"] == int(res.final_n[p]), p
-            assert ref["max_n"] == int(res.max_n[p]), p
         assert np.all(res.status == want)
 
     def test_ok_mask(self):
@@ -821,7 +795,109 @@ class TestFailureModes:
         assert res.ok.tolist() == [True] * 4
 
 
+# ---------------------------------------------------------------------------
+# runs for the fuzzer: valid ones for the twin contract, invalid ones for
+# validation
+
+
+def _table(draw, n_max, lo, hi, slope):
+    """A rank table of the ``a + b (k-1)/(N-1)`` family, sometimes with an
+    explicit row; ``slope`` bounds ``b``.  A row is sorted ascending, as
+    the drift's Assumption 1 needs, unless the draw says otherwise, and
+    its key may lie past ``n_max``."""
+    table = RankTable(draw(st.floats(lo, hi)), draw(st.floats(*slope)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, n_max + 1))
+        row = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+        if draw(st.integers(0, 7)):
+            row.sort()
+        table = replace(table, overrides={n: tuple(row)})
+    return table
+
+
+def _sometimes(draw, valid, invalid):
+    """``valid``, or in about one draw of eight ``invalid``; shrinks to
+    ``valid``."""
+    return draw(st.sampled_from([valid] * 7 + [invalid]))
+
+
+@st.composite
+def twin_runs(draw):
+    """Runs from the box the twin contract must hold on, straddling the
+    edges of validity: every draw is either rejected by ``validate`` or
+    runs to its end in both engines, which then agree."""
+    n0 = draw(st.integers(2, 9))
+    n_max = max(3, n0 + _sometimes(draw, draw(st.integers(1, 8)), 0))
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.05]))
+    # a drift of 2e4 moves a cap by e**20 in a step of 1e-3: caps overflow
+    # or underflow, and long-only wealth falls to 0.0
+    g = _sometimes(draw, 3.0, 2e4)
+    params = ModelParams(
+        drift=_table(draw, n_max, -g, g, (_sometimes(draw, 0.0, -0.5), 3.0)),
+        vol=_table(draw, n_max, 0.05, 4.0, (-1.0, 3.0)),
+        delta=draw(st.floats(0.001, _sometimes(draw, 1 / 6 - 1e-9, 0.2))),
+        eps0=draw(st.floats(0.001, 0.5)),
+        split_dist=draw(st.sampled_from([
+            SplitDist("uniform"), SplitDist("point"), SplitDist("beta", 2.0, 5.0),
+            SplitDist("beta", 0.3, 0.3), SplitDist("beta", 40.0, 1.0),
+        ])),
+        clock_c=draw(st.sampled_from([0.0, 0.5, 3.0, 40.0])),
+        clock_alpha=draw(st.floats(0.2, 3.0)),
+        n_max=n_max,
+        dt=dt,
+        theta_mode=draw(st.sampled_from(["martingale", "growth"])),
+    )
+    caps = draw(st.lists(st.floats(0.1, 10.0), min_size=n0, max_size=n0))
+    top = draw(st.sampled_from(["any", "dominant", "near-threshold"]))
+    if top != "any":
+        # caps[0] at a top weight of 1 - delta, a few ulp off it, or far
+        # above it, where the market splits at entry
+        rest = 0.0
+        for x in caps[1:]:
+            rest += x
+        x = (1.0 - params.delta) * rest / params.delta
+        if top == "dominant":
+            x *= draw(st.floats(1.0, 20.0))
+        toward = draw(st.sampled_from([0.0, np.inf]))
+        for _ in range(draw(st.integers(0, 4))):
+            x = np.nextafter(x, toward)
+        caps[0] = float(x)
+    kinds = draw(st.lists(
+        st.sampled_from(["cash", "market", "equal", "rank", "name"]), max_size=4
+    ))
+    # a `rank k` or `name k` target must exist at the start
+    top_k = _sometimes(draw, n0 - 1, n0 + 1)
+    rules = tuple(
+        PortfolioRule(kind, draw(st.integers(0, top_k)))
+        if kind in ("rank", "name") else PortfolioRule(kind)
+        for kind in kinds
+    )
+    col = st.integers(0, _sometimes(draw, len(rules) - 1, len(rules)))
+    cols = draw(st.none() | st.tuples(col, col)) if rules else None
+    steps = draw(st.integers(1, 40))
+    return EngineRun(
+        params=params, initial_caps=np.array(caps),
+        horizon=steps * dt * _sometimes(draw, 1.0, 1.5),
+        n_paths=draw(st.integers(1, 4)),
+        seed=_sometimes(draw, draw(st.integers(0, 2**64 - 1)), 2**64),
+        rules=rules, stride=draw(st.integers(0, 12)), series_cols=cols,
+        collect_events=draw(st.booleans()),
+    )
+
+
 class TestValidation:
+    @settings(max_examples=200, deadline=None)
+    @given(twin_runs())
+    def test_fuzzed_invalid_run_rejected_by_both_engines(self, run):
+        assume(run.validate() != [])
+        with pytest.raises(ValueError):
+            run_paths(run)
+        with pytest.raises(ValueError):
+            reference_path(
+                run.params, run.initial_caps, run.horizon, run.seed, 0,
+                rules=run.rules, stride=run.stride, series_cols=run.series_cols,
+            )
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError, match="Assumption 2"):
             run_paths(
@@ -892,6 +968,8 @@ class TestValidation:
             ({"stride": -1}, "[run]\nstride = -1\n",
              "stride must be nonnegative"),
             ({"seed": -1}, "[run]\nseed = -1\n", "seed must be nonnegative"),
+            ({"seed": 2**64}, f"[run]\nseed = {2**64}\n",
+             "seed must be below 2**64"),
             ({"initial_caps": np.array([1.0, -1.0])},
              "[initial]\ncaps = 1, -1\n", "initial_caps must be positive"),
             ({"initial_caps": np.ones(64)}, "[initial]\nn = 64\n",
@@ -908,9 +986,10 @@ class TestValidation:
         ],
         ids=[
             "horizon-1.5-steps", "horizon-0.4-steps", "workers-0",
-            "stride-negative", "seed-negative", "cap-negative",
-            "caps-at-n_max", "name-7-of-3", "series_cols-outside-rules",
-            "clock-rate-overflow", "override-row-short",
+            "stride-negative", "seed-negative", "seed-past-64-bits",
+            "cap-negative", "caps-at-n_max", "name-7-of-3",
+            "series_cols-outside-rules", "clock-rate-overflow",
+            "override-row-short",
         ],
     )
     def test_invalid_run_rejected_everywhere(
@@ -922,11 +1001,11 @@ class TestValidation:
         )
         run = replace(run, **fields)
         assert any(problem in p for p in run.validate())
-        with pytest.raises(ValueError, match=problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
             run_paths(run)
         # reference_path takes every field but workers
         if "workers" not in fields:
-            with pytest.raises(ValueError, match=problem):
+            with pytest.raises(ValueError, match=re.escape(problem)):
                 reference_path(
                     run.params, run.initial_caps, run.horizon, run.seed, 0,
                     rules=run.rules, stride=run.stride,
@@ -1063,3 +1142,85 @@ def test_no_builtin_sum_on_the_bit_exact_path(module):
         and node.func.id == "sum"
     ]
     assert calls == [], f"{module}.py calls sum() at lines {calls}"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTwinFuzz:
+    """On every valid run the engines agree, and the instrumentation stays
+    inside its bounds: the total cap moves by at most 4 ulp at an event,
+    a transfer keeps each rule's weights to 1e-15, and no top weight after
+    a boundary reaches 1 - delta.  A cap or total out of range ends its
+    path by status code, without a numpy warning."""
+
+    def _check(self, run):
+        assume(run.validate() == [])
+        res = twin_run(run)
+        assert res.instr.max_conservation <= 4.0
+        assert res.instr.max_transfer <= 1e-15
+        assert res.instr.max_sample_weight <= 1.0 - run.params.delta
+
+    @settings(max_examples=200, deadline=None)
+    @given(twin_runs())
+    # caps that underflow to 0.0, e**-10 a step (status 2)
+    @example(EngineRun(
+        params=make_params(drift=RankTable(-1000.0, 0.0), vol=RankTable(3.0, 0.0),
+                           clock_c=0.0, dt=0.01),
+        initial_caps=np.ones(3), horizon=1.0, n_paths=3, seed=5, rules=RULES,
+        stride=10, series_cols=(0, 1), collect_events=True,
+    ))
+    # a cap that overflows (status 2)
+    @example(EngineRun(
+        params=make_params(drift=RankTable(0.0, 500.0), dt=1.0),
+        initial_caps=np.array([1e300, 1.0]), horizon=5.0, n_paths=2, seed=2,
+        rules=RULES, stride=1, series_cols=(0, 1), collect_events=True,
+    ))
+    # the total overflows while every cap is finite (status 2)
+    @example(EngineRun(
+        params=make_params(drift=RankTable(11778.0, 0.0), vol=RankTable(3.0, 0.0),
+                           delta=0.125, eps0=0.25, clock_c=0.0, n_max=5, dt=0.01),
+        initial_caps=np.array([1.0, 5.0, 1.0, 2.0]), horizon=0.06, n_paths=2,
+        seed=1, rules=RULES, stride=1, series_cols=(0, 1), collect_events=True,
+    ))
+    # a long-only rule's wealth falls to 0.0 (status 3)
+    @example(EngineRun(
+        params=make_params(drift=RankTable(-40.0, 0.0), eps0=0.3, clock_c=0.0,
+                           dt=1.0),
+        initial_caps=np.ones(3), horizon=2.0, n_paths=3, seed=5,
+        rules=(PortfolioRule("rank", 0),), stride=1, series_cols=(0, 0),
+        collect_events=True,
+    ))
+    # the first split reaches n_max (status 1)
+    @example(EngineRun(
+        params=make_params(n_max=4, clock_c=0.0),
+        initial_caps=np.array([50.0, 1.0, 1.0]), horizon=0.1, n_paths=3, seed=1,
+        rules=RULES, stride=10, series_cols=(0, 1), collect_events=True,
+    ))
+    # no clock: only splits
+    @example(EngineRun(
+        params=make_params(clock_c=0.0),
+        initial_caps=np.array([14.0, 0.5, 0.5, 0.5]), horizon=0.2, n_paths=4,
+        seed=9, rules=RULES, stride=20, series_cols=(1, 2), collect_events=True,
+    ))
+    # a block of one path in ten slots or more
+    @example(EngineRun(
+        params=SPLIT_PRONE, initial_caps=np.array([40.0] + [1.0] * 9),
+        horizon=0.1, n_paths=1, seed=21, rules=RULES, stride=10,
+        series_cols=(0, 1), collect_events=True,
+    ))
+    # every path merges below the count a `rank 4` rule targets
+    @example(EngineRun(
+        params=make_params(clock_c=20.0), initial_caps=np.ones(6), horizon=0.3,
+        n_paths=3, seed=3,
+        rules=(PortfolioRule("market"), PortfolioRule("rank", 4),
+               PortfolioRule("name", 4)),
+        stride=30, series_cols=(0, 1), collect_events=True,
+    ))
+    @example(HAIR_BELOW)
+    def test_engines_agree(self, run):
+        self._check(run)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(twin_runs())
+    def test_engines_agree_at_length(self, run):
+        self._check(run)
