@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    CHUNK, EngineRun, StepTables, _col_sum, caps_problems, map_blocks, rank_step,
-    run_paths,
+    CHUNK, EngineRun, StepTables, _col_sum, _run_chunk, caps_problems, map_blocks,
+    rank_step, run_paths,
 )
 from .events import clock_rate
 from .params import ModelParams
@@ -339,6 +339,12 @@ class DoubleJumpStat:
         p = self.phat
         return math.sqrt(p * (1.0 - p) / self.segments)
 
+    def merge(self, other: "DoubleJumpStat") -> None:
+        """Add the counts of ``other``, scored on other paths."""
+        self.segments += other.segments
+        self.doubles += other.doubles
+        self.censored += other.censored
+
 
 def score_double_jumps(
     events, horizon: float, params: ModelParams
@@ -386,13 +392,31 @@ def estimate_double_jump(
     seed: int,
     workers: int = 1,
 ) -> dict[int, DoubleJumpStat]:
-    """Run the engine and score its consecutive-split frequencies."""
-    res = run_paths(EngineRun(
+    """Run the engine and score its consecutive-split frequencies.
+
+    Each block of paths is scored where it runs, and only its counts
+    come back.  Scoring is per path and the blocks partition the paths,
+    so the counts, added in block order, are those of the whole log.
+    """
+    run = EngineRun(
         params=params, initial_caps=np.asarray(initial_caps, dtype=np.float64),
         horizon=horizon, n_paths=n_paths, seed=seed, workers=workers,
         collect_events=True,
-    ))
-    return score_double_jumps(res.events, horizon, params)
+    ).require_valid()
+    tables = StepTables.build(params)
+    stats, *rest = map_blocks(_double_jump_block, n_paths, workers, run, tables)
+    for part in rest:
+        for n, st in part.items():
+            stats[n].merge(st)
+    return stats
+
+
+def _double_jump_block(
+    run: EngineRun, tables: StepTables, start: int, stop: int
+) -> dict[int, DoubleJumpStat]:
+    """The scores of paths ``start .. stop - 1``, one block of the engine."""
+    events = _run_chunk(run, tables, start, stop).events
+    return score_double_jumps(events, run.horizon, run.params)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,23 @@ in the same order:
 * the overshoot keeps ``np.log``/``np.log1p`` and the conservation
   audit ``np.spacing``.
 
+Each pass of the resolver takes one left-to-right total ``C`` and one
+``max(x)``, and a split fires when ``max(x)/C >= 1 - delta``, the batch
+engine's flag test below.  Its company is ``caps.index(max(x))``: a
+weight at or above ``1 - delta > 1/2`` is unique, so this is the company
+:func:`~splitmerge.events.detect_split` picks.  The audits take
+``math.fsum`` only where the moved mass can be inexact.  An event moves
+one entry ``a`` into two, or two entries ``a`` and ``b`` into one; when
+the pieces sum to the whole exactly, the exact sum of the list is
+unchanged, and so its audit is exactly 0.0 and is not summed:
+
+* a split's two children sum to their parent exactly (Sterbenz, see
+  :mod:`splitmerge.events`), and so do the two weights they inherit;
+* at a merger, the caps' ``a + b`` and each rule's ``pi_a + pi_b`` are
+  tested by TwoSum (:func:`_exact_sum`).  Cash, equal, rank and name
+  weights always pass; a pair that is inexact, or a sum that is not
+  finite, is audited by ``math.fsum`` as before.
+
 Per step, an alive path draws from its streams as
 :mod:`splitmerge.streams` lists them, its clock uniform even on steps
 where a split preempts the merger clock; finished paths draw nothing.
@@ -155,7 +172,6 @@ from .events import (
     apply_merger,
     apply_split,
     clock_rate_row,
-    detect_split,
     draw_split_fraction,
     merger_suppressed,
     sample_merger_pair,
@@ -388,6 +404,19 @@ def _transfer_err(pi_before: list[float], pi_after: list[float]) -> float:
     return abs(math.fsum(pi_after) - math.fsum(pi_before))
 
 
+def _exact_sum(a: float, b: float) -> bool:
+    """True iff ``a + b`` is exact and finite (Knuth's TwoSum error is 0).
+
+    A merger that moves ``a`` and ``b`` into one entry ``a + b`` then
+    leaves the exact sum of the list, and so its ``math.fsum``, unchanged:
+    its audit is exactly 0.0.  An overflow or a nan gives a nan error,
+    which is not 0.
+    """
+    s = a + b
+    bb = s - a
+    return (a - (s - bb)) + (b - bb) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # shared per-path event resolution (used verbatim by both engines)
 
@@ -413,51 +442,56 @@ def _resolve_boundary(
     and each rule's transferred weights of a split or a real merger, and
     stops a path that reaches ``n_max``.  The rule weights are built here
     from ``caps``, so every transfer is audited on the weights the rule
-    itself gives.
+    itself gives.  An audit whose moved mass is exact is 0.0 without
+    being summed (see "Boundary semantics").
     """
     pis = [rl.weights(caps) for rl in rules]
+    thr = 1.0 - params.delta
     split_fired = False
     merge_pending = rang
     while True:
-        w = market_weights(caps)
-        i = detect_split(w, params.delta)
-        if i is not None:
+        # detect_split's test, bit for bit: max(x)/C is max(x_k/C)
+        c = total_cap(caps)
+        x = max(caps)
+        if x / c >= thr:
+            i = caps.index(x)
             instr.max_overshoot = max(
-                instr.max_overshoot, float(np.log(w[i]) - np.log1p(-params.delta))
+                instr.max_overshoot, float(np.log(x / c) - np.log1p(-params.delta))
             )
             split_fired = True
             j, xi = None, draw_split_fraction(params, ev_gen)
             kind, new_caps = "split", apply_split(caps, i, xi)
             instr.splits += 1
+            # the children sum to the parent exactly, and so do their
+            # weights, so neither audit can move
+            for r in range(len(rules)):
+                pis[r] = transfer_on_split(pis[r], i, caps, new_caps)
         elif merge_pending and not split_fired:
             merge_pending = False
             (i, j), xi = sample_merger_pair(caps, ev_gen), None
-            if merger_suppressed(w, i, j, params.delta):
+            if merger_suppressed(market_weights(caps), i, j, params.delta):
                 kind, new_caps = "suppressed_merger", caps
                 instr.suppressed += 1
             else:
                 kind, new_caps = "merger", apply_merger(caps, i, j)
                 instr.mergers += 1
+                if not _exact_sum(caps[i], caps[j]):
+                    instr.max_conservation = max(
+                        instr.max_conservation, _conservation_err(caps, new_caps)
+                    )
+                for r in range(len(rules)):
+                    pi = pis[r]
+                    pis[r] = transfer_on_merger(pi, i, j)
+                    if not _exact_sum(pi[i], pi[j]):
+                        instr.max_transfer = max(
+                            instr.max_transfer, _transfer_err(pi, pis[r])
+                        )
         else:
             break
-        if kind != "suppressed_merger":
-            instr.max_conservation = max(
-                instr.max_conservation, _conservation_err(caps, new_caps)
-            )
-            for r in range(len(rules)):
-                if j is None:
-                    pi_after = transfer_on_split(pis[r], i, caps, new_caps)
-                else:
-                    pi_after = transfer_on_merger(pis[r], i, j)
-                instr.max_transfer = max(
-                    instr.max_transfer, _transfer_err(pis[r], pi_after)
-                )
-                pis[r] = pi_after
         if emit is not None:
             emit(EventRecord(
-                path=path, t=t, kind=kind, i=i + 1,
-                j=None if j is None else j + 1, xi=xi,
-                n_before=len(caps), n_after=len(new_caps),
+                path, t, kind, i + 1, None if j is None else j + 1, xi,
+                len(caps), len(new_caps),
             ))
         # the next pass re-checks the split threshold: defensively after a
         # merger (under delta < 1/6 a merged non-top pair never reaches

@@ -20,20 +20,26 @@ The merger clock of rate lambda_N is realized per step: the engine draws one
 uniform per diffusion step and rings when u < 1 - exp(-lambda_N dt). Because
 the exponential law is memoryless, this equals redrawing an exponential
 holding time after every event.
+
+An :class:`EventRecord` is an immutable named tuple.  Its ``to_json``
+formats the ``events.jsonl`` line directly and writes byte for byte what
+``json.dumps`` writes for the record's fields; a non-finite float, which
+``json.dumps`` spells ``NaN`` or ``Infinity``, goes through ``json.dumps``
+itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .params import ModelParams
 
 __all__ = [
+    "EVENT_KINDS",
     "EventRecord",
     "clock_rate",
     "clock_rate_row",
@@ -65,14 +71,17 @@ def clock_rate_row(params: ModelParams) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
-class EventRecord:
+# the kinds a record can carry; their names need no JSON escaping
+EVENT_KINDS = frozenset(("split", "merger", "suppressed_merger"))
+
+
+class EventRecord(NamedTuple):
     """One composition change. Positions i, j are 1-based; xi is None for
     mergers, j is None for splits."""
 
     path: int
     t: float
-    kind: str  # "split" | "merger" | "suppressed_merger"
+    kind: str  # one of EVENT_KINDS
     i: int
     j: int | None
     xi: float | None
@@ -80,18 +89,30 @@ class EventRecord:
     n_after: int
 
     def to_json(self) -> str:
-        # coerce numpy scalars so the encoding never depends on the caller
-        return json.dumps(
-            {
-                "path": int(self.path),
-                "t": float(self.t),
-                "kind": self.kind,
-                "i": int(self.i),
-                "j": None if self.j is None else int(self.j),
-                "xi": None if self.xi is None else float(self.xi),
-                "n_before": int(self.n_before),
-                "n_after": int(self.n_after),
-            }
+        """The record as one JSON object, byte for byte what ``json.dumps``
+        gives for its fields (numpy scalars coerced, so the encoding never
+        depends on the caller)."""
+        path, t, kind, i, j, xi, n_before, n_after = self
+        t = float(t)
+        if xi is not None:
+            xi = float(xi)
+        # json.dumps writes a finite float as its repr and an int as its
+        # decimal digits; it spells a non-finite float NaN or Infinity
+        if not (
+            kind in EVENT_KINDS
+            and math.isfinite(t)
+            and (xi is None or math.isfinite(xi))
+        ):
+            return json.dumps({
+                "path": int(path), "t": t, "kind": kind, "i": int(i),
+                "j": None if j is None else int(j), "xi": xi,
+                "n_before": int(n_before), "n_after": int(n_after),
+            })
+        return (
+            f'{{"path": {int(path)}, "t": {t!r}, "kind": "{kind}", '
+            f'"i": {int(i)}, "j": {"null" if j is None else int(j)}, '
+            f'"xi": {"null" if xi is None else repr(xi)}, '
+            f'"n_before": {int(n_before)}, "n_after": {int(n_after)}}}'
         )
 
 
@@ -146,15 +167,19 @@ def sample_merger_pair(
     if n < 3:
         raise ValueError(f"merger pairs need N >= 3, got N={n}")
     top = caps.index(max(caps))
-    eligible = [k for k in range(n) if k != top]
     r = int(rng.integers(pair_count(n)))
-    m = len(eligible)
-    for a in range(m - 1):
-        block = m - 1 - a
-        if r < block:
-            return eligible[a], eligible[a + 1 + r]
+    # r ranks the pairs (a, b), a < b, of the n - 1 eligible companies in
+    # lexicographic order, so n - 2 - a of them start with a
+    a, block = 0, n - 2
+    while r >= block > 0:
         r -= block
-    raise AssertionError("pair unranking fell off the end")
+        a += 1
+        block -= 1
+    if block == 0:
+        raise AssertionError("pair unranking fell off the end")
+    b = a + 1 + r
+    # eligible company k is company k, or k + 1 from the top on
+    return a + (a >= top), b + (b >= top)
 
 
 def merger_suppressed(

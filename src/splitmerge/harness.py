@@ -280,10 +280,7 @@ def check_double_jump(seed: int, paths: int, workers: int = 1) -> CheckRow:
     for caps0, h, s in runs:
         part = estimate_double_jump(params, caps0, h, paths, s, workers)
         for n, st in part.items():
-            acc = stats.setdefault(n, DoubleJumpStat(level=n))
-            acc.segments += st.segments
-            acc.doubles += st.doubles
-            acc.censored += st.censored
+            stats.setdefault(n, DoubleJumpStat(level=n)).merge(st)
     sigma_bar = params.sigma_range()[1]
     rows = []
     passed = True

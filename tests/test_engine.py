@@ -9,6 +9,7 @@ handling) follows from that plus the per-path stream derivation.
 
 import ast
 import hashlib
+import math
 import re
 import tracemalloc
 from copy import deepcopy
@@ -37,10 +38,12 @@ from splitmerge.engine import (
     run_paths,
     twin_mismatches,
 )
+from splitmerge.dynamics import market_weights
+from splitmerge.events import apply_merger, apply_split, detect_split
 from splitmerge.girsanov import theta_row
 from splitmerge.harness import SHARED_RULES, active_initial, active_params
 from splitmerge.params import ModelParams, RankTable, SplitDist
-from splitmerge.portfolio import PortfolioRule
+from splitmerge.portfolio import PortfolioRule, transfer_on_merger, transfer_on_split
 from splitmerge.streams import EVENTS, path_generator
 
 RULES = (
@@ -568,6 +571,80 @@ class TestEventSequence:
         assert instr.splits == len(records)
         assert (exploded, had_event, len(out)) == (False, True, 3 + len(records))
         assert engine._mu_top(out) < 1.0 - params.delta
+
+
+@st.composite
+def boundaries(draw):
+    """A boundary for the resolver: 3 to 12 positive caps at one magnitude,
+    subnormal to near overflow, whole multiples of it (every pair sums
+    exactly) or not, with a top heavy enough to split or not; all five
+    rule kinds; a delta, eps0 and seed."""
+    n = draw(st.integers(3, 12))
+    scale = 2.0 ** draw(st.integers(-1070, 990))
+    if draw(st.booleans()):
+        caps = [draw(st.integers(1, 2**20)) * scale for _ in range(n)]
+    else:
+        caps = [draw(st.floats(1.0, 100.0)) * scale for _ in range(n)]
+    if draw(st.booleans()):
+        top = draw(st.integers(0, n - 1))
+        rest = math.fsum(caps) - caps[top]
+        caps[top] = rest * draw(st.sampled_from([1.0, 6.0, 60.0, 500.0]))
+    params = make_params(
+        delta=draw(st.sampled_from([0.02, 0.1, 0.16])),
+        eps0=draw(st.sampled_from([0.01, 0.3, 4.0 / 9.0])),
+    )
+    rules = (
+        PortfolioRule("cash"), PortfolioRule("market"), PortfolioRule("equal"),
+        PortfolioRule("rank", draw(st.integers(0, n - 1))),
+        PortfolioRule("name", draw(st.integers(0, n - 1))),
+    )
+    return caps, params, rules, draw(st.integers(0, 2**32)), draw(st.booleans())
+
+
+class TestAuditShortcut:
+    """The resolver sums an audit only where the moved mass can be
+    inexact; its maxima equal those of a replay of its records that
+    takes every ``math.fsum``, and each split is at the company
+    ``detect_split`` picks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boundaries())
+    # whole caps: the merged pair is exact, so no audit is summed
+    @example(([4.0, 3.0, 2.0, 1.0], make_params(), (
+        PortfolioRule("cash"), PortfolioRule("market"), PortfolioRule("equal"),
+        PortfolioRule("rank", 1), PortfolioRule("name", 3)), 1, True))
+    # a split, then no merger
+    @example(([40.0, 1.0, 2.0], make_params(eps0=0.01), (
+        PortfolioRule("market"), PortfolioRule("equal")), 5, True))
+    def test_maxima_equal_a_full_replay(self, boundary):
+        caps, params, rules, seed, rang = boundary
+        instr = Instrumentation()
+        records = []
+        out, _, _ = _resolve_boundary(
+            list(caps), 0.5, 0, params, path_generator(seed, 0, EVENTS), rang,
+            rules, instr, records.append,
+        )
+        # the replay
+        conservation = transfer = 0.0
+        pis = [rl.weights(caps) for rl in rules]
+        for rec in records:
+            i = rec.i - 1
+            if rec.kind == "split":
+                assert i == detect_split(market_weights(caps), params.delta)
+                after = apply_split(caps, i, rec.xi)
+                pis_after = [transfer_on_split(pi, i, caps, after) for pi in pis]
+            elif rec.kind == "merger":
+                after = apply_merger(caps, i, rec.j - 1)
+                pis_after = [transfer_on_merger(pi, i, rec.j - 1) for pi in pis]
+            else:
+                continue
+            conservation = max(conservation, engine._conservation_err(caps, after))
+            for pi, pi_after in zip(pis, pis_after):
+                transfer = max(transfer, engine._transfer_err(pi, pi_after))
+            caps, pis = after, pis_after
+        assert out == caps
+        assert repr(instr.max_conservation) == repr(conservation)
+        assert repr(instr.max_transfer) == repr(transfer)
 
 
 class TestDeterminism:

@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from splitmerge.engine import StepTables
 from splitmerge.events import (
+    EVENT_KINDS,
     EventRecord,
     apply_merger,
     apply_split,
@@ -142,6 +146,39 @@ class TestMergerPair:
         assert len(seen) == pair_count(5)
 
 
+class _Draw:
+    """A generator whose integer draw returns ``r``, recording each bound."""
+
+    def __init__(self, r):
+        self.r = r
+        self.bounds = []
+
+    def integers(self, high):
+        self.bounds.append(high)
+        return np.int64(self.r)
+
+
+class TestPairUnranking:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_every_rank_gives_the_eligible_list_pair(self, n):
+        for top in range(n):
+            caps = [1.0] * n
+            caps[top] = 2.0
+            # the oracle: the eligible companies, their pairs in
+            # lexicographic order, the r-th of them
+            eligible = [k for k in range(n) if k != top]
+            pairs = list(itertools.combinations(eligible, 2))
+            assert len(pairs) == pair_count(n)
+            for r, want in enumerate(pairs):
+                draw = _Draw(r)
+                assert sample_merger_pair(caps, draw) == want
+                assert draw.bounds == [pair_count(n)]
+
+    def test_rank_past_the_last_pair_is_an_error(self):
+        with pytest.raises(AssertionError):
+            sample_merger_pair([2.0, 1.0, 1.0, 1.0], _Draw(pair_count(4)))
+
+
 class TestSuppression:
     def test_two_companies_always_suppressed(self):
         # combined weight is 1, above any threshold
@@ -207,3 +244,41 @@ class TestEventRecord:
         )
         obj = json.loads(rec.to_json())
         assert obj["j"] == 3 and obj["xi"] is None
+
+
+# floats in every form repr gives: fixed and exponent notation (below
+# 1e-4, at or above 1e16), subnormals, signed zeros
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-4, max_value=1e-4),
+    st.floats(min_value=1e16, max_value=1e300),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+)
+COUNTS = st.integers(0, 2**62)
+
+
+@st.composite
+def records(draw, floats=JSON_FLOATS):
+    return EventRecord(
+        path=draw(COUNTS), t=draw(floats),
+        kind=draw(st.sampled_from(sorted(EVENT_KINDS))), i=draw(COUNTS),
+        j=draw(st.none() | COUNTS), xi=draw(st.none() | floats),
+        n_before=draw(COUNTS), n_after=draw(COUNTS),
+    )
+
+
+class TestEncoder:
+    """to_json writes json.dumps's bytes for the record's fields."""
+
+    @given(records())
+    @example(EventRecord(2**62, 1e-05, "split", 1, None, 5e-324, 3, 4))
+    @example(EventRecord(0, 1e16, "suppressed_merger", 2, 3, None, 3, 3))
+    @example(EventRecord(7, -0.0, "merger", 1, 2, None, 3, 2))
+    def test_matches_json_dumps(self, rec):
+        assert rec.to_json() == json.dumps(rec._asdict())
+
+    @given(records(st.sampled_from([math.nan, math.inf, -math.inf]) | JSON_FLOATS))
+    @example(EventRecord(1, 0.5, "split", 1, None, math.nan, 3, 4))
+    @example(EventRecord(1, 0.5, "split", 1, None, math.inf, 3, 4))
+    def test_non_finite_falls_back_to_json_dumps(self, rec):
+        assert rec.to_json() == json.dumps(rec._asdict())
