@@ -93,7 +93,7 @@ unchanged, and so its audit is exactly 0.0 and is not summed:
 * at a merger, the caps' ``a + b`` and each rule's ``pi_a + pi_b`` are
   tested by TwoSum (:func:`_exact_sum`).  Cash, equal, rank and name
   weights always pass; a pair that is inexact, or a sum that is not
-  finite, is audited by ``math.fsum`` as before.
+  finite, is audited with ``math.fsum``.
 
 Per step, an alive path draws from its streams as
 :mod:`splitmerge.streams` lists them, its clock uniform even on steps
@@ -443,7 +443,7 @@ def _resolve_boundary(
     stops a path that reaches ``n_max``.  The rule weights are built here
     from ``caps``, so every transfer is audited on the weights the rule
     itself gives.  An audit whose moved mass is exact is 0.0 without
-    being summed (see "Boundary semantics").
+    being summed (see the module docstring).
     """
     pis = [rl.weights(caps) for rl in rules]
     thr = 1.0 - params.delta

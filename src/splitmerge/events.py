@@ -121,6 +121,9 @@ def detect_split(weights: Sequence[float], delta: float) -> int | None:
 
     At most one index can qualify since 1 - delta > 1/2. Detection is
     post-step first crossing, so the weight may overshoot by O(sqrt(dt)).
+    The engines test the same condition, bit for bit, as
+    ``max(x)/C >= 1 - delta`` on the caps (see :mod:`splitmerge.engine`);
+    the tests hold that form against this one.
     """
     i = weights.index(max(weights))
     if weights[i] >= 1.0 - delta:
