@@ -462,10 +462,6 @@ def _resolve_boundary(
             j, xi = None, draw_split_fraction(params, ev_gen)
             kind, new_caps = "split", apply_split(caps, i, xi)
             instr.splits += 1
-            # the children sum to the parent exactly, and so do their
-            # weights, so neither audit can move
-            for r in range(len(rules)):
-                pis[r] = transfer_on_split(pis[r], i, caps, new_caps)
         elif merge_pending and not split_fired:
             merge_pending = False
             (i, j), xi = sample_merger_pair(caps, ev_gen), None
@@ -475,19 +471,25 @@ def _resolve_boundary(
             else:
                 kind, new_caps = "merger", apply_merger(caps, i, j)
                 instr.mergers += 1
-                if not _exact_sum(caps[i], caps[j]):
-                    instr.max_conservation = max(
-                        instr.max_conservation, _conservation_err(caps, new_caps)
-                    )
-                for r in range(len(rules)):
-                    pi = pis[r]
+        else:
+            break
+        if kind != "suppressed_merger":
+            # a split's children sum to their parent exactly, and so do
+            # their weights: only a merger's audits can move
+            if j is not None and not _exact_sum(caps[i], caps[j]):
+                instr.max_conservation = max(
+                    instr.max_conservation, _conservation_err(caps, new_caps)
+                )
+            for r in range(len(rules)):
+                pi = pis[r]
+                if j is None:
+                    pis[r] = transfer_on_split(pi, i, caps, new_caps)
+                else:
                     pis[r] = transfer_on_merger(pi, i, j)
                     if not _exact_sum(pi[i], pi[j]):
                         instr.max_transfer = max(
                             instr.max_transfer, _transfer_err(pi, pis[r])
                         )
-        else:
-            break
         if emit is not None:
             emit(EventRecord(
                 path, t, kind, i + 1, None if j is None else j + 1, xi,
