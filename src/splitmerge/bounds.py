@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import engine
 from .engine import (
-    CHUNK, EngineRun, StepTables, _col_sum, _run_chunk, caps_problems, map_blocks,
-    rank_step, run_paths,
+    CHUNK, EngineRun, StepTables, _col_sum, caps_problems, map_blocks, rank_step,
+    run_paths,
 )
 from .events import clock_rate
 from .params import ModelParams
@@ -414,8 +415,12 @@ def estimate_double_jump(
 def _double_jump_block(
     run: EngineRun, tables: StepTables, start: int, stop: int
 ) -> dict[int, DoubleJumpStat]:
-    """The scores of paths ``start .. stop - 1``, one block of the engine."""
-    events = _run_chunk(run, tables, start, stop).events
+    """The scores of paths ``start .. stop - 1``, one block of the engine.
+
+    ``engine._run_chunk`` is read from the module at call time, as
+    ``engine._run_block`` reads it, so a rebound ``_run_chunk`` runs here too.
+    """
+    events = engine._run_chunk(run, tables, start, stop).events
     return score_double_jumps(events, run.horizon, run.params)
 
 

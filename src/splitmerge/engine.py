@@ -82,18 +82,9 @@ Each pass of the resolver takes one left-to-right total ``C`` and one
 ``max(x)``, and a split fires when ``max(x)/C >= 1 - delta``, the batch
 engine's flag test below.  Its company is ``caps.index(max(x))``: a
 weight at or above ``1 - delta > 1/2`` is unique, so this is the company
-:func:`~splitmerge.events.detect_split` picks.  The audits take
-``math.fsum`` only where the moved mass can be inexact.  An event moves
-one entry ``a`` into two, or two entries ``a`` and ``b`` into one; when
-the pieces sum to the whole exactly, the exact sum of the list is
-unchanged, and so its audit is exactly 0.0 and is not summed:
-
-* a split's two children sum to their parent exactly (Sterbenz, see
-  :mod:`splitmerge.events`), and so do the two weights they inherit;
-* at a merger, the caps' ``a + b`` and each rule's ``pi_a + pi_b`` are
-  tested by TwoSum (:func:`_exact_sum`).  Cash, equal, rank and name
-  weights always pass; a pair that is inexact, or a sum that is not
-  finite, is audited with ``math.fsum``.
+:func:`~splitmerge.events.detect_split` picks.  Every split and real
+merger is audited with ``math.fsum`` on the lists the event functions
+returned, the total cap and each rule's weights.
 
 Per step, an alive path draws from its streams as
 :mod:`splitmerge.streams` lists them, its clock uniform even on steps
@@ -404,19 +395,6 @@ def _transfer_err(pi_before: list[float], pi_after: list[float]) -> float:
     return abs(math.fsum(pi_after) - math.fsum(pi_before))
 
 
-def _exact_sum(a: float, b: float) -> bool:
-    """True iff ``a + b`` is exact and finite (Knuth's TwoSum error is 0).
-
-    A merger that moves ``a`` and ``b`` into one entry ``a + b`` then
-    leaves the exact sum of the list, and so its ``math.fsum``, unchanged:
-    its audit is exactly 0.0.  An overflow or a nan gives a nan error,
-    which is not 0.
-    """
-    s = a + b
-    bb = s - a
-    return (a - (s - bb)) + (b - bb) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # shared per-path event resolution (used verbatim by both engines)
 
@@ -442,8 +420,7 @@ def _resolve_boundary(
     and each rule's transferred weights of a split or a real merger, and
     stops a path that reaches ``n_max``.  The rule weights are built here
     from ``caps``, so every transfer is audited on the weights the rule
-    itself gives.  An audit whose moved mass is exact is 0.0 without
-    being summed (see the module docstring).
+    itself gives.
     """
     pis = [rl.weights(caps) for rl in rules]
     thr = 1.0 - params.delta
@@ -474,22 +451,18 @@ def _resolve_boundary(
         else:
             break
         if kind != "suppressed_merger":
-            # a split's children sum to their parent exactly, and so do
-            # their weights: only a merger's audits can move
-            if j is not None and not _exact_sum(caps[i], caps[j]):
-                instr.max_conservation = max(
-                    instr.max_conservation, _conservation_err(caps, new_caps)
-                )
+            instr.max_conservation = max(
+                instr.max_conservation, _conservation_err(caps, new_caps)
+            )
             for r in range(len(rules)):
-                pi = pis[r]
                 if j is None:
-                    pis[r] = transfer_on_split(pi, i, caps, new_caps)
+                    pi_after = transfer_on_split(pis[r], i, caps, new_caps)
                 else:
-                    pis[r] = transfer_on_merger(pi, i, j)
-                    if not _exact_sum(pi[i], pi[j]):
-                        instr.max_transfer = max(
-                            instr.max_transfer, _transfer_err(pi, pis[r])
-                        )
+                    pi_after = transfer_on_merger(pis[r], i, j)
+                instr.max_transfer = max(
+                    instr.max_transfer, _transfer_err(pis[r], pi_after)
+                )
+                pis[r] = pi_after
         if emit is not None:
             emit(EventRecord(
                 path, t, kind, i + 1, None if j is None else j + 1, xi,

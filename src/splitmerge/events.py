@@ -23,14 +23,13 @@ holding time after every event.
 
 An :class:`EventRecord` is an immutable named tuple.  Its ``to_json``
 formats the ``events.jsonl`` line directly and writes byte for byte what
-``json.dumps`` writes for the record's fields; a non-finite float, which
-``json.dumps`` spells ``NaN`` or ``Infinity``, goes through ``json.dumps``
-itself.
+``json.dumps`` writes for the record's fields.  A non-finite ``t`` or
+``xi``, which no engine event carries and which JSON cannot spell, is a
+``ValueError``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple, Sequence
 
@@ -39,7 +38,6 @@ import numpy as np
 from .params import ModelParams
 
 __all__ = [
-    "EVENT_KINDS",
     "EventRecord",
     "clock_rate",
     "clock_rate_row",
@@ -71,17 +69,13 @@ def clock_rate_row(params: ModelParams) -> np.ndarray:
     return lam
 
 
-# the kinds a record can carry; their names need no JSON escaping
-EVENT_KINDS = frozenset(("split", "merger", "suppressed_merger"))
-
-
 class EventRecord(NamedTuple):
     """One composition change. Positions i, j are 1-based; xi is None for
     mergers, j is None for splits."""
 
     path: int
     t: float
-    kind: str  # one of EVENT_KINDS
+    kind: str  # "split" | "merger" | "suppressed_merger"
     i: int
     j: int | None
     xi: float | None
@@ -96,18 +90,10 @@ class EventRecord(NamedTuple):
         t = float(t)
         if xi is not None:
             xi = float(xi)
+        if not (math.isfinite(t) and (xi is None or math.isfinite(xi))):
+            raise ValueError(f"event times and fractions must be finite: {self}")
         # json.dumps writes a finite float as its repr and an int as its
-        # decimal digits; it spells a non-finite float NaN or Infinity
-        if not (
-            kind in EVENT_KINDS
-            and math.isfinite(t)
-            and (xi is None or math.isfinite(xi))
-        ):
-            return json.dumps({
-                "path": int(path), "t": t, "kind": kind, "i": int(i),
-                "j": None if j is None else int(j), "xi": xi,
-                "n_before": int(n_before), "n_after": int(n_after),
-            })
+        # decimal digits
         return (
             f'{{"path": {int(path)}, "t": {t!r}, "kind": "{kind}", '
             f'"i": {int(i)}, "j": {"null" if j is None else int(j)}, '
@@ -121,9 +107,10 @@ def detect_split(weights: Sequence[float], delta: float) -> int | None:
 
     At most one index can qualify since 1 - delta > 1/2. Detection is
     post-step first crossing, so the weight may overshoot by O(sqrt(dt)).
-    The engines test the same condition, bit for bit, as
-    ``max(x)/C >= 1 - delta`` on the caps (see :mod:`splitmerge.engine`);
-    the tests hold that form against this one.
+    No engine calls this function: both test the same condition, bit for
+    bit, inline on the caps as ``max(x)/C >= 1 - delta`` (see
+    :mod:`splitmerge.engine`), and it is kept as the reference the tests
+    hold that inline test against.
     """
     i = weights.index(max(weights))
     if weights[i] >= 1.0 - delta:

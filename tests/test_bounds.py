@@ -24,7 +24,8 @@ from splitmerge.bounds import (
     tail_of_max_count,
     wilson_interval,
 )
-from splitmerge.engine import CHUNK, StepTables, rank_step
+from splitmerge import engine
+from splitmerge.engine import CHUNK, EngineRun, StepTables, rank_step, run_paths
 from splitmerge.events import EventRecord, clock_rate
 from splitmerge.params import ModelParams, RankTable
 
@@ -370,6 +371,27 @@ class TestDoubleJumpScore:
         two = estimate_double_jump(*args, workers=2)
         assert one == two
         assert one[4].doubles > 0 and one[5].doubles > 0
+
+    def test_estimator_scores_blocks_through_the_engine_module(self, monkeypatch):
+        # each block runs engine._run_chunk as looked up at call time, as a
+        # tracer rebinds it, and its counts equal the whole log's scores
+        params = make_params(vol=RankTable(4.0, 0.0), clock_c=10.0)
+        caps0 = np.array([14.0, 0.5, 0.5])
+        blocks = []
+        run_chunk = engine._run_chunk
+
+        def counting(run, tables, start, stop):
+            blocks.append((start, stop))
+            return run_chunk(run, tables, start, stop)
+
+        monkeypatch.setattr(engine, "_run_chunk", counting)
+        stats = estimate_double_jump(params, caps0, 0.3, CHUNK + 100, 43)
+        assert blocks == [(0, CHUNK), (CHUNK, CHUNK + 100)]
+        whole = run_paths(EngineRun(
+            params=params, initial_caps=caps0, horizon=0.3,
+            n_paths=CHUNK + 100, seed=43, collect_events=True,
+        ))
+        assert stats == score_double_jumps(whole.events, 0.3, params)
 
 
 class TestRateFunction:

@@ -601,15 +601,14 @@ def boundaries(draw):
     return caps, params, rules, draw(st.integers(0, 2**32)), draw(st.booleans())
 
 
-class TestAuditShortcut:
-    """The resolver sums an audit only where the moved mass can be
-    inexact; its maxima equal those of a replay of its records that
-    takes every ``math.fsum``, and each split is at the company
-    ``detect_split`` picks."""
+class TestAuditReplay:
+    """The resolver's audit maxima equal, by ``repr``, those of a replay
+    of its records that takes every ``math.fsum``, and each split is at
+    the company ``detect_split`` picks."""
 
     @settings(max_examples=300, deadline=None)
     @given(boundaries())
-    # whole caps: the merged pair is exact, so no audit is summed
+    # whole caps: the merged pair sums exactly
     @example(([4.0, 3.0, 2.0, 1.0], make_params(), (
         PortfolioRule("cash"), PortfolioRule("market"), PortfolioRule("equal"),
         PortfolioRule("rank", 1), PortfolioRule("name", 3)), 1, True))
