@@ -21,11 +21,12 @@ Each closed form ships with a Monte Carlo estimator that measures the
 same probability by simulation, so the bounds can be verified rather
 than trusted (``estimate_split_before_clock``, ``simulate_rbm_hit``,
 ``estimate_double_jump``, ``tail_of_max_count``).  Each gives the same
-result at any worker count.  The engine-driven ones read only the
-engine's result (``max_n``, or the events it collects).  The two probes
-count hits per block of :func:`~splitmerge.engine.map_blocks`, the
-engine's own partition of the paths, drawing from one ``PROBE``
-generator per block, and sum the counts in block order.
+result at any worker count, and a nan argument fails its checks.  The
+engine-driven ones read only the engine's result (``max_n``, or the
+events it collects).  The two probes count hits per block of
+:func:`~splitmerge.engine.map_blocks`, the engine's own partition of the
+paths, drawing from one ``PROBE`` generator per block, and sum the
+counts in block order.
 """
 
 from __future__ import annotations
@@ -107,11 +108,13 @@ def split_before_clock_bound(
     bounded by twice the exponential ratio.  At lam = 0 the bound is 2
     (vacuous: with no clock the threshold is eventually hit).
     """
+    if not 0.0 <= mu1 <= 1.0:
+        raise ValueError("mu1 must be a weight in [0, 1]")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if sigma_bar <= 0.0:
+    if not sigma_bar > 0.0:
         raise ValueError("sigma_bar must be positive")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
     base = max(mu1, 0.5) / (1.0 - delta)
     return 2.0 * base ** (math.sqrt(lam) / sigma_bar)
@@ -126,13 +129,13 @@ def rbm_hit_before_exp(x: float, y: float, sigma_bar: float, lam: float) -> floa
     cosh(y sqrt(lam)/sigma_bar)``.  Evaluated in exponential-ratio form
     so large arguments cannot overflow.
     """
-    if y <= 0.0:
+    if not y > 0.0:
         raise ValueError("y must be positive")
     if not 0.0 <= x:
         raise ValueError("x must be nonnegative")
-    if sigma_bar <= 0.0:
+    if not sigma_bar > 0.0:
         raise ValueError("sigma_bar must be positive")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
     if x >= y:
         return 1.0
@@ -159,18 +162,18 @@ def estimate_split_before_clock(
     """Measure P(split before clock) by simulating the pure diffusion.
 
     Races the market diffusion (no events applied) against an
-    independent Exp(lam) clock drawn up front per path.  A path is a
-    hit when the top weight first reaches ``1 - delta`` at a step
-    boundary no later than the step during which the clock rings; ties
-    go to the split, matching the engine's boundary semantics.  With
-    ``lam == 0`` a ``max_steps`` horizon is required and unresolved
+    independent Exp(lam) clock drawn up front per path, as a float step
+    count.  A path is a hit when the top weight first reaches ``1 - delta``
+    at a step boundary no later than the step during which the clock
+    rings; ties go to the split, matching the engine's boundary semantics.
+    With ``lam == 0`` a ``max_steps`` horizon is required and unresolved
     paths count as misses.  ``workers`` processes share the blocks.
     """
     params.require_valid()
     caps0 = np.asarray(initial_caps, dtype=np.float64)
     for problem in caps_problems(caps0, params.n_max):  # raise the first
         raise ValueError(problem)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0 and max_steps is None:
         raise ValueError("lam == 0 requires max_steps")
@@ -186,17 +189,16 @@ def _race_hits(
     seed: int, max_steps: int | None, start: int, stop: int,
 ) -> int:
     """Split-race hits among paths ``start .. stop - 1``, one block, which
-    draws from its own ``PROBE`` generator."""
+    draws from its own ``PROBE`` generator.  Clock steps stay floats (``inf``
+    with no clock): an int64 cast wraps 2**63 steps or more negative."""
     m = stop - start
     n = len(caps0)
     dt = params.dt
     thr = 1.0 - params.delta
     gen = path_generator(seed, start // CHUNK, PROBE)
+    eta_steps = np.full(m, np.inf)  # no clock
     if lam > 0.0:
-        eta = gen.exponential(scale=1.0 / lam, size=m)
-        eta_steps = np.ceil(eta / dt).astype(np.int64)
-    else:
-        eta_steps = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
+        eta_steps = np.ceil(gen.exponential(scale=1.0 / lam, size=m) / dt)
     # company-major, as in the batch engine: caps[k, p]; a resolved path's
     # column is dropped, with its clock
     caps = np.repeat(caps0[:, None], m, axis=1)
@@ -242,9 +244,9 @@ def simulate_rbm_hit(
     """
     if not 0.0 <= x < y:
         raise ValueError("need 0 <= x < y")
-    if sigma_bar <= 0.0 or dt <= 0.0:
+    if not (sigma_bar > 0.0 and dt > 0.0):
         raise ValueError("sigma_bar and dt must be positive")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -290,14 +292,19 @@ def double_jump_alpha1(delta: float, delta0: float, sigma_bar: float) -> float:
     The log-distance from the worst post-split top weight up to the
     split threshold, in units of the volatility bound.
     """
+    floor = _post_split_floor(delta, delta0, sigma_bar)
+    return (math.log(1.0 - delta) - math.log(floor)) / sigma_bar
+
+
+def _post_split_floor(delta: float, delta0: float, sigma_bar: float) -> float:
+    """``(1 - delta0) v 1/2``, once both double-jump forms' arguments check."""
     if not 0.0 < delta < 1.0 or not 0.0 < delta0 < 1.0:
         raise ValueError("delta and delta0 must lie in (0, 1)")
     if delta0 <= delta:
         raise ValueError("delta0 must exceed delta")
-    if sigma_bar <= 0.0:
+    if not sigma_bar > 0.0:
         raise ValueError("sigma_bar must be positive")
-    floor = max(1.0 - delta0, 0.5)
-    return (math.log(1.0 - delta) - math.log(floor)) / sigma_bar
+    return max(1.0 - delta0, 0.5)
 
 
 def double_jump_bound(
@@ -306,7 +313,7 @@ def double_jump_bound(
     """p_N = 2 exp(-alpha_1 sqrt(lam_N)): bound on a split racing the
     clock from a freshly split state (top weight <= 1 - delta0)."""
     a1 = double_jump_alpha1(delta, delta0, sigma_bar)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
     return 2.0 * math.exp(-a1 * math.sqrt(lam))
 
@@ -315,10 +322,11 @@ def double_jump_bound_ratio_form(
     delta: float, delta0: float, sigma_bar: float, lam: float
 ) -> float:
     """Same bound written as the lemma's ratio power; must agree with
-    :func:`double_jump_bound` to roundoff (an algebraic identity)."""
-    if lam < 0.0:
+    :func:`double_jump_bound` to roundoff (an algebraic identity), and
+    rejects the same arguments."""
+    floor = _post_split_floor(delta, delta0, sigma_bar)
+    if not lam >= 0.0:
         raise ValueError("lam must be nonnegative")
-    floor = max(1.0 - delta0, 0.5)
     return 2.0 * (floor / (1.0 - delta)) ** (math.sqrt(lam) / sigma_bar)
 
 
@@ -430,7 +438,7 @@ def _double_jump_block(
 
 def rate_function(s: float) -> float:
     """H(s) = s - 1 - log s, the Poisson Chernoff exponent (H(1) = 0)."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError("s must be positive")
     return s - 1.0 - math.log(s)
 
@@ -472,11 +480,11 @@ def explosion_bound_terms(
         raise ValueError("L must be at least 2")
     if 2 * L > params.n_max:
         raise ValueError("2L exceeds n_max; the doubling event is truncated")
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("T must be positive")
     lam_low = min(clock_rate(n, params) for n in range(L + 1, 2 * L))
     lam_high = max(clock_rate(n, params) for n in range(3, 2 * L))
-    if u <= max(L, T * lam_high):
+    if not u > max(L, T * lam_high):
         raise ValueError(
             f"u must exceed max(L, T*lam_high) = {max(L, T * lam_high)!r}"
         )

@@ -128,9 +128,9 @@ bit the ``max(x_i/C)`` that :func:`~splitmerge.events.detect_split`
 compares.  A flagged path therefore always splits, and a path that does
 not split keeps its clock.  :func:`_resolve_boundary` builds the rule
 weights it transfers from the caps it is given.  The top weight after a
-boundary is recorded by each engine's loop, as ``max(x)/C``
-(:func:`_mu_top` in the scalar engine), and one :func:`_series_row`
-formats the series rows of both.
+boundary, ``max(x)/C``, is measured once: by the batch step, or else by
+the resolver's last pass, which returns it.  One :func:`_series_row`
+formats the series rows of both engines.
 
 A valid run has one definition as well, :meth:`EngineRun.validate`:
 ``run_paths`` calls it, ``reference_path`` calls it on the run of its
@@ -409,18 +409,20 @@ def _resolve_boundary(
     rules: Sequence[PortfolioRule],
     instr: Instrumentation,
     emit: Callable[[EventRecord], None] | None,
-) -> tuple[list[float], bool, bool]:
+) -> tuple[list[float], bool, bool, float]:
     """Resolve all events at one step boundary.
 
-    ``caps`` is a list of Python floats.  Returns ``(caps, exploded,
-    had_event)``.  Each pass picks one event: a split while the top weight
-    is at or above the threshold, else one merger (real or suppressed) if
-    the clock rang and no split fired at this boundary.  Every event is
-    counted and logged by one sequence, which also audits the total cap
-    and each rule's transferred weights of a split or a real merger, and
-    stops a path that reaches ``n_max``.  The rule weights are built here
-    from ``caps``, so every transfer is audited on the weights the rule
-    itself gives.
+    ``caps`` is a list of fewer than ``n_max`` Python floats.  Returns
+    ``(caps, exploded, had_event, mu)``, ``mu`` being ``max(x)/C`` of the
+    returned caps as the last pass measured it; it comes last so that
+    ``had_event`` stays at index 2, where a tracing wrapper reads it.
+    Each pass measures, stops a path that an event brought to ``n_max``,
+    and picks one event: a split while the top weight is at or above the
+    threshold, else one merger (real or suppressed) if the clock rang and
+    no split fired at this boundary.  Every event is counted and logged by
+    one sequence, which also audits the total cap and each rule's
+    transferred weights (built here from ``caps``) of a split or a real
+    merger.
     """
     pis = [rl.weights(caps) for rl in rules]
     thr = 1.0 - params.delta
@@ -430,10 +432,13 @@ def _resolve_boundary(
         # detect_split's test, bit for bit: max(x)/C is max(x_k/C)
         c = total_cap(caps)
         x = max(caps)
-        if x / c >= thr:
+        mu = x / c
+        if len(caps) >= params.n_max:
+            return caps, True, True, mu
+        if mu >= thr:
             i = caps.index(x)
             instr.max_overshoot = max(
-                instr.max_overshoot, float(np.log(x / c) - np.log1p(-params.delta))
+                instr.max_overshoot, float(np.log(mu) - np.log1p(-params.delta))
             )
             split_fired = True
             j, xi = None, draw_split_fraction(params, ev_gen)
@@ -449,7 +454,7 @@ def _resolve_boundary(
                 kind, new_caps = "merger", apply_merger(caps, i, j)
                 instr.mergers += 1
         else:
-            break
+            return caps, False, split_fired or rang, mu
         if kind != "suppressed_merger":
             instr.max_conservation = max(
                 instr.max_conservation, _conservation_err(caps, new_caps)
@@ -472,18 +477,6 @@ def _resolve_boundary(
         # merger (under delta < 1/6 a merged non-top pair never reaches
         # it); a suppressed merger moved nothing, so that pass stops
         caps = new_caps
-        if len(caps) >= params.n_max:
-            return caps, True, True
-    return caps, False, split_fired or rang
-
-
-def _mu_top(caps: Sequence[float]) -> float:
-    """Top market weight as max(caps)/total, the total a left-to-right sum.
-
-    This is the exact expression the batch engine evaluates per step, so
-    the scalar engine uses it too wherever the value is recorded.
-    """
-    return float(max(caps) / total_cap(caps))
 
 
 def _series_row(
@@ -545,7 +538,7 @@ def reference_path(
 
     # entry resolution: a concentrated initial market splits at t = 0+;
     # events are resolved on lists, the diffusion runs on arrays
-    caps_l, exploded, split_fired = _resolve_boundary(
+    caps_l, exploded, split_fired, mu = _resolve_boundary(
         caps.tolist(), 0.0, path, params, ev_gen, False, rules, instr,
         events.append,
     )
@@ -554,7 +547,7 @@ def reference_path(
     if exploded:
         status = 1
     elif split_fired:
-        instr.max_sample_weight = max(instr.max_sample_weight, _mu_top(caps))
+        instr.max_sample_weight = max(instr.max_sample_weight, mu)
 
     def _row(step: int) -> str:
         if series_cols is None:
@@ -562,7 +555,7 @@ def reference_path(
         else:
             vm, vp = v[series_cols[0]], v[series_cols[1]]
         z = np.exp(np.float64(gs.log_z))
-        return _series_row(path, step * dt, len(caps), _mu_top(caps), vm, vp, z)
+        return _series_row(path, step * dt, len(caps), mu, vm, vp, z)
 
     if stride > 0 and status == 0:
         series.append(_row(0))
@@ -598,7 +591,7 @@ def reference_path(
             status = 2
             break
 
-        caps_l, exploded, _ = _resolve_boundary(
+        caps_l, exploded, _, mu = _resolve_boundary(
             caps.tolist(), t, path, params, ev_gen, ring, rules, instr,
             events.append,
         )
@@ -607,7 +600,7 @@ def reference_path(
         if exploded:
             status = 1
             break
-        instr.max_sample_weight = max(instr.max_sample_weight, _mu_top(caps))
+        instr.max_sample_weight = max(instr.max_sample_weight, mu)
         if stride > 0 and (step % stride == 0 or step == last):
             series.append(_row(step))
 
@@ -900,7 +893,7 @@ def _run_chunk(
             egens[p] = g
         return g
 
-    def _fail(p: int, code: int) -> None:
+    def _fail(p, code: int) -> None:  # p: a path, or a mask of paths
         status[p] = code
         act[p] = False
         npos[p] = 0
@@ -921,14 +914,14 @@ def _run_chunk(
             paths.tolist(), cols, n_arr[paths].tolist(), ring[paths].tolist()
         ):
             del caps_p[n_p:]
-            caps_p, exploded, _ = _resolve_boundary(
+            caps_p, exploded, _, mu_p = _resolve_boundary(
                 caps_p, t, start + p, params, _ev_gen(p), rang, rules, instr,
                 emit,
             )
             if exploded:
                 _fail(p, 1)
             done.append(caps_p)
-            mu.append(_mu_top(caps_p))
+            mu.append(mu_p)
         n_new = np.array([len(c) for c in done])
         if n_new.max() > len(caps):
             caps = np.vstack([caps, np.zeros((n_new.max() - len(caps), p_cnt))])
@@ -1054,10 +1047,8 @@ def _run_chunk(
         cap_out = underflow | (x_max == np.inf)
         broke = act & ~cap_out & ~(v > 0.0).all(axis=0)
         bad = act & ~broke & (cap_out | ~(np.isfinite(c_tot) & (c_tot > 0.0)))
-        for p in np.nonzero(broke)[0]:
-            _fail(p, 3)
-        for p in np.nonzero(bad)[0]:
-            _fail(p, 2)
+        _fail(broke, 3)
+        _fail(bad, 2)
 
         # detect_split's own test, bit for bit (see "Boundary semantics")
         mu1 = x_max / c_tot    # nan on failed paths; masked by `act`

@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .config import RunConfig, RunSettings
 from .engine import CHUNK, SERIES_HEADER, EngineResult, EngineRun, run_paths
-from .events import EventRecord
+from .events import EventRecord, clock_rate
 from .params import ModelParams, RankTable, SplitDist
 from .portfolio import PortfolioRule
 from .streams import ALGORITHM_ID
@@ -287,7 +287,7 @@ def check_double_jump(seed: int, paths: int, workers: int = 1) -> CheckRow:
     total_segments = sum(s.segments for s in stats.values())
     total_censored = sum(s.censored for s in stats.values())
     for n, st in sorted(stats.items()):
-        lam = params.clock_c * n**params.clock_alpha
+        lam = clock_rate(n, params)
         p_n = double_jump_bound(params.delta, params.delta0, sigma_bar, lam)
         if not p_n < 0.5:
             passed = False

@@ -201,6 +201,17 @@ class TestSplitRaceEstimator:
         assert est.phat <= bound + 3.0 * est.se
         assert est.phat < 0.2
 
+    @pytest.mark.parametrize("lam", [1e-17, 1e-300])
+    def test_clock_past_int64_steps_never_rings(self, lam):
+        # eta / dt is 2**63 steps or more: cast to int64 it wrapped to a
+        # negative step, and every path was scored a miss at step 1
+        params = make_params(delta=0.16)
+        est = estimate_split_before_clock(
+            params, np.array([1.0, 1.0]), lam=lam, n_paths=400, seed=31,
+            max_steps=8000,
+        )
+        assert est.phat >= 0.97
+
     def test_lam_zero_needs_horizon(self):
         with pytest.raises(ValueError):
             estimate_split_before_clock(
@@ -312,6 +323,33 @@ class TestDoubleJumpBound:
             double_jump_alpha1(0.3, 0.2, 1.0)  # delta0 must exceed delta
         with pytest.raises(ValueError):
             double_jump_bound(0.1, 0.5, 1.0, -1.0)
+
+
+def _nan_cases():
+    """Each bound and probe with one float argument set to nan."""
+    params = make_params()
+    caps0 = np.array([1.0, 1.0])
+    calls = [
+        (split_before_clock_bound, (0.5, 0.1, 1.0, 4.0), (0, 1, 2, 3)),
+        (rbm_hit_before_exp, (0.2, 1.0, 1.0, 4.0), (0, 1, 2, 3)),
+        (double_jump_bound, (0.1, 0.5, 1.0, 4.0), (0, 1, 2, 3)),
+        (double_jump_bound_ratio_form, (0.1, 0.5, 1.0, 4.0), (0, 1, 2, 3)),
+        (rate_function, (2.0,), (0,)),
+        (simulate_rbm_hit, (0.2, 1.0, 1.0, 4.0, 10, 1e-3, 0), (0, 1, 2, 3, 5)),
+        (estimate_split_before_clock, (params, caps0, 4.0, 10, 0, 50), (2,)),
+        (explosion_bound_terms, (4, 1e4, 1.0, params), (1, 2)),
+    ]
+    for fn, args, slots in calls:
+        for k in slots:
+            bad = list(args)
+            bad[k] = math.nan
+            yield pytest.param(fn, bad, id=f"{fn.__name__}-{k}")
+
+
+@pytest.mark.parametrize("fn, args", _nan_cases())
+def test_nan_argument_is_rejected(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 class TestDoubleJumpScore:

@@ -38,7 +38,7 @@ from splitmerge.engine import (
     run_paths,
     twin_mismatches,
 )
-from splitmerge.dynamics import market_weights
+from splitmerge.dynamics import market_weights, total_cap
 from splitmerge.events import apply_merger, apply_split, detect_split
 from splitmerge.girsanov import theta_row
 from splitmerge.harness import SHARED_RULES, active_initial, active_params
@@ -541,11 +541,11 @@ class TestEventSequence:
         caps = [0.34, 0.33, 0.33]
         instr = Instrumentation()
         records = []
-        out, exploded, had_event = _resolve_boundary(
+        out, exploded, had_event, mu = _resolve_boundary(
             list(caps), 0.25, 7, params, path_generator(3, 7, EVENTS), True,
             RULES, instr, records.append,
         )
-        assert (out, exploded, had_event) == (caps, False, True)
+        assert (out, exploded, had_event, mu) == (caps, False, True, 0.34)
         assert [r.to_json() for r in records] == [
             '{"path": 7, "t": 0.25, "kind": "suppressed_merger", "i": 2, '
             '"j": 3, "xi": null, "n_before": 3, "n_after": 3}'
@@ -559,7 +559,7 @@ class TestEventSequence:
         params = make_params(eps0=0.01)
         instr = Instrumentation()
         records = []
-        out, exploded, had_event = _resolve_boundary(
+        out, exploded, had_event, mu = _resolve_boundary(
             [1000.0, 1.0, 1.0], 0.0, 0, params, path_generator(5, 0, EVENTS),
             False, RULES, instr, records.append,
         )
@@ -570,7 +570,7 @@ class TestEventSequence:
         ]
         assert instr.splits == len(records)
         assert (exploded, had_event, len(out)) == (False, True, 3 + len(records))
-        assert engine._mu_top(out) < 1.0 - params.delta
+        assert mu < 1.0 - params.delta
 
 
 @st.composite
@@ -578,7 +578,8 @@ def boundaries(draw):
     """A boundary for the resolver: 3 to 12 positive caps at one magnitude,
     subnormal to near overflow, whole multiples of it (every pair sums
     exactly) or not, with a top heavy enough to split or not; all five
-    rule kinds; a delta, eps0 and seed."""
+    rule kinds; a delta, eps0, n_max (one or two past the count, or 64)
+    and seed."""
     n = draw(st.integers(3, 12))
     scale = 2.0 ** draw(st.integers(-1070, 990))
     if draw(st.booleans()):
@@ -592,6 +593,7 @@ def boundaries(draw):
     params = make_params(
         delta=draw(st.sampled_from([0.02, 0.1, 0.16])),
         eps0=draw(st.sampled_from([0.01, 0.3, 4.0 / 9.0])),
+        n_max=draw(st.sampled_from([n + 1, n + 2, 64])),
     )
     rules = (
         PortfolioRule("cash"), PortfolioRule("market"), PortfolioRule("equal"),
@@ -604,7 +606,9 @@ def boundaries(draw):
 class TestAuditReplay:
     """The resolver's audit maxima equal, by ``repr``, those of a replay
     of its records that takes every ``math.fsum``, and each split is at
-    the company ``detect_split`` picks."""
+    the company ``detect_split`` picks.  The top weight it returns is
+    ``max/total`` of the caps it returns, by ``repr``, and it stops a
+    path exactly when the count reaches ``n_max``."""
 
     @settings(max_examples=300, deadline=None)
     @given(boundaries())
@@ -615,11 +619,15 @@ class TestAuditReplay:
     # a split, then no merger
     @example(([40.0, 1.0, 2.0], make_params(eps0=0.01), (
         PortfolioRule("market"), PortfolioRule("equal")), 5, True))
+    # a cascade that n_max = 4 stops after one split, at a top weight
+    # still above the threshold
+    @example(([1000.0, 1.0, 1.0], make_params(eps0=0.01, n_max=4), (
+        PortfolioRule("market"), PortfolioRule("rank", 0)), 5, True))
     def test_maxima_equal_a_full_replay(self, boundary):
         caps, params, rules, seed, rang = boundary
         instr = Instrumentation()
         records = []
-        out, _, _ = _resolve_boundary(
+        out, exploded, _, mu = _resolve_boundary(
             list(caps), 0.5, 0, params, path_generator(seed, 0, EVENTS), rang,
             rules, instr, records.append,
         )
@@ -642,6 +650,8 @@ class TestAuditReplay:
                 transfer = max(transfer, engine._transfer_err(pi, pi_after))
             caps, pis = after, pis_after
         assert out == caps
+        assert repr(mu) == repr(max(out) / total_cap(out))
+        assert exploded == (len(out) >= params.n_max)
         assert repr(instr.max_conservation) == repr(conservation)
         assert repr(instr.max_transfer) == repr(transfer)
 
