@@ -30,10 +30,11 @@ minimal valid file is empty::
     stride = 0             ; 0 = no CSV series
     portfolio = market     ; cash | market | equal | rank:K | name:K (1-based)
 
-A section or key not listed above is an error, so a misspelt key is
-reported rather than silently left at its default.  All problems are
-collected and reported together in a single :class:`ConfigError`
-rather than one at a time.
+The file is UTF-8 INI.  Values are literal, with no ``%`` interpolation,
+so a ``%`` fails its key's own check.  A section or key not listed above
+is an error, so a misspelt key is reported rather than silently left at
+its default.  All problems are collected and reported together in a
+single :class:`ConfigError` rather than one at a time.
 
 This module only parses.  A key left out takes the default of the
 dataclass it fills (:class:`~splitmerge.params.ModelParams`,
@@ -201,17 +202,26 @@ def load_config(
 
     ``overrides`` maps section -> key -> text; each value replaces the
     file's before parsing, so it passes the same checks.  A file that
-    cannot be opened is a :class:`ConfigError` naming it.
+    cannot be opened, or parsed as UTF-8 INI, is a :class:`ConfigError`
+    naming it.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None
+    )
     if path is not None:
         try:
-            fh = open(path)
+            fh = open(path, encoding="utf-8")
         except OSError as exc:
             raise ConfigError(
                 [f"cannot read config file {path!r}: {exc.strerror}"]
             ) from exc
         with fh:
-            cp.read_file(fh)
+            try:
+                cp.read_file(fh)
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                detail = " ".join(line.strip() for line in str(exc).splitlines())
+                raise ConfigError(
+                    [f"cannot parse config file {path!r}: {detail}"]
+                ) from exc
     cp.read_dict(overrides or {})
     return parse_config(cp)

@@ -118,6 +118,14 @@ Boundary semantics at each step boundary, in order:
    (status 1), mirroring the theoretical possibility of explosion in
    the number of companies.
 
+Both engines run one loop over the boundaries ``step = 0 .. last``.
+Each iteration resolves the boundary at ``t = step * dt`` (steps 3-5),
+records the top weight, writes the series row, stops at ``last`` and
+otherwise diffuses (steps 1-2) into the next boundary.  Step 0 is the
+entry boundary, where a starting market at or above the threshold
+splits before any diffusion: its clock is silent, so no merger fires
+there, and its top weight is sampled only if it split.
+
 Each of these decisions has one definition.  The batch engine flags a
 path for resolution, at entry and after every step, with the resolver's
 own split test, ``max(x)/C >= 1 - delta``, which is exact rather than a
@@ -348,31 +356,21 @@ def _rank_slot(caps: np.ndarray, k: int) -> np.ndarray:
 # instrumentation
 
 
+@dataclass(slots=True)
 class Instrumentation:
     """Running extremes and counts accumulated over a set of paths."""
 
-    __slots__ = (
-        "splits",
-        "mergers",
-        "suppressed",
-        "max_overshoot",
-        "max_sample_weight",
-        "max_conservation",
-        "max_transfer",
-    )
-
-    def __init__(self) -> None:
-        self.splits = 0
-        self.mergers = 0
-        self.suppressed = 0
-        # max over splits of log(w_top) - log(1 - delta) at detection
-        self.max_overshoot = 0.0
-        # max over all sampled boundaries (post-event) of the top weight
-        self.max_sample_weight = 0.0
-        # max over events of |sum_after - sum_before| / ulp(sum_before)
-        self.max_conservation = 0.0
-        # max over events and rules of |sum pi' - sum pi|
-        self.max_transfer = 0.0
+    splits: int = 0
+    mergers: int = 0
+    suppressed: int = 0
+    # max over splits of log(w_top) - log(1 - delta) at detection
+    max_overshoot: float = 0.0
+    # max over all sampled boundaries (post-event) of the top weight
+    max_sample_weight: float = 0.0
+    # max over events of |sum_after - sum_before| / ulp(sum_before)
+    max_conservation: float = 0.0
+    # max over events and rules of |sum pi' - sum pi|
+    max_transfer: float = 0.0
 
     def merge(self, other: "Instrumentation") -> None:
         self.splits += other.splits
@@ -536,32 +534,32 @@ def reference_path(
     max_n = len(caps)
     series: list[str] = []
 
-    # entry resolution: a concentrated initial market splits at t = 0+;
-    # events are resolved on lists, the diffusion runs on arrays
-    caps_l, exploded, split_fired, mu = _resolve_boundary(
-        caps.tolist(), 0.0, path, params, ev_gen, False, rules, instr,
-        events.append,
-    )
-    caps = np.array(caps_l)
-    max_n = max(max_n, len(caps))
-    if exploded:
-        status = 1
-    elif split_fired:
-        instr.max_sample_weight = max(instr.max_sample_weight, mu)
-
-    def _row(step: int) -> str:
-        if series_cols is None:
-            vm, vp = 1.0, 1.0
-        else:
-            vm, vp = v[series_cols[0]], v[series_cols[1]]
-        z = np.exp(np.float64(gs.log_z))
-        return _series_row(path, step * dt, len(caps), mu, vm, vp, z)
-
-    if stride > 0 and status == 0:
-        series.append(_row(0))
-
+    # step 0 is the entry boundary, whose clock is silent
     step = 0
-    while step < last and status == 0:
+    ring = False
+    while True:
+        t = step * dt
+        # events are resolved on lists, the diffusion runs on arrays
+        caps_l, exploded, had_event, mu = _resolve_boundary(
+            caps.tolist(), t, path, params, ev_gen, ring, rules, instr,
+            events.append,
+        )
+        caps = np.array(caps_l)
+        max_n = max(max_n, len(caps))
+        if exploded:
+            status = 1
+            break
+        # the entry boundary is sampled only if it split
+        if step or had_event:
+            instr.max_sample_weight = max(instr.max_sample_weight, mu)
+        if stride > 0 and (step % stride == 0 or step == last):
+            vm, vp = (1.0, 1.0) if series_cols is None else v[list(series_cols)]
+            series.append(_series_row(
+                path, t, len(caps), mu, vm, vp, np.exp(np.float64(gs.log_z))
+            ))
+        if step == last:
+            break
+
         n = len(caps)
         # the rules are functions of the current caps; rebalance happens
         # every step, so weights are recomputed rather than carried
@@ -573,7 +571,6 @@ def reference_path(
             status = 2
             break
         step += 1
-        t = step * dt
         u = float(clock.random())
         ring = u < tables.pstep[n]
 
@@ -590,19 +587,6 @@ def reference_path(
         if not np.isfinite(c_now) or not c_now > 0.0:
             status = 2
             break
-
-        caps_l, exploded, _, mu = _resolve_boundary(
-            caps.tolist(), t, path, params, ev_gen, ring, rules, instr,
-            events.append,
-        )
-        caps = np.array(caps_l)
-        max_n = max(max_n, len(caps))
-        if exploded:
-            status = 1
-            break
-        instr.max_sample_weight = max(instr.max_sample_weight, mu)
-        if stride > 0 and (step % stride == 0 or step == last):
-            series.append(_row(step))
 
     return {
         "caps": caps,
@@ -901,7 +885,8 @@ def _run_chunk(
     def _resolve_paths(
         paths: np.ndarray, ring: np.ndarray, t: float
     ) -> list[float]:
-        """Resolve the boundary of each path in ``paths``, in order.
+        """Resolve the boundary at ``t`` of each path in ``paths``, in
+        order, the entry boundary (``t = 0``, no clock rang) included.
 
         The columns are read into lists in one batch and written back in
         one block.  Returns each path's top weight after the boundary.
@@ -931,13 +916,6 @@ def _run_chunk(
         max_n[paths] = np.maximum(max_n[paths], n_new)
         return mu
 
-    def _record_top(mu1: np.ndarray) -> None:
-        """Fold the top weight of every alive path into the record."""
-        if act.any():
-            instr.max_sample_weight = max(
-                instr.max_sample_weight, float(mu1[act].max())
-            )
-
     ar_rows = np.arange(p_cnt)
     # a `rank k` or `name k` rule reads row k whatever the paths' counts
     k_floor = max((rl.k + 1 for rl in rules if rl.kind in ("rank", "name")), default=0)
@@ -945,36 +923,43 @@ def _run_chunk(
     def _alive(x, other):  # `x` on alive paths, `other` on the rest
         return x if all_act else np.where(act, x, other)
 
-    # entry resolution at t = 0, flagged by the step's own split test (see
-    # "Boundary semantics"); every path starts from the same caps, so one
-    # column decides, and each path still draws its own xi
-    mu1 = caps.max(axis=0) / _col_sum(caps)
-    if mu1[0] >= 1.0 - params.delta:
-        mu1[:] = _resolve_paths(ar_rows, np.zeros(p_cnt, dtype=bool), 0.0)
-        _record_top(mu1)
-
     # flat views: noise cell (p, i) is element p * nw + i
     ths_flat = tables.ths.reshape(-1)
     nflat = nbuf.reshape(-1)
     noise_row = ar_rows * nw
 
-    def _series_rows(step: int) -> None:
-        t = float(step * dt)
-        zz = np.exp(-m_acc - 0.5 * qv_acc)
-        # the market and portfolio value columns: two rules' wealth, or 1.0
-        cols = run.series_cols
-        vm, vp = np.ones((2, p_cnt)) if cols is None else v[list(cols)]
-        for p in range(p_cnt):
-            if status[p] == 0:
-                series.append(
-                    _series_row(start + p, t, n_arr[p], mu1[p], vm[p], vp[p], zz[p])
-                )
-
-    if run.stride > 0:
-        _series_rows(0)
-
+    # step 0 is the entry boundary, flagged by the step's own split test
+    # (see "Boundary semantics"), whose clock is silent
+    mu1 = caps.max(axis=0) / _col_sum(caps)
+    split_flag = mu1 >= 1.0 - params.delta
+    ring = np.zeros(p_cnt, dtype=bool)
     step = 0
-    while step < last:
+    while True:
+        t = float(step * dt)
+        todo = np.nonzero(split_flag | ring)[0]
+        if todo.size:
+            # caps changed on those paths (a path that exploded is
+            # failed, so its value is never read)
+            mu1[todo] = _resolve_paths(todo, ring, t)
+        # the top weight of every alive path; the entry boundary is
+        # sampled only where it split
+        sampled = act if step else act & split_flag
+        if sampled.any():
+            instr.max_sample_weight = max(
+                instr.max_sample_weight, float(mu1[sampled].max())
+            )
+        if run.stride > 0 and (step % run.stride == 0 or step == last):
+            zz = np.exp(-m_acc - 0.5 * qv_acc)
+            # the market and portfolio value columns: two rules' wealth, or 1.0
+            cols = run.series_cols
+            vm, vp = np.ones((2, p_cnt)) if cols is None else v[list(cols)]
+            series += [
+                _series_row(start + p, t, n_arr[p], mu1[p], vm[p], vp[p], zz[p])
+                for p in np.nonzero(status == 0)[0].tolist()
+            ]
+        if step == last:
+            break
+
         all_act = act.all()
         if not all_act and not act.any():
             break
@@ -1013,7 +998,6 @@ def _run_chunk(
         underflow = (pos & ~(new_caps > 0.0)).any(axis=0)
 
         step += 1
-        t = float(step * dt)
 
         # wealth updates off the diffusion returns (pre-event weights)
         if n_rules:
@@ -1058,16 +1042,6 @@ def _run_chunk(
         u = ubuf[upos]
         upos += 1
         ring = act & ~split_flag & (u < tables.pstep[n_arr])
-
-        todo = np.nonzero(split_flag | ring)[0]
-        if todo.size:
-            # caps changed on those paths (a path that exploded is
-            # failed, so its value is never read)
-            mu1[todo] = _resolve_paths(todo, ring, t)
-        _record_top(mu1)
-
-        if run.stride > 0 and (step % run.stride == 0 or step == last):
-            _series_rows(step)
 
     return EngineResult(
         final_wealth=v, final_log_z=-m_acc - 0.5 * qv_acc, final_qv=qv_acc,

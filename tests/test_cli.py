@@ -214,6 +214,38 @@ class TestFlags:
         assert rc == 2
         assert problem in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, flags, problems",
+        [
+            (b"delta = 0.1\n", [],
+             ["cannot parse", "File contains no section headers"]),
+            (b"[model]\ndelta = 0.1\ndelta = 0.2\n", [],
+             ["cannot parse", "option 'delta' in section 'model' already exists"]),
+            (b"[model]\n[run]\n[model]\n", [],
+             ["cannot parse", "section 'model' already exists"]),
+            (b"[model]\n  stray\n", [],
+             ["cannot parse", "Source contains parsing errors"]),
+            (b"[model]\ndelta = 0.1\xff\n", [],
+             ["cannot parse", "can't decode byte 0xff"]),
+            # values are literal: a % fails the key's own check
+            (b"[model]\ntheta_mode = growth%\n", [], ["got 'growth%'"]),
+            (b"[model]\ntheta_mode = %(nope)s\n", [], ["got '%(nope)s'"]),
+            (b"", ["--paths", "a%b"], ["[run] paths = 'a%b'"]),
+        ],
+    )
+    def test_malformed_config_exits_two_naming_the_problem(
+        self, text, flags, problems, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(text)
+        assert main(["simulate", "--config", str(cfg), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        for problem in problems:
+            assert problem in err
+        if problems[0] == "cannot parse":
+            assert f"cannot parse config file {str(cfg)!r}" in err
+
     def test_beta_law_the_sampler_cannot_serve_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,

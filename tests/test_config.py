@@ -1,5 +1,7 @@
 """INI config loading: defaults, overrides, and collected problems."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from splitmerge.config import (
     load_config,
     parse_rule,
 )
+from splitmerge.harness import active_initial, active_params
+from splitmerge.portfolio import PortfolioRule
 
 
 def load_text(tmp_path, text):
@@ -244,11 +248,20 @@ class TestProblems:
         assert cfg.run.horizon == 0.7
 
 
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+
 class TestShippedConfig:
     def test_default_cfg_parses_and_validates(self):
-        from pathlib import Path
-
-        shipped = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
-        cfg = load_config(str(shipped))
+        cfg = load_config(str(SHIPPED))
         cfg.params.require_valid()
         assert cfg.run.paths > 0
+
+    def test_default_cfg_is_the_verify_scenario(self):
+        # the scenario of the verification checks, and check_workers' run
+        cfg = load_config(str(SHIPPED))
+        assert cfg.params == active_params()
+        assert cfg.initial_caps.tolist() == active_initial().tolist()
+        assert cfg.run.horizon == 0.5
+        assert cfg.run.stride == 100
+        assert cfg.run.portfolio == PortfolioRule("equal")

@@ -1157,6 +1157,24 @@ class TestSeries:
         assert float(row[4]) == 1.0 and float(row[6]) == 1.0
 
 
+class TestEntrySampling:
+    def test_entry_boundary_is_sampled_only_if_it_split(self):
+        # a start below the threshold whose top weight only falls: drift
+        # rises with rank, the volatility is tiny and no clock rings
+        run = EngineRun(
+            params=make_params(
+                drift=RankTable(0.0, 1.0), vol=RankTable(1e-6, 0.0), clock_c=0.0
+            ),
+            initial_caps=np.array([8.4, 0.8, 0.8]), horizon=0.01, n_paths=3,
+            seed=2, stride=1,
+        )
+        res = twin_run(run)
+        rows = [row.split(",") for row in res.series]
+        later = [float(row[3]) for row in rows if float(row[1]) > 0.0]
+        assert len(later) == 30
+        assert res.instr.max_sample_weight == max(later) < 0.84
+
+
 def _loop_sum(a):
     """The left-to-right accumulation the column sum must reproduce."""
     acc = np.zeros(a.shape[1])
