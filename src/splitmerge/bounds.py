@@ -471,7 +471,8 @@ def explosion_bound_terms(
         sigma2 = exp(-u * H(T lam_high / u)),
 
     valid when ``u`` exceeds both ``L`` and ``T lam_high`` (so the
-    argument of H lies in (0, 1)).  Everything is computed in logs via
+    argument of H lies in (0, 1)).  A silent clock (``clock_c = 0``) has
+    ``sigma2 = 0``.  Everything is computed in logs via
     ``lgamma``, and the sum is ``log_total``; exponentiation is left to
     the caller.
     """
@@ -496,8 +497,11 @@ def explosion_bound_terms(
         + (L - 1.0) * math.log(2.0)
         - a1 * (L - 1.0) * math.sqrt(lam_low)
     )
-    s = T * lam_high / u
-    log_sigma2 = -u * rate_function(s)
+    if lam_high == 0.0:
+        # a silent clock: a Poisson count of rate 0 never exceeds u
+        log_sigma2 = -math.inf
+    else:
+        log_sigma2 = -u * rate_function(T * lam_high / u)
     return ExplosionBound(log_sigma1=log_sigma1, log_sigma2=log_sigma2)
 
 

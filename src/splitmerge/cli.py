@@ -60,9 +60,22 @@ def _load(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
+def _output_error(path: str, exc: OSError) -> int:
+    print(
+        f"cannot write output {exc.filename or path!r}: {exc.strerror or exc}",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    _, summary = simulate_run(cfg, out_dir=args.out)
+    try:
+        _, summary = simulate_run(cfg, out_dir=args.out)
+    except OSError as exc:
+        if args.out is None:
+            raise
+        return _output_error(args.out, exc)
     for key in sorted(summary):
         print(f"{key}: {summary[key]}")
     if args.out:
@@ -85,15 +98,24 @@ def _cmd_verify(args) -> int:
                 f"--seed must be below 2**64 - {top} for the selected checks, "
                 f"got {args.seed}"
             )
+        if args.out:
+            # made before the run, so a path that cannot be written fails
+            # before any check runs
+            open(args.out, "w").close()
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except OSError as exc:
+        return _output_error(args.out, exc)
     report = verify_all(args.seed, args.scale, args.workers, checks)
     text = report.render()
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _output_error(args.out, exc)
     return 0 if report.all_passed else 1
 
 

@@ -205,8 +205,9 @@ def load_config(
     cannot be opened, or parsed as UTF-8 INI, is a :class:`ConfigError`
     naming it.
     """
+    # no one-line header names the default section, so [DEFAULT] is unknown
     cp = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"), interpolation=None
+        inline_comment_prefixes=(";", "#"), interpolation=None, default_section="\n"
     )
     if path is not None:
         try:

@@ -133,12 +133,15 @@ filter: ``C`` is the resolver's left-to-right total (the padded +0.0
 slots leave a positive total unchanged), and a correctly rounded
 division by one positive ``C`` is monotone, so ``max(x)/C`` is bit for
 bit the ``max(x_i/C)`` that :func:`~splitmerge.events.detect_split`
-compares.  A flagged path therefore always splits, and a path that does
-not split keeps its clock.  :func:`_resolve_boundary` builds the rule
-weights it transfers from the caps it is given.  The top weight after a
-boundary, ``max(x)/C``, is measured once: by the batch step, or else by
-the resolver's last pass, which returns it.  One :func:`_series_row`
-formats the series rows of both engines.
+compares.  A flagged path therefore always splits.  In both engines the
+clock flag is the step's uniform alone, and the resolver alone gives a
+split precedence over the clock: it skips the merger once a split fired.
+:func:`_resolve_boundary` builds the rule weights it transfers from the
+caps it is given and renames them with the event functions that rename
+the caps.  The top weight after a boundary, ``max(x)/C``, is measured
+once: by the batch step, or else by the resolver's last pass, which
+returns it.  One :func:`_series_row` formats the series rows of both
+engines.
 
 A valid run has one definition as well, :meth:`EngineRun.validate`:
 ``run_paths`` calls it, ``reference_path`` calls it on the run of its
@@ -170,20 +173,14 @@ from .events import (
     EventRecord,
     apply_merger,
     apply_split,
-    clock_rate_row,
+    clock_rate,
     draw_split_fraction,
     merger_suppressed,
     sample_merger_pair,
 )
 from .girsanov import GirsanovState, accumulate, theta_row
 from .params import N_MAX_LIMIT, ModelParams
-from .portfolio import (
-    PortfolioRule,
-    WealthError,
-    transfer_on_merger,
-    transfer_on_split,
-    wealth_step,
-)
+from .portfolio import PortfolioRule, WealthError, wealth_step
 from .streams import CLOCK, EVENTS, NOISE, SEED_LIMIT, path_generator
 
 CHUNK = 4096        # paths per block; part of the determinism contract
@@ -210,6 +207,13 @@ CLOCK_BUF = 256
 PACKED_SORT_ROWS = 8
 
 SERIES_HEADER = "path,t,n,mu_1,v_market,v_pi,z"
+
+# Rules (A) and (B) of :mod:`splitmerge.portfolio`: the caps' renames
+# applied to the weights.  The resolver calls them under these names so
+# that the full trace of `perfbench/tracing.py` can rebind them and time
+# the weight transfers apart from the caps' `apply_merger`/`apply_split`.
+transfer_on_merger = apply_merger
+transfer_on_split = apply_split
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +264,8 @@ class StepTables:
         ths = th * sqdt
         # the padding adds +0.0 to sums of squares, which changes no sum
         qrow = _col_sum(np.ascontiguousarray(((th * th) * dt).T))
-        lam = clock_rate_row(params)
+        # lambda_N for N = 0..n_max, rows 0 and 1 padding
+        lam = np.array([0.0, 0.0] + [clock_rate(n, params) for n in range(2, n_max + 1)])
         pstep = -np.expm1(-lam * dt)
         return cls(gdt=gdt, ssq=ssq, ths=ths, qrow=qrow, pstep=pstep)
 
@@ -457,9 +462,10 @@ def _resolve_boundary(
             instr.max_conservation = max(
                 instr.max_conservation, _conservation_err(caps, new_caps)
             )
+            share = new_caps[-2] / caps[i] if j is None else None
             for r in range(len(rules)):
                 if j is None:
-                    pi_after = transfer_on_split(pis[r], i, caps, new_caps)
+                    pi_after = transfer_on_split(pis[r], i, share)
                 else:
                     pi_after = transfer_on_merger(pis[r], i, j)
                 instr.max_transfer = max(
@@ -1038,10 +1044,11 @@ def _run_chunk(
         mu1 = x_max / c_tot    # nan on failed paths; masked by `act`
         split_flag = act & (mu1 >= 1.0 - params.delta)
 
-        # a failed path's stale column is masked by `act`
+        # a failed path's stale column is masked by `act`; where the path
+        # also splits, the resolver skips the merger, as in the reference
         u = ubuf[upos]
         upos += 1
-        ring = act & ~split_flag & (u < tables.pstep[n_arr])
+        ring = act & (u < tables.pstep[n_arr])
 
     return EngineResult(
         final_wealth=v, final_log_z=-m_acc - 0.5 * qv_acc, final_qv=qv_acc,

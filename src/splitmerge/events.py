@@ -40,7 +40,6 @@ from .params import ModelParams
 __all__ = [
     "EventRecord",
     "clock_rate",
-    "clock_rate_row",
     "detect_split",
     "draw_split_fraction",
     "apply_split",
@@ -59,14 +58,6 @@ def clock_rate(n: int, params: ModelParams) -> float:
     if n == 2:
         return 0.0
     return params.clock_c * float(n) ** params.clock_alpha
-
-
-def clock_rate_row(params: ModelParams) -> np.ndarray:
-    """lambda_N for N = 0..n_max as an array (entries below N=3 are 0)."""
-    lam = np.zeros(params.n_max + 1, dtype=np.float64)
-    for n in range(3, params.n_max + 1):
-        lam[n] = clock_rate(n, params)
-    return lam
 
 
 class EventRecord(NamedTuple):

@@ -565,8 +565,11 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
 
     Returns the engine result and a summary dict.  The CSV series
     columns are (market portfolio, configured portfolio); the events
-    file holds one JSON object per line.
+    file holds one JSON object per line.  The output directory is made
+    before the run, so a path that cannot be one fails before any work.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     res = run_paths(cfg.engine_run(collect_events=out_dir is not None))
     summary = {
         "paths": cfg.run.paths,
@@ -587,7 +590,6 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
         else None,
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         if cfg.run.stride > 0:
             write_series_csv(os.path.join(out_dir, "series.csv"), res.series)
         write_events_jsonl(os.path.join(out_dir, "events.jsonl"), res.events)

@@ -1,4 +1,4 @@
-"""Portfolio rules, wealth updates, and event-time weight transfers.
+"""Portfolio rules and wealth updates.
 
 A rule maps the caps X_1..X_N to per-company investment proportions pi_1..pi_N
 (bounded by K_pi); pi_0 = 1 - sum(pi) sits in a zero-interest money market.
@@ -8,20 +8,18 @@ Between events wealth compounds discretely with realized cap returns,
 
 which makes the market portfolio identity V^mu = C(t)/C(0) telescope exactly
 up to rounding. Wealth never jumps at an event; instead the departing
-company's allocation moves to its successors, renamed exactly as the caps
-are (:func:`~splitmerge.events.apply_merger` and
-:func:`~splitmerge.events.apply_split` on the weights):
+company's allocation moves to its successors. Rules (A) and (B) are the
+event renames of the caps, :func:`~splitmerge.events.apply_merger` and
+:func:`~splitmerge.events.apply_split`, applied to the weights:
 
-  merger (A): the merged company inherits pi_i + pi_j;
-  split (B):  each child inherits pi_i scaled by its share of the parent cap,
-              the smaller piece taking the exact remainder so the total
-              allocation is conserved to the last bit.
+  merger (A): ``apply_merger(pi, i, j)``; the merged company inherits
+              pi_i + pi_j;
+  split (B):  ``apply_split(pi, i, X_child/X_i)``; the first child
+              inherits pi_i scaled by its share of the parent cap, the
+              second the exact remainder, so the total allocation is
+              conserved to the last bit.
 
 Rank-based rules inherit the lexicographic tie-breaking of the ranking.
-
-``PortfolioRule.weights(caps)`` and the transfers take sequences of
-Python floats (lists, where the engines resolve events) and return lists;
-:func:`wealth_step` takes arrays.
 """
 
 from __future__ import annotations
@@ -32,15 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import market_weights
-from .events import apply_merger, apply_split
 
 __all__ = [
     "PortfolioRule",
     "WealthError",
     "RULE_KINDS",
     "wealth_step",
-    "transfer_on_merger",
-    "transfer_on_split",
 ]
 
 RULE_KINDS = ("cash", "market", "equal", "rank", "name")
@@ -113,27 +108,3 @@ def wealth_step(v: float, pi: np.ndarray, returns: np.ndarray) -> float:
         )
     return float(out)
 
-
-def transfer_on_merger(pi: Sequence[float], i: int, j: int) -> list[float]:
-    """Rule (A): the merged company (appended) inherits pi_i + pi_j."""
-    return apply_merger(pi, i, j)
-
-
-def transfer_on_split(
-    pi: Sequence[float],
-    i: int,
-    caps_before: Sequence[float],
-    caps_after: Sequence[float],
-) -> list[float]:
-    """Rule (B): children inherit pi_i in proportion to their cap share.
-
-    The first child takes pi_i * X_child/X_parent, the second the exact
-    remainder (equal to its own cap share in exact arithmetic), so the total
-    allocation is conserved bit-exactly.
-    """
-    n = len(pi)
-    if not 0 <= i < n:
-        raise ValueError(f"split position {i} out of range for N={n}")
-    if len(caps_after) != n + 1:
-        raise ValueError("caps_after must hold one more company than pi")
-    return apply_split(pi, i, caps_after[n - 1] / caps_before[i])

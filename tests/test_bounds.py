@@ -460,6 +460,16 @@ class TestExplosionBound:
             rel=1e-12,
         )
 
+    def test_silent_clock_has_no_poisson_tail(self):
+        # clock_c = 0 (Assumption 5 allows it): a Poisson count of rate 0
+        # never exceeds u, so sigma2 = 0, and with lam_low = 0 the double
+        # jumps cost nothing: sigma1 = (3u)^L / L! * 2^(L-1) = 81 at L = 2
+        params = make_params(clock_c=0.0)
+        eb = explosion_bound_terms(2, 3.0, 0.5, params)
+        assert eb.log_sigma2 == -math.inf
+        assert eb.log_sigma1 == pytest.approx(math.log(81.0), rel=1e-12)
+        assert eb.log_total == eb.log_sigma1
+
     def test_decays_with_level_for_fast_clocks(self):
         # u = 8 L^2 dominates T * lam_high = (2L-1)^2 when alpha = 2
         params = make_params(clock_c=1.0, clock_alpha=2.0, n_max=64)

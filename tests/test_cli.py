@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from splitmerge import cli, harness
 from splitmerge.cli import main
 
 
@@ -91,6 +92,21 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--paths", "8"]) == 2
         assert "Assumption 5 violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", ["", "x"], ids=["a_file", "under_a_file"])
+    def test_out_that_cannot_be_a_directory_exits_two_before_running(
+        self, under, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            harness, "run_paths", lambda *a: pytest.fail("the engine ran")
+        )
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(taken / under) if under else str(taken)
+        assert main(["simulate", "--paths", "4", "--out", out]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert f"cannot write output {out!r}" in err
+
     def test_defaults_run_without_config(self, capsys):
         rc = main(["simulate", "--paths", "16", "--horizon", "0.02"])
         assert rc == 0
@@ -122,6 +138,16 @@ class TestVerify:
         assert "seed 11" in out.splitlines()[0]
         assert report_file.read_text().strip().endswith("ALL CHECKS PASSED")
 
+    def test_report_that_cannot_be_written_exits_two_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "verify_all", lambda *a: pytest.fail("checks ran"))
+        report = str(tmp_path / "missing" / "report.txt")
+        assert main(["verify", "--only", "diversity", "--out", report]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert f"cannot write output {report!r}: No such file" in err
+
 
 class TestBoundCheck:
     def test_identities_hold(self, capsys):
@@ -137,6 +163,19 @@ class TestBoundCheck:
         out = capsys.readouterr().out
         assert "N=3 lam=5.15378e+47: 0.000000\n" in out
         assert out.rstrip().endswith("identities hold")
+
+    def test_silent_clock_prints_every_row_and_fails_the_doubling_check(
+        self, tmp_path, capsys
+    ):
+        # clock_c = 0 is valid; with no clock the explosion bound has no
+        # Poisson tail and grows with L, so the identity check fails
+        cfg = write_cfg(tmp_path, "[model]\nclock_c = 0\n")
+        assert main(["bound-check", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines() if line.startswith("  L=")]
+        assert len(rows) == 3
+        assert all("log sigma2=-inf" in row for row in rows)
+        assert out.rstrip().endswith("identity check FAILED")
 
     def test_rate_that_overflows_at_the_wider_cap_exits_two(self, tmp_path, capsys):
         # 64**170 is finite, so the config is valid; bound-check evaluates
@@ -231,6 +270,11 @@ class TestFlags:
             (b"[model]\ntheta_mode = growth%\n", [], ["got 'growth%'"]),
             (b"[model]\ntheta_mode = %(nope)s\n", [], ["got '%(nope)s'"]),
             (b"", ["--paths", "a%b"], ["[run] paths = 'a%b'"]),
+            # [DEFAULT] is a section like any other: neither ignored nor
+            # copied into the others
+            (b"[DEFAULT]\ndelta = 0.5\n", [], ["unknown section [DEFAULT]"]),
+            (b"[DEFAULT]\ndelta = 0.5\n[run]\npaths = 8\n", [],
+             ["unknown section [DEFAULT]"]),
         ],
     )
     def test_malformed_config_exits_two_naming_the_problem(

@@ -43,7 +43,7 @@ from splitmerge.events import apply_merger, apply_split, detect_split
 from splitmerge.girsanov import theta_row
 from splitmerge.harness import SHARED_RULES, active_initial, active_params
 from splitmerge.params import ModelParams, RankTable, SplitDist
-from splitmerge.portfolio import PortfolioRule, transfer_on_merger, transfer_on_split
+from splitmerge.portfolio import PortfolioRule
 from splitmerge.streams import EVENTS, path_generator
 
 RULES = (
@@ -572,6 +572,40 @@ class TestEventSequence:
         assert (exploded, had_event, len(out)) == (False, True, 3 + len(records))
         assert mu < 1.0 - params.delta
 
+    def test_weight_transfers_run_through_the_traced_names(self, monkeypatch):
+        # perfbench's full trace times the weight transfers by rebinding
+        # these two names, so the resolver must call them once per rule
+        # and event, and call nothing else for the weights
+        assert engine.transfer_on_split is apply_split
+        assert engine.transfer_on_merger is apply_merger
+        calls = {"split": 0, "merger": 0}
+
+        def counting(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(engine, "transfer_on_split", counting("split", apply_split))
+        monkeypatch.setattr(
+            engine, "transfer_on_merger", counting("merger", apply_merger)
+        )
+        # a split with the clock rung (the split preempts the merger),
+        # then a merger
+        params = make_params(eps0=0.01)
+        records = []
+        for caps in ([40.0, 1.0, 2.0], [4.0, 3.0, 2.0, 1.0]):
+            _resolve_boundary(
+                caps, 0.5, 0, params, path_generator(5, 0, EVENTS), True,
+                RULES, Instrumentation(), records.append,
+            )
+        kinds = [r.kind for r in records]
+        assert kinds[0] == "split" and kinds[-1] == "merger"
+        assert calls == {
+            kind: len(RULES) * kinds.count(kind) for kind in ("split", "merger")
+        }
+        assert kinds.count("merger") == 1
+
 
 @st.composite
 def boundaries(draw):
@@ -639,10 +673,11 @@ class TestAuditReplay:
             if rec.kind == "split":
                 assert i == detect_split(market_weights(caps), params.delta)
                 after = apply_split(caps, i, rec.xi)
-                pis_after = [transfer_on_split(pi, i, caps, after) for pi in pis]
+                share = after[-2] / caps[i]
+                pis_after = [apply_split(pi, i, share) for pi in pis]
             elif rec.kind == "merger":
                 after = apply_merger(caps, i, rec.j - 1)
-                pis_after = [transfer_on_merger(pi, i, rec.j - 1) for pi in pis]
+                pis_after = [apply_merger(pi, i, rec.j - 1) for pi in pis]
             else:
                 continue
             conservation = max(conservation, engine._conservation_err(caps, after))

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from splitmerge.dynamics import market_weights
-from splitmerge.events import apply_split
-from splitmerge.portfolio import (
-    PortfolioRule,
-    WealthError,
-    transfer_on_merger,
-    transfer_on_split,
-    wealth_step,
-)
+from splitmerge.events import apply_merger, apply_split
+from splitmerge.portfolio import PortfolioRule, WealthError, wealth_step
 
 
 CAPS = [5.0, 1.0, 4.0]
@@ -74,14 +68,17 @@ class TestWealthStep:
 
 
 class TestTransfers:
+    """Rules (A) and (B): the caps' event renames applied to the weights,
+    a split's at the first child's cap share ``after[-2] / caps[i]``."""
+
     def test_merger_example(self):
         pi = [0.1, 0.2, 0.3, 0.4]
-        out = transfer_on_merger(pi, 1, 3)
+        out = apply_merger(pi, 1, 3)
         np.testing.assert_allclose(out, [0.1, 0.3, 0.6])
         assert abs(math.fsum(out) - math.fsum(pi)) <= 1e-15
 
     def test_merger_keeps_cash_zero(self):
-        out = transfer_on_merger([0.0] * 4, 0, 2)
+        out = apply_merger([0.0] * 4, 0, 2)
         assert out == [0.0, 0.0, 0.0]
 
     def test_split_example(self):
@@ -90,7 +87,7 @@ class TestTransfers:
         caps = [2.0, 5.0, 3.0]
         after = apply_split(caps, 1, 0.6)
         pi = [0.1, 0.3, 0.6]
-        out = transfer_on_split(pi, 1, caps, after)
+        out = apply_split(pi, 1, after[-2] / caps[1])
         np.testing.assert_allclose(out, [0.1, 0.6, 0.18, 0.12])
         assert abs(math.fsum(out) - math.fsum(pi)) <= 1e-15
 
@@ -101,7 +98,7 @@ class TestTransfers:
             pi = rng.uniform(-0.5, 0.5, size=4).tolist()
             xi = float(rng.uniform(0.5, 0.7))
             after = apply_split(caps, 2, xi)
-            out = transfer_on_split(pi, 2, caps, after)
+            out = apply_split(pi, 2, after[-2] / caps[2])
             # the two children together hold exactly the parent's weight
             assert out[3] + out[4] == pi[2]
 
@@ -112,23 +109,23 @@ class TestTransfers:
             mu = market_weights(caps)
             xi = float(rng.uniform(0.5, 0.7))
             after = apply_split(caps, 1, xi)
-            out = transfer_on_split(mu, 1, caps, after)
+            out = apply_split(mu, 1, after[-2] / caps[1])
             np.testing.assert_allclose(out, market_weights(after), rtol=1e-12)
 
     def test_split_then_merge_children_restores_pi(self):
         caps = [2.0, 5.0, 3.0]
         after = apply_split(caps, 1, 0.6)
         pi = [0.2, 0.5, 0.3]
-        spread = transfer_on_split(pi, 1, caps, after)
-        back = transfer_on_merger(spread, 2, 3)
+        spread = apply_split(pi, 1, after[-2] / caps[1])
+        back = apply_merger(spread, 2, 3)
         assert sorted(back) == sorted(pi)
 
     @pytest.mark.parametrize("i", [2, -1])
     def test_split_position_out_of_range_raises_before_indexing(self, i):
         with pytest.raises(ValueError, match="out of range"):
-            transfer_on_split([0.5, 0.5], i, [1.0, 1.0], [1.0, 0.5, 0.5])
+            apply_split([0.5, 0.5], i, 0.5)
 
     @pytest.mark.parametrize("i, j", [(1, 3), (-1, 1), (1, 1), (2, 1)])
     def test_merger_pair_out_of_range_raises(self, i, j):
         with pytest.raises(ValueError, match="bad merger pair"):
-            transfer_on_merger([0.2, 0.3, 0.5], i, j)
+            apply_merger([0.2, 0.3, 0.5], i, j)
