@@ -1363,3 +1363,16 @@ class TestTwinFuzz:
     @given(twin_runs())
     def test_engines_agree_at_length(self, run):
         self._check(run)
+
+    # a path's output does not depend on CHUNK, so blocks of 1-3 paths
+    # reach the joins of run_paths (the final_caps padding, the event and
+    # series lists, Instrumentation.merge) at a few paths; one example in
+    # eight runs its blocks on a pool of 2 workers
+    @settings(max_examples=100, deadline=None)
+    @given(
+        twin_runs(), st.integers(1, 3), st.integers(2, 6),
+        st.sampled_from([1] * 7 + [2]),
+    )
+    def test_engines_agree_across_blocks(self, run, chunk, n_paths, workers):
+        with mock.patch.object(engine, "CHUNK", chunk):
+            self._check(replace(run, n_paths=n_paths, workers=workers))
