@@ -43,6 +43,12 @@ the worker count can never change a single output byte; it only
 changes which process touches which block.  The split-race and walk
 probes of :mod:`splitmerge.bounds` count their hits on the same blocks.
 
+A block hands each stride step's series rows and each event record to
+a consumer as it makes them.  The default one collects them into the
+block's result, and ``run_paths`` joins the lists in block order; with
+a ``sink``, each block's own consumer takes them where the block runs
+(``simulate`` streams them to disk), and none goes back to the parent.
+
 Every sum over companies is the left-to-right accumulation
 ``((0 + x_1) + x_2) + ...`` in company order, in both engines.  The
 batch engine keeps a block's caps *company-major*: one C-contiguous
@@ -89,12 +95,15 @@ returned, the total cap and each rule's weights.
 Per step, an alive path draws from its streams as
 :mod:`splitmerge.streams` lists them, its clock uniform even on steps
 where a split preempts the merger clock; finished paths draw nothing.
-The batch engine buffers the noise and clock streams, and a block holds
-only what it reads.  Every path starts with an empty clock buffer and
-every alive path reads one uniform per step, so all alive paths sit at
-one shared position of a step-major ``(rows, paths)`` buffer.  When it
-runs out, each alive path draws ``min(CLOCK_BUF, steps left)``
-uniforms, a prefix of its stream, so nothing past the horizon is drawn.
+A silent clock (no ``pstep`` above 0.0) can never ring, so neither
+engine builds a ``CLOCK`` stream for it or draws from one.  The batch
+engine buffers the noise and clock streams, and a block holds only what
+it reads.  Every path starts with an empty clock row and every alive
+path reads one uniform per step, so all alive paths sit at one shared
+column of path-major ``(paths, CLOCK_BUF)`` rows, read a column a step.
+When it runs out, each alive path fills its row in place with
+``min(CLOCK_BUF, steps left)`` uniforms, a prefix of its stream, so
+nothing past the horizon is drawn.
 Noise rows are path-major, ``max(min(NOISE_STEPS * n0, N_MAX_LIMIT),
 n_max)`` cells for ``n0`` starting companies; a path's row is refilled,
 its unread values kept, when it holds fewer than the step reads.  A
@@ -195,10 +204,13 @@ CHUNK = 4096        # paths per block; part of the determinism contract
 # would hold 420 MB of noise.  (numpy 2.4, Python 3.11, shared 2-core VM.)
 NOISE_STEPS = 64
 # Buffered clock uniforms per path, at most the steps left to the horizon.
-# One 4096-path default.cfg block (500 steps, two refills) took a median
-# 1.48 s at 256 against 1.47 s at 64 and 1.34 s at 1024 over 7 rounds, inside
-# the spread; 256 rows hold 8.4 MB where 500 would hold 16.4 MB.
-CLOCK_BUF = 256
+# Clock CPU time of one 4096-path, 500-step default.cfg block, 3 rounds:
+# 43-74 ms for 256 step-major rows, 45-87 ms for 64 path-major cells, 36-42
+# ms for 128.  A refill costs about 1 us per path besides its draws, and a
+# path-major column read misses cache: event_heavy ran at 2072 paths/s with
+# 64 cells and 2205 with 128, against 2225 for 256 step-major rows (median
+# of 4 perfbench runs each).  128 cells hold 4.2 MB per 4096-path block.
+CLOCK_BUF = 128
 
 # Rows from which _rank_order packs its sort.  Packed time over argsort
 # time for 1024 paths (numpy 2.4, Python 3.11, shared 2-core VM): 2.3x at
@@ -527,7 +539,8 @@ def reference_path(
     if tables is None:
         tables = StepTables.build(params)
     noise = path_generator(seed, path, NOISE)
-    clock = path_generator(seed, path, CLOCK)
+    # a silent clock never rings: it builds no stream and draws nothing
+    clock = path_generator(seed, path, CLOCK) if tables.pstep.any() else None
     ev_gen = path_generator(seed, path, EVENTS)
     instr = Instrumentation()
     events: list[EventRecord] = []
@@ -577,8 +590,7 @@ def reference_path(
             status = 2
             break
         step += 1
-        u = float(clock.random())
-        ring = u < tables.pstep[n]
+        ring = clock is not None and float(clock.random()) < tables.pstep[n]
 
         r = new_caps / caps - 1.0
         try:
@@ -720,10 +732,11 @@ class EngineRun:
     ``rules`` are evaluated on every path in one pass.  ``stride > 0``
     collects CSV series rows every ``stride`` steps; ``series_cols``
     picks which two rules fill the market / portfolio value columns.
-    ``collect_events`` gathers every EventRecord into the result: block
-    by block, and within a block step by step in path order, so each
-    path's records are in time order and the list is the same at any
-    worker count.  Without it no record is built.
+    ``collect_events`` gathers every EventRecord into the result, or
+    hands it to the block's consumer: block by block, and within a block
+    step by step in path order, so each path's records are in time order
+    and the list is the same at any worker count.  Without it no record
+    is built.
     """
 
     params: ModelParams
@@ -834,9 +847,14 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
 # overflow and invalid warnings on them are noise (as in reference_path).
 @np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(
-    run: EngineRun, tables: StepTables, start: int, stop: int
+    run: EngineRun, tables: StepTables, start: int, stop: int, out=None
 ) -> EngineResult:
-    """Simulate paths ``start .. stop - 1``, one block of :func:`run_paths`."""
+    """Simulate paths ``start .. stop - 1``, one block of :func:`run_paths`.
+
+    ``out``, when given, is the block's consumer: ``out.rows(rows)`` takes
+    each stride step's series rows and ``out.event(rec)`` each record, as
+    the block makes them, and the result then holds neither.
+    """
     params = run.params
     rules = run.rules
     n_rules = len(rules)
@@ -857,7 +875,10 @@ def _run_chunk(
     qv_acc = np.zeros(p_cnt)
 
     ngens = [path_generator(run.seed, p, NOISE) for p in range(start, stop)]
-    cgens = [path_generator(run.seed, p, CLOCK) for p in range(start, stop)]
+    # a silent clock never rings: it builds no stream and draws nothing
+    clocked = bool(tables.pstep.any())
+    cgens = ([path_generator(run.seed, p, CLOCK) for p in range(start, stop)]
+             if clocked else [])
     egens: list[np.random.Generator | None] = [None] * p_cnt
     # one path-major noise row per path; no step reads more than n_max
     # cells of a row, so nw >= n_max cells always serve it.  Zeros, not
@@ -866,15 +887,19 @@ def _run_chunk(
     nw = max(min(NOISE_STEPS * n0, N_MAX_LIMIT), params.n_max)
     nbuf = np.zeros((p_cnt, nw))
     npos = np.full(p_cnt, nw, dtype=np.int64)
-    # clock rows are step-major: every alive path reads one uniform per
-    # step from an empty start, so one position `upos` serves them all
-    ubuf = np.zeros((min(CLOCK_BUF, last), p_cnt))
+    # path-major clock rows: every alive path reads one uniform per step
+    # from an empty start, so one column `upos` serves them all
+    ubuf = np.zeros((p_cnt, min(CLOCK_BUF, last) if clocked else 0))
     upos = urows = 0
 
     instr = Instrumentation()
-    events_list: list[EventRecord] = []
-    emit = events_list.append if run.collect_events else None
+    # the block's consumer; by default its rows and records join the result
     series: list[str] = []
+    events_list: list[EventRecord] = []
+    put_rows, put_event = (
+        (series.extend, events_list.append) if out is None else (out.rows, out.event)
+    )
+    emit = put_event if run.collect_events else None
 
     def _ev_gen(p: int) -> np.random.Generator:
         g = egens[p]
@@ -959,10 +984,10 @@ def _run_chunk(
             # the market and portfolio value columns: two rules' wealth, or 1.0
             cols = run.series_cols
             vm, vp = np.ones((2, p_cnt)) if cols is None else v[list(cols)]
-            series += [
+            put_rows([
                 _series_row(start + p, t, n_arr[p], mu1[p], vm[p], vp[p], zz[p])
                 for p in np.nonzero(status == 0)[0].tolist()
-            ]
+            ])
         if step == last:
             break
 
@@ -982,11 +1007,11 @@ def _run_chunk(
             row[:left] = row[pos:]
             ngens[p].standard_normal(out=row[left:])
         npos[need] = 0
-        if upos == urows:
+        if clocked and upos == urows:
             # a prefix of each stream: nothing past the horizon is drawn
             urows = min(CLOCK_BUF, last - step)
             for p in np.nonzero(act)[0].tolist():
-                ubuf[:urows, p] = cgens[p].random(urows)
+                cgens[p].random(out=ubuf[p, :urows])
             upos = 0
 
         z = nflat.take((noise_row + npos) + ar_k)
@@ -1044,11 +1069,11 @@ def _run_chunk(
         mu1 = x_max / c_tot    # nan on failed paths; masked by `act`
         split_flag = act & (mu1 >= 1.0 - params.delta)
 
-        # a failed path's stale column is masked by `act`; where the path
+        # a failed path's stale row is masked by `act`; where the path
         # also splits, the resolver skips the merger, as in the reference
-        u = ubuf[upos]
-        upos += 1
-        ring = act & (u < tables.pstep[n_arr])
+        if clocked:
+            ring = act & (ubuf[:, upos] < tables.pstep[n_arr])
+            upos += 1
 
     return EngineResult(
         final_wealth=v, final_log_z=-m_acc - 0.5 * qv_acc, final_qv=qv_acc,
@@ -1079,22 +1104,27 @@ def map_blocks(fn: Callable, n_paths: int, workers: int, *args) -> list:
     return list(map(fn, *fixed, starts, stops))
 
 
-def _run_block(run: EngineRun, tables: StepTables, start: int, stop: int):
+def _run_block(run: EngineRun, tables: StepTables, sink, start: int, stop: int):
     # the pool pickles this function by name, and it looks up the global
     # `_run_chunk` when called, which a tracer may rebind to a wrapper
-    return _run_chunk(run, tables, start, stop)
+    if sink is None:
+        return _run_chunk(run, tables, start, stop)
+    with sink(start, stop) as out:
+        return _run_chunk(run, tables, start, stop, out)
 
 
-def run_paths(run: EngineRun) -> EngineResult:
+def run_paths(run: EngineRun, sink: Callable | None = None) -> EngineResult:
     """Simulate ``run.n_paths`` paths and aggregate the results.
 
     Output is byte-identical for any ``workers`` value: the blocks of
     :func:`map_blocks` are fixed by :data:`CHUNK` and joined here in
-    order.
+    order.  A picklable ``sink(start, stop)`` opens a block's consumer
+    (a context manager, see :func:`_run_chunk`) in the process that runs
+    the block, and the result then holds no rows or records.
     """
     run.require_valid()
     tables = StepTables.build(run.params)
-    blocks = map_blocks(_run_block, run.n_paths, run.workers, run, tables)
+    blocks = map_blocks(_run_block, run.n_paths, run.workers, run, tables, sink)
     res, *rest = blocks
     if rest:
         for name in ("final_wealth", "final_log_z", "final_qv", "final_n",

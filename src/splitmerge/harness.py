@@ -11,6 +11,11 @@ numbers.  ``verify_all`` is the only reader of the plan: ``splitmerge
 verify`` and the acceptance tests (``verify_all(seed=11)`` at scale 1)
 both run it, so the command line and the test suite can never drift
 apart.
+
+:func:`simulate_run` runs ``splitmerge simulate``.  When it writes its
+files, each block streams its series rows and event records to part
+files as it makes them (:class:`BlockFiles`), and the parts are joined
+in block order, so the result it returns carries no rows or records.
 """
 
 from __future__ import annotations
@@ -19,10 +24,12 @@ import filecmp
 import json
 import math
 import os
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -86,17 +93,59 @@ class RunReport:
 # output writers
 
 
-def write_series_csv(path: str, series: list[str]) -> None:
+def write_series_csv(
+    path: str, series: Iterable[str] = (), parts: Iterable[str] = ()
+) -> None:
+    """The header, then the ``series`` rows, then each part file's bytes
+    in the order given."""
     with open(path, "w", newline="") as fh:
         fh.write(SERIES_HEADER + "\n")
         for row in series:
             fh.write(row + "\n")
+        _append(fh, parts)
 
 
-def write_events_jsonl(path: str, events: list[EventRecord]) -> None:
+def write_events_jsonl(
+    path: str, events: Iterable[EventRecord] = (), parts: Iterable[str] = ()
+) -> None:
+    """One JSON line per record of ``events``, then each part file's bytes
+    in the order given."""
     with open(path, "w", newline="") as fh:
         for rec in events:
             fh.write(rec.to_json() + "\n")
+        _append(fh, parts)
+
+
+def _append(fh, parts: Iterable[str]) -> None:
+    fh.flush()
+    for name in parts:
+        with open(name, "rb") as part:
+            shutil.copyfileobj(part, fh.buffer)
+
+
+class BlockFiles:
+    """The consumer of one block of :func:`run_paths` for ``simulate``:
+    the block's series rows and event records go to the part files
+    ``<start>.csv`` and ``<start>.jsonl`` in ``folder`` as the block makes
+    them.  The names sort in block order."""
+
+    def __init__(self, folder: str, start: int, stop: int) -> None:
+        name = os.path.join(folder, f"{start:019d}")
+        self._series = open(name + ".csv", "w", newline="")
+        self._events = open(name + ".jsonl", "w", newline="")
+
+    def rows(self, rows: list[str]) -> None:
+        self._series.writelines(row + "\n" for row in rows)
+
+    def event(self, rec: EventRecord) -> None:
+        self._events.write(rec.to_json() + "\n")
+
+    def __enter__(self) -> "BlockFiles":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._series.close()
+        self._events.close()
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +501,7 @@ def check_workers(seed: int, paths: int) -> CheckRow:
         and a.final_total.tobytes() == b.final_total.tobytes()
         and a.status.tobytes() == b.status.tobytes()
     )
-    n_events = len(a.events)
+    n_events = a.instr.splits + a.instr.mergers + a.instr.suppressed
     passed = all(same.values()) and same_arrays and n_events > 0
     return CheckRow(
         "workers",
@@ -567,10 +616,36 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
     columns are (market portfolio, configured portfolio); the events
     file holds one JSON object per line.  The output directory is made
     before the run, so a path that cannot be one fails before any work.
+    Each block streams its rows and records to part files in a folder
+    under ``out_dir`` (see :class:`BlockFiles`), which are joined in block
+    order and removed, also when the run fails, so memory stays at one
+    block's whatever the path count; the result then holds no rows or
+    records.  Without ``out_dir`` the run formats no rows (stride 0).
     """
-    if out_dir is not None:
+    if out_dir is None:
+        # nothing is written, so no series row is formatted
+        res = run_paths(replace(cfg, run=replace(cfg.run, stride=0)).engine_run())
+    else:
         os.makedirs(out_dir, exist_ok=True)
-    res = run_paths(cfg.engine_run(collect_events=out_dir is not None))
+        folder = tempfile.mkdtemp(prefix=".parts-", dir=out_dir)
+        try:
+            res = run_paths(
+                cfg.engine_run(collect_events=True), partial(BlockFiles, folder)
+            )
+            names = sorted(os.listdir(folder))
+            parts = {
+                ext: [os.path.join(folder, n) for n in names if n.endswith(ext)]
+                for ext in (".csv", ".jsonl")
+            }
+            if cfg.run.stride > 0:
+                write_series_csv(
+                    os.path.join(out_dir, "series.csv"), parts=parts[".csv"]
+                )
+            write_events_jsonl(
+                os.path.join(out_dir, "events.jsonl"), parts=parts[".jsonl"]
+            )
+        finally:
+            shutil.rmtree(folder)
     summary = {
         "paths": cfg.run.paths,
         "ok_paths": int(res.ok.sum()),
@@ -590,9 +665,6 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
         else None,
     }
     if out_dir is not None:
-        if cfg.run.stride > 0:
-            write_series_csv(os.path.join(out_dir, "series.csv"), res.series)
-        write_events_jsonl(os.path.join(out_dir, "events.jsonl"), res.events)
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -9,7 +9,8 @@ generators keyed directly:
 
 Stream ids:
     0  SDE noise: N standard normals per diffusion step
-    1  clock: exactly one uniform per diffusion step
+    1  clock: exactly one uniform per diffusion step, and no stream at
+       all for a silent clock (no step can ring), as nothing reads it
     2  event draws: split fractions and merger pairs, on demand
     3  auxiliary probes (closed-form estimators keep out of 0-2)
 

@@ -164,17 +164,30 @@ class TestBoundCheck:
         assert "N=3 lam=5.15378e+47: 0.000000\n" in out
         assert out.rstrip().endswith("identities hold")
 
-    def test_silent_clock_prints_every_row_and_fails_the_doubling_check(
+    def test_silent_clock_prints_every_row_and_skips_the_doubling_check(
         self, tmp_path, capsys
     ):
         # clock_c = 0 is valid; with no clock the explosion bound has no
-        # Poisson tail and grows with L, so the identity check fails
+        # Poisson tail and grows with L, which is no identity of the
+        # formulas, so the tightening check does not apply
         cfg = write_cfg(tmp_path, "[model]\nclock_c = 0\n")
-        assert main(["bound-check", "--config", cfg]) == 1
+        assert main(["bound-check", "--config", cfg]) == 0
         out = capsys.readouterr().out
         rows = [line for line in out.splitlines() if line.startswith("  L=")]
         assert len(rows) == 3
         assert all("log sigma2=-inf" in row for row in rows)
+        assert out.splitlines()[-2:] == [
+            "  silent clock: the check that the bound tightens with L "
+            "does not apply",
+            "identities hold",
+        ]
+
+    def test_running_clock_keeps_the_doubling_check(self, tmp_path, capsys):
+        # a slow clock leaves the bound growing with L: the check fails
+        cfg = write_cfg(tmp_path, "[model]\nclock_c = 1e-9\n")
+        assert main(["bound-check", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert "silent clock" not in out
         assert out.rstrip().endswith("identity check FAILED")
 
     def test_rate_that_overflows_at_the_wider_cap_exits_two(self, tmp_path, capsys):

@@ -44,7 +44,7 @@ from splitmerge.girsanov import theta_row
 from splitmerge.harness import SHARED_RULES, active_initial, active_params
 from splitmerge.params import ModelParams, RankTable, SplitDist
 from splitmerge.portfolio import PortfolioRule
-from splitmerge.streams import EVENTS, path_generator
+from splitmerge.streams import CLOCK, EVENTS, NOISE, path_generator
 
 RULES = (
     PortfolioRule("market"),
@@ -375,8 +375,9 @@ class TestBufferEdges:
         assert res.instr.mergers > 0
 
     def test_paths_fail_mid_run_while_others_refill(self, buffers):
-        # splits push paths to n_max = 10 (status 1) before and after the
-        # clock refill at step 256, while the others run to step 400
+        # splits push paths to n_max = 10 (status 1) before and after
+        # step 256, past several clock refills, while the others run to
+        # step 400
         params = make_params(
             drift=RankTable(-0.5, 1.0), vol=RankTable(6.0, -1.0),
             delta=0.16, eps0=0.01, clock_c=0.5, n_max=10,
@@ -807,6 +808,27 @@ def test_pool_has_no_more_workers_than_blocks(monkeypatch):
     assert spans == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 1)]
     assert engine.map_blocks(lambda a, b: b - a, 2 * CHUNK, 2) == [CHUNK] * 2
     assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("clock_c", [0.0, 2.0])
+def test_only_a_clock_that_can_ring_builds_its_stream(monkeypatch, clock_c):
+    built = []
+
+    def recording(seed, path, stream):
+        built.append(stream)
+        return path_generator(seed, path, stream)
+
+    monkeypatch.setattr(engine, "path_generator", recording)
+    run = EngineRun(
+        params=make_params(clock_c=clock_c), initial_caps=np.ones(4),
+        horizon=0.05, n_paths=3, seed=7, rules=RULES,
+    )
+    run_paths(run)
+    batch, built[:] = set(built), []
+    reference_path(run.params, run.initial_caps, run.horizon, run.seed, 0)
+    for streams in (batch, set(built)):
+        assert NOISE in streams
+        assert (CLOCK in streams) == (clock_c > 0.0)
 
 
 class TestFirstEvent:

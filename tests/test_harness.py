@@ -3,15 +3,18 @@
 import json
 import os
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from splitmerge import harness
+from splitmerge import engine, harness
 from splitmerge.bounds import TailEstimate
 from splitmerge.config import load_config
 from splitmerge.engine import CHUNK
 from splitmerge.events import EventRecord
+from splitmerge.engine import run_paths
 from splitmerge.harness import (
     SERIES_HEADER,
     CheckRow,
@@ -233,3 +236,65 @@ class TestSimulateRun:
             assert float(cells[4]) == 1.0
             assert float(cells[5]) == 1.0
             assert float(cells[6]) == 1.0
+
+    def test_out_holds_exactly_the_three_files(self, tmp_path):
+        out = tmp_path / "out"
+        simulate_run(self.cfg(tmp_path, "portfolio = equal\n"), str(out))
+        assert sorted(os.listdir(out)) == [
+            "events.jsonl", "series.csv", "summary.json"
+        ]
+
+    def test_summary_does_not_depend_on_the_output(self, tmp_path):
+        cfg = self.cfg(tmp_path, "portfolio = equal\n")
+        written, with_out = simulate_run(cfg, str(tmp_path / "out"))
+        bare, without = simulate_run(cfg, None)
+        assert with_out == without
+        assert bare.final_wealth.tobytes() == written.final_wealth.tobytes()
+        # nothing is written, so no row is formatted and no record built
+        assert bare.series == [] and bare.events == []
+        assert written.series == [] and written.events == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_files_join_the_blocks_in_order(self, tmp_path, monkeypatch, workers):
+        # 64 paths in blocks of 7: the files equal those written from the
+        # joined lists of one in-memory run
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        cfg = self.cfg(tmp_path, f"portfolio = equal\nworkers = {workers}\n")
+        simulate_run(cfg, str(tmp_path / "out"))
+        res = run_paths(cfg.engine_run(collect_events=True))
+        write_series_csv(str(tmp_path / "series.csv"), res.series)
+        write_events_jsonl(str(tmp_path / "events.jsonl"), res.events)
+        for name in ("series.csv", "events.jsonl"):
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == (tmp_path / name).read_bytes(), name
+
+    def test_a_failed_block_leaves_no_files(self, tmp_path, monkeypatch):
+        run_chunk = engine._run_chunk
+
+        def second_block_fails(run, tables, start, stop, out=None):
+            if start:
+                raise RuntimeError("block failed")
+            return run_chunk(run, tables, start, stop, out)
+
+        monkeypatch.setattr(engine, "CHUNK", 32)
+        monkeypatch.setattr(engine, "_run_chunk", second_block_fails)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="block failed"):
+            simulate_run(self.cfg(tmp_path), str(out))
+        assert os.listdir(out) == []
+
+    def test_memory_does_not_grow_with_the_blocks(self, tmp_path, monkeypatch):
+        # a row every step, in blocks of 32 paths: one block against eight,
+        # after a run that pays the first run's one-time allocations
+        monkeypatch.setattr(engine, "CHUNK", 32)
+        cfg = self.cfg(tmp_path)
+        peaks = []
+        for paths in (32, 32, 256):
+            c = replace(cfg, run=replace(cfg.run, paths=paths, stride=1))
+            tracemalloc.start()
+            try:
+                simulate_run(c, str(tmp_path / f"out{paths}"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 1.5 * peaks[1], peaks
