@@ -11,16 +11,29 @@ capitalization exactly.  See the README for the model assumptions and
 the verification criteria.
 """
 
-from .bounds import (
-    estimate_split_before_clock,
-    split_before_clock_bound,
-    tail_of_max_count,
-)
 from .engine import EngineResult, EngineRun, reference_path, run_paths
 from .params import ModelParams, RankTable, SplitDist
 from .portfolio import PortfolioRule
 
 __version__ = "1.0.0"
+
+# the probes of splitmerge.bounds, loaded on first use (PEP 562): a run
+# that reads none of them does not import the module
+_PROBES = (
+    "estimate_split_before_clock",
+    "split_before_clock_bound",
+    "tail_of_max_count",
+)
+
+
+def __getattr__(name: str):
+    if name not in _PROBES:
+        # `from splitmerge import bounds` then imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import bounds
+
+    return getattr(bounds, name)
+
 
 __all__ = [
     "EngineResult",

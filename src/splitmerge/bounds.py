@@ -142,10 +142,11 @@ def rbm_hit_before_exp(x: float, y: float, sigma_bar: float, lam: float) -> floa
     if lam == 0.0:
         return 1.0
     s = math.sqrt(lam) / sigma_bar
-    # cosh(xs)/cosh(ys) = exp((x-y)s) * (1 + exp(-2xs)) / (1 + exp(-2ys))
+    # cosh(xs)/cosh(ys) = exp((x-y)s) * (1 + exp(-2xs)) / (1 + exp(-2ys));
+    # at x = 0 the middle factor is 2 even where s overflows (0 * inf is nan)
     return (
         math.exp((x - y) * s)
-        * (1.0 + math.exp(-2.0 * x * s))
+        * (1.0 + math.exp(-2.0 * x * s) if x > 0.0 else 2.0)
         / (1.0 + math.exp(-2.0 * y * s))
     )
 
@@ -370,10 +371,11 @@ def score_double_jumps(
     must be in time order, as :attr:`EngineResult.events` holds them.
     """
     stats = {n: DoubleJumpStat(level=n) for n in DOUBLE_JUMP_LEVELS}
-    latest = {
-        n: horizon - DOUBLE_JUMP_MARGIN / clock_rate(n, params)
-        for n in DOUBLE_JUMP_LEVELS
-    }
+    latest = {}
+    for n in DOUBLE_JUMP_LEVELS:
+        lam = clock_rate(n, params)
+        # a silent clock races no split, so its level opens no segment
+        latest[n] = horizon - DOUBLE_JUMP_MARGIN / lam if lam > 0.0 else -math.inf
     open_level: dict[int, int] = {}  # path -> level of its open segment
     for rec in events:
         lvl = open_level.pop(rec.path, None)

@@ -169,7 +169,16 @@ def _cmd_bound_check(args) -> int:
         lam_high = max(clock_rate(n, eval_params) for n in range(3, 2 * L))
         silent = silent and lam_high == 0.0
         exp_pow = max(eval_params.clock_alpha, 1.0)
-        u = max(8.0 * L**exp_pow, 2.0 * math.ceil(horizon * lam_high))
+        try:
+            u = max(8.0 * L**exp_pow, 2.0 * math.ceil(horizon * lam_high))
+        except OverflowError:
+            # each factor is finite, but L**alpha (of a silent clock, whose
+            # alpha validation leaves free) or horizon * lambda is not
+            raise ConfigError([
+                f"bound-check at L = {L}: the event count u = max(8 L**alpha, "
+                f"2 ceil(horizon * lambda)) overflows, with alpha = {exp_pow:g} "
+                f"and horizon * lambda = {horizon:g} * {lam_high:g}"
+            ]) from None
         term = explosion_bound_terms(L, u, horizon, eval_params)
         lines.append(
             f"  L={L} u={u:g}: log sigma1={term.log_sigma1:.2f} "

@@ -171,7 +171,6 @@ return of exactly -1.0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -1098,6 +1097,10 @@ def map_blocks(fn: Callable, n_paths: int, workers: int, *args) -> list:
     stops = [min(a + CHUNK, n_paths) for a in starts]
     fixed = [[a] * len(starts) for a in args]
     if workers > 1 and len(starts) > 1:
+        # imported here, so that a process that runs no pool never loads
+        # the modules behind it (multiprocessing, logging, socket, ...)
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as ex:
             return list(ex.map(fn, *fixed, starts, stops))

@@ -55,7 +55,8 @@ def clock_rate(n: int, params: ModelParams) -> float:
     """Merger clock rate lambda_N: 0 for N = 2, c * N**alpha for N >= 3."""
     if n < 2:
         raise ValueError(f"no market with fewer than 2 companies, got N={n}")
-    if n == 2:
+    if n == 2 or params.clock_c == 0.0:
+        # a silent clock is silent at any alpha, even where N**alpha overflows
         return 0.0
     return params.clock_c * float(n) ** params.clock_alpha
 

@@ -135,6 +135,12 @@ class TestRbmHitFormula:
         q = rbm_hit_before_exp(0.0, 0.05, 1.0, 1e8)
         assert 0.0 < q < 1.0
 
+    @pytest.mark.parametrize("sigma_bar, lam", [(1e-310, 1.0), (1.0, math.inf)])
+    def test_overflowing_rate_from_origin_is_zero(self, sigma_bar, lam):
+        # sqrt(lam) / sigma_bar is inf: sech(y * inf) = 0, although the
+        # factor 1 + exp(-2 x s) at x = 0 holds 0 * inf
+        assert rbm_hit_before_exp(0.0, 1.0, sigma_bar, lam) == 0.0
+
     def test_monotone_in_start(self):
         ps = [rbm_hit_before_exp(x, 1.0, 1.0, 4.0) for x in (0.0, 0.3, 0.6, 0.9)]
         assert all(a < b for a, b in zip(ps, ps[1:]))
@@ -378,6 +384,18 @@ class TestDoubleJumpScore:
         assert stats.censored == 1
         assert stats.phat == pytest.approx(1.0 / 3.0)
         assert stats.se == pytest.approx(math.sqrt((1 / 3) * (2 / 3) / 3))
+
+    def test_silent_clock_opens_no_segment(self):
+        # lambda_N = 0: the latest entry time is -inf, not horizon - 10 / 0
+        params = make_params(clock_c=0.0)
+        events = [self.rec(0, 0.0, "split", 3), self.rec(0, 1.0, "split", 4)]
+        for st in score_double_jumps(events, 10.0, params).values():
+            assert (st.segments, st.doubles, st.censored) == (0, 0, 0)
+            assert math.isnan(st.phat)
+        stats = estimate_double_jump(
+            params, np.array([14.0, 0.5, 0.5]), horizon=0.2, n_paths=4, seed=41
+        )
+        assert all(st.segments == 0 for st in stats.values())
 
     def test_empty_stat_is_nan(self):
         st = DoubleJumpStat(level=5)

@@ -7,6 +7,7 @@ import pytest
 
 from splitmerge import cli, harness
 from splitmerge.cli import main
+from splitmerge.config import load_config
 
 
 def write_cfg(tmp_path, text):
@@ -200,6 +201,32 @@ class TestBoundCheck:
         assert (
             "bound-check evaluates at n_max = 80: Assumption 5 violated: "
             "clock rate c * N**alpha overflows at N = n_max = 80" in err
+        )
+
+    @pytest.mark.parametrize(
+        "text, alpha, product",
+        [
+            # horizon * lambda is not finite: it has no integer ceiling
+            ("[model]\nclock_c = 1e300\nclock_alpha = 1\n[run]\nhorizon = 1e10\n",
+             "1", "1e+10 * 1.9e+301"),
+            # a silent clock's alpha is free, and 10**1000 is not finite
+            ("[model]\nclock_c = 0\nclock_alpha = 1000\n", "1000", "1 * 0"),
+        ],
+    )
+    def test_event_count_that_overflows_exits_two(
+        self, text, alpha, product, tmp_path, capsys
+    ):
+        # the config is valid, but the event count u of the explosion
+        # bound at L = 10 overflows
+        cfg = write_cfg(tmp_path, text)
+        assert load_config(cfg).params.validate() == []
+        assert main(["bound-check", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (
+            "bound-check at L = 10: the event count u = max(8 L**alpha, "
+            "2 ceil(horizon * lambda)) overflows, with alpha = "
+            f"{alpha} and horizon * lambda = {product}" in err
         )
 
 

@@ -8,6 +8,7 @@ handling) follows from that plus the per-path stream derivation.
 """
 
 import ast
+import concurrent.futures
 import hashlib
 import math
 import re
@@ -42,7 +43,7 @@ from splitmerge.dynamics import market_weights, total_cap
 from splitmerge.events import apply_merger, apply_split, detect_split
 from splitmerge.girsanov import theta_row
 from splitmerge.harness import SHARED_RULES, active_initial, active_params
-from splitmerge.params import ModelParams, RankTable, SplitDist
+from splitmerge.params import N_MAX_LIMIT, ModelParams, RankTable, SplitDist
 from splitmerge.portfolio import PortfolioRule
 from splitmerge.streams import CLOCK, EVENTS, NOISE, path_generator
 
@@ -803,7 +804,8 @@ def test_pool_has_no_more_workers_than_blocks(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", Executor)
+    # map_blocks imports the pool when it runs one, reading the name here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
     spans = engine.map_blocks(lambda a, b: (a, b), 2 * CHUNK + 1, 500)
     assert spans == [(0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 1)]
     assert engine.map_blocks(lambda a, b: b - a, 2 * CHUNK, 2) == [CHUNK] * 2
@@ -975,18 +977,33 @@ def twin_runs(draw):
     # a drift of 2e4 moves a cap by e**20 in a step of 1e-3: caps overflow
     # or underflow, and long-only wealth falls to 0.0
     g = _sometimes(draw, 3.0, 2e4)
+    clock_c = draw(st.sampled_from([0.0, 0.5, 3.0, 40.0]))
+    clock_alpha = draw(st.floats(0.2, 3.0))
+    # c * n_max**alpha overflows from an exponent of about
+    # log(max float) / log(n_max) on: 250 at n_max = 17, 646 at n_max = 3
+    edge = math.log(np.finfo(np.float64).max) / math.log(n_max)
+    clock_c, clock_alpha = _sometimes(
+        draw, (clock_c, clock_alpha), draw(st.sampled_from([
+            (math.nan, clock_alpha), (clock_c, math.nan),
+            (clock_c, edge * draw(st.floats(0.99, 1.01))),
+        ]))
+    )
     params = ModelParams(
         drift=_table(draw, n_max, -g, g, (_sometimes(draw, 0.0, -0.5), 3.0)),
         vol=_table(draw, n_max, 0.05, 4.0, (-1.0, 3.0)),
         delta=draw(st.floats(0.001, _sometimes(draw, 1 / 6 - 1e-9, 0.2))),
         eps0=draw(st.floats(0.001, 0.5)),
-        split_dist=draw(st.sampled_from([
+        # Beta(1000, 1) puts enough mass below 1 - eps0 only for eps0
+        # below about 0.01
+        split_dist=_sometimes(draw, draw(st.sampled_from([
             SplitDist("uniform"), SplitDist("point"), SplitDist("beta", 2.0, 5.0),
             SplitDist("beta", 0.3, 0.3), SplitDist("beta", 40.0, 1.0),
-        ])),
-        clock_c=draw(st.sampled_from([0.0, 0.5, 3.0, 40.0])),
-        clock_alpha=draw(st.floats(0.2, 3.0)),
-        n_max=n_max,
+        ])), SplitDist("beta", 1000.0, 1.0)),
+        clock_c=clock_c,
+        clock_alpha=clock_alpha,
+        # the tables are drawn for n_max; a cap outside [3, N_MAX_LIMIT]
+        # is rejected before they are read
+        n_max=_sometimes(draw, n_max, draw(st.sampled_from([2, N_MAX_LIMIT + 1]))),
         dt=dt,
         theta_mode=draw(st.sampled_from(["martingale", "growth"])),
     )
@@ -1021,10 +1038,12 @@ def twin_runs(draw):
     return EngineRun(
         params=params, initial_caps=np.array(caps),
         horizon=steps * dt * _sometimes(draw, 1.0, 1.5),
-        n_paths=draw(st.integers(1, 4)),
+        n_paths=_sometimes(draw, draw(st.integers(1, 4)), draw(st.integers(-2, 0))),
         seed=_sometimes(draw, draw(st.integers(0, 2**64 - 1)), 2**64),
         rules=rules, stride=draw(st.integers(0, 12)), series_cols=cols,
         collect_events=draw(st.booleans()),
+        # pools are fuzzed across blocks, in TestTwinFuzz
+        workers=_sometimes(draw, 1, draw(st.integers(-2, 0))),
     )
 
 
@@ -1035,6 +1054,9 @@ class TestValidation:
         assume(run.validate() != [])
         with pytest.raises(ValueError):
             run_paths(run)
+        # the reference runs one path on no pool: it takes neither field
+        if replace(run, n_paths=1, workers=1).validate() == []:
+            return
         with pytest.raises(ValueError):
             reference_path(
                 run.params, run.initial_caps, run.horizon, run.seed, 0,
@@ -1375,6 +1397,11 @@ class TestTwinFuzz:
         rules=(PortfolioRule("market"), PortfolioRule("rank", 4),
                PortfolioRule("name", 4)),
         stride=30, series_cols=(0, 1), collect_events=True,
+    ))
+    # a silent clock whose N**alpha overflows: valid, and no merger
+    @example(EngineRun(
+        params=make_params(clock_c=0.0, clock_alpha=512.0, n_max=4),
+        initial_caps=np.array([1.0, 1.0]), horizon=0.001, n_paths=1, seed=0,
     ))
     @example(HAIR_BELOW)
     def test_engines_agree(self, run):

@@ -42,6 +42,12 @@ class TestClockRate:
         p = make_params(clock_c=0.0)
         assert all(clock_rate(n, p) == 0.0 for n in range(2, 10))
 
+    def test_zero_constant_is_silent_where_the_power_overflows(self):
+        # valid, since a silent clock leaves alpha free; 4**512 is no float
+        p = make_params(clock_c=0.0, clock_alpha=512.0, n_max=8)
+        assert p.validate() == []
+        assert all(clock_rate(n, p) == 0.0 for n in range(2, 9))
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             clock_rate(1, make_params())
