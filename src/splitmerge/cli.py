@@ -20,14 +20,6 @@ import dataclasses
 import math
 import sys
 
-from .bounds import (
-    double_jump_alpha1,
-    double_jump_bound,
-    double_jump_bound_ratio_form,
-    explosion_bound_terms,
-    rate_function,
-    split_before_clock_bound,
-)
 from .config import ConfigError, RunConfig, load_config
 from .events import clock_rate
 from .harness import ALL_CHECKS, select_checks, simulate_run, verify_all
@@ -120,6 +112,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
+    # imported here so that simulate, which never reads the closed-form
+    # bounds, does not load them
+    from .bounds import (
+        double_jump_alpha1,
+        double_jump_bound,
+        double_jump_bound_ratio_form,
+        explosion_bound_terms,
+        rate_function,
+        split_before_clock_bound,
+    )
     cfg = _load(args)
     params = cfg.params
     sig = params.sigma_range()[1]
@@ -172,8 +174,11 @@ def _cmd_bound_check(args) -> int:
         try:
             u = max(8.0 * L**exp_pow, 2.0 * math.ceil(horizon * lam_high))
         except OverflowError:
+            u = math.inf
+        if not math.isfinite(u):
             # each factor is finite, but L**alpha (of a silent clock, whose
-            # alpha validation leaves free) or horizon * lambda is not
+            # alpha validation leaves free), horizon * lambda or twice
+            # either is not: it overflows to inf or raises on the way
             raise ConfigError([
                 f"bound-check at L = {L}: the event count u = max(8 L**alpha, "
                 f"2 ceil(horizon * lambda)) overflows, with alpha = {exp_pow:g} "

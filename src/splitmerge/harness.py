@@ -33,17 +33,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .bounds import (
-    DoubleJumpStat,
-    TailEstimate,
-    double_jump_bound,
-    estimate_double_jump,
-    estimate_split_before_clock,
-    rbm_hit_before_exp,
-    simulate_rbm_hit,
-    split_before_clock_bound,
-    tail_of_max_count,
-)
 from .config import RunConfig, RunSettings
 from .engine import CHUNK, SERIES_HEADER, EngineResult, EngineRun, run_paths
 from .events import EventRecord, clock_rate
@@ -267,16 +256,18 @@ def check_market_identity(res: EngineResult) -> CheckRow:
 
 
 def check_split_race(seed: int, paths: int, workers: int = 1) -> CheckRow:
+    from . import bounds  # checks 5-8 load the probes; simulate never does
+
     caps0 = np.array([4.0, 1.0, 1.0, 1.0, 1.0])  # top weight exactly 1/2
     rows = []
     passed = True
     for delta in (0.10, 0.13, 0.16):
         params = replace(active_params(), delta=delta)
         for lam in (4.0, 9.0, 16.0):
-            est = estimate_split_before_clock(
+            est = bounds.estimate_split_before_clock(
                 params, caps0, lam, paths, seed, workers=workers
             )
-            bound = split_before_clock_bound(0.5, delta, 1.0, lam)
+            bound = bounds.split_before_clock_bound(0.5, delta, 1.0, lam)
             ok = est.phat <= bound + 3.0 * est.se
             passed = passed and ok
             rows.append(
@@ -291,6 +282,8 @@ def check_split_race(seed: int, paths: int, workers: int = 1) -> CheckRow:
 
 
 def check_rbm_oracle(seed: int, paths: int, workers: int = 1) -> CheckRow:
+    from . import bounds
+
     points = (
         (0.2, math.log(1.8), 1.0, 4.0),
         (0.0, math.log(2.0), 1.0, 9.0),
@@ -299,8 +292,8 @@ def check_rbm_oracle(seed: int, paths: int, workers: int = 1) -> CheckRow:
     rows = []
     passed = True
     for x, y, sig, lam in points:
-        formula = rbm_hit_before_exp(x, y, sig, lam)
-        est = simulate_rbm_hit(x, y, sig, lam, paths, 5e-4, seed, workers)
+        formula = bounds.rbm_hit_before_exp(x, y, sig, lam)
+        est = bounds.simulate_rbm_hit(x, y, sig, lam, paths, 5e-4, seed, workers)
         ok = abs(formula - est.phat) <= 3.0 * est.se
         passed = passed and ok
         rows.append(
@@ -315,6 +308,8 @@ def check_rbm_oracle(seed: int, paths: int, workers: int = 1) -> CheckRow:
 
 
 def check_double_jump(seed: int, paths: int, workers: int = 1) -> CheckRow:
+    from . import bounds
+
     params = active_params()
     horizon = 6.0
     # two complementary fluxes: a near-threshold 3-company start feeds the
@@ -325,11 +320,11 @@ def check_double_jump(seed: int, paths: int, workers: int = 1) -> CheckRow:
         (np.array([8.0, 1.0, 1.0]), horizon, seed),
         (np.array([9.0, 1.0, 1.0, 1.0]), horizon / 4.0, seed + 1),
     )
-    stats: dict[int, DoubleJumpStat] = {}
+    stats: dict[int, bounds.DoubleJumpStat] = {}
     for caps0, h, s in runs:
-        part = estimate_double_jump(params, caps0, h, paths, s, workers)
+        part = bounds.estimate_double_jump(params, caps0, h, paths, s, workers)
         for n, st in part.items():
-            stats.setdefault(n, DoubleJumpStat(level=n)).merge(st)
+            stats.setdefault(n, bounds.DoubleJumpStat(level=n)).merge(st)
     sigma_bar = params.sigma_range()[1]
     rows = []
     passed = True
@@ -337,7 +332,7 @@ def check_double_jump(seed: int, paths: int, workers: int = 1) -> CheckRow:
     total_censored = sum(s.censored for s in stats.values())
     for n, st in sorted(stats.items()):
         lam = clock_rate(n, params)
-        p_n = double_jump_bound(params.delta, params.delta0, sigma_bar, lam)
+        p_n = bounds.double_jump_bound(params.delta, params.delta0, sigma_bar, lam)
         if not p_n < 0.5:
             passed = False
             rows.append(f"N={n}: bound {p_n:.3f} not < 0.5")
@@ -365,12 +360,14 @@ def check_double_jump(seed: int, paths: int, workers: int = 1) -> CheckRow:
 
 
 def check_tail_monotone(seed: int, paths: int, workers: int = 1) -> CheckRow:
+    from . import bounds
+
     params = replace(active_params(), clock_c=1.0, clock_alpha=2.0)
     # concentrated start: the top weight reaches the threshold quickly, so
     # the upper levels get enough traffic for the confidence intervals on
     # adjacent grid points to separate
     caps0 = np.array([8.0, 1.0, 1.0])
-    curve = tail_of_max_count(
+    curve = bounds.tail_of_max_count(
         params, caps0, 1.0, paths, seed, (3, 4, 5, 6), workers=workers
     )
     ok, pairs = curve.monotone_on_disjoint_pairs()

@@ -204,27 +204,32 @@ class TestBoundCheck:
         )
 
     @pytest.mark.parametrize(
-        "text, alpha, product",
+        "text, L, alpha, product",
         [
             # horizon * lambda is not finite: it has no integer ceiling
             ("[model]\nclock_c = 1e300\nclock_alpha = 1\n[run]\nhorizon = 1e10\n",
-             "1", "1e+10 * 1.9e+301"),
+             10, "1", "1e+10 * 1.9e+301"),
             # a silent clock's alpha is free, and 10**1000 is not finite
-            ("[model]\nclock_c = 0\nclock_alpha = 1000\n", "1000", "1 * 0"),
+            ("[model]\nclock_c = 0\nclock_alpha = 1000\n", 10, "1000", "1 * 0"),
+            # horizon * lambda = 1.58e308 has a ceiling, but twice it is inf
+            ("[model]\nclock_c = 1e300\nclock_alpha = 1\n[run]\nhorizon = 2e6\n",
+             40, "1", "2e+06 * 7.9e+301"),
+            # 40**192.3 = 1.2e308 is finite, but 8 times it is inf
+            ("[model]\nclock_c = 0\nclock_alpha = 192.3\n", 40, "192.3", "1 * 0"),
         ],
     )
     def test_event_count_that_overflows_exits_two(
-        self, text, alpha, product, tmp_path, capsys
+        self, text, L, alpha, product, tmp_path, capsys
     ):
         # the config is valid, but the event count u of the explosion
-        # bound at L = 10 overflows
+        # bound at L overflows
         cfg = write_cfg(tmp_path, text)
         assert load_config(cfg).params.validate() == []
         assert main(["bound-check", "--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert (
-            "bound-check at L = 10: the event count u = max(8 L**alpha, "
+            f"bound-check at L = {L}: the event count u = max(8 L**alpha, "
             "2 ceil(horizon * lambda)) overflows, with alpha = "
             f"{alpha} and horizon * lambda = {product}" in err
         )

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitmerge import engine, harness
+from splitmerge import bounds, engine, harness
 from splitmerge.bounds import TailEstimate
 from splitmerge.config import load_config
 from splitmerge.engine import CHUNK
@@ -135,8 +135,9 @@ class TestProbeChecks:
             seen.append(("rbm", workers))
             return TailEstimate.from_counts(0, paths)
 
-        monkeypatch.setattr(harness, "estimate_split_before_clock", race)
-        monkeypatch.setattr(harness, "simulate_rbm_hit", rbm)
+        # the checks look the probes up on the bounds module at call time
+        monkeypatch.setattr(bounds, "estimate_split_before_clock", race)
+        monkeypatch.setattr(bounds, "simulate_rbm_hit", rbm)
         harness.check_split_race(13, paths=256, workers=2)
         harness.check_rbm_oracle(17, paths=256, workers=2)
         assert seen == [("race", 2)] * 9 + [("rbm", 2)] * 3

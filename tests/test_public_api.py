@@ -56,12 +56,16 @@ def test_all_matches_the_names_init_binds():
     assert len(set(splitmerge.__all__)) == len(splitmerge.__all__)
 
 
-def test_cold_start_loads_neither_the_pool_nor_the_probes():
+@pytest.mark.parametrize(
+    "modules", ["splitmerge.config, splitmerge.engine", "splitmerge.cli"]
+)
+def test_cold_start_loads_neither_the_pool_nor_the_probes(modules):
     # a run that uses them pays for them: the pool on a run of several
-    # blocks on several workers, splitmerge.bounds on a probe name
+    # blocks on several workers, splitmerge.bounds on a probe name, the
+    # bound-check command or a check that probes the bounds
     code = (
         "import sys\n"
-        "import splitmerge.config, splitmerge.engine\n"
+        f"import {modules}\n"
         "print(' '.join(sorted(sys.modules)))\n"
         "from splitmerge import tail_of_max_count\n"
         "from splitmerge import bounds\n"
