@@ -245,8 +245,8 @@ def simulate_rbm_hit(
     """
     if not 0.0 <= x < y:
         raise ValueError("need 0 <= x < y")
-    if not (sigma_bar > 0.0 and dt > 0.0):
-        raise ValueError("sigma_bar and dt must be positive")
+    if not (0.0 < sigma_bar < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("sigma_bar and dt must be positive and finite")
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     if n_paths < 1:

@@ -24,15 +24,9 @@ the tests and their fuzzer require the list to be empty.
 :func:`rank_step` is the one vectorized frozen-rank step, of the batch
 engine and the split-race probe (``euler_step`` is its scalar oracle,
 see :mod:`splitmerge.dynamics`).  It ranks only where the tables need
-it.  With rank-flat tables (:attr:`StepTables.flat`, as for
-``RankTable(a, 0)``) it gathers by slot, which reads the same floats,
-and returns ``order = None``; a ``rank k`` portfolio rule then finds its
-slot by ``k + 1`` first-maximum passes over the caps, which break ties
-as the stable sort does.  Otherwise a block of :data:`PACKED_SORT_ROWS`
-rows or more is ranked by one packed integer sort per path, exact for
-caps in [+0.0, +inf] except on ties and near-ties, where it falls back
-to the stable argsort that also ranks narrower blocks
-(:func:`_rank_order`).
+it (:attr:`StepTables.flat`), by one packed integer sort per path from
+:data:`PACKED_SORT_ROWS` rows up and by the stable argsort on narrower
+blocks, ties and near-ties (:func:`_rank_order`).
 
 Determinism contract
 --------------------
@@ -42,29 +36,25 @@ whatever ``workers`` is and returns the blocks' results in order, so
 the worker count can never change a single output byte; it only
 changes which process touches which block.  The split-race and walk
 probes of :mod:`splitmerge.bounds` count their hits on the same blocks.
-
-A block hands each stride step's series rows and each event record to
-a consumer as it makes them.  The default one collects them into the
-block's result, and ``run_paths`` joins the lists in block order; with
-a ``sink``, each block's own consumer takes them where the block runs
+A block hands its series rows and event records to a consumer as it
+makes them: by default its result, which ``run_paths`` joins in block
+order, or, with a ``sink``, its own consumer where the block runs
 (``simulate`` streams them to disk), and none goes back to the parent.
 
 Every sum over companies is the left-to-right accumulation
 ``((0 + x_1) + x_2) + ...`` in company order, in both engines.  The
 batch engine keeps a block's caps *company-major*: one C-contiguous
 ``(slots, paths)`` array, with company ``k`` of path ``p`` at ``[k, p]``
-and the slots past a path's company count held at exactly 0.0.  A sum
-over companies is then a reduction over axis 0, which numpy performs
-row by row, in the loop's order; :func:`_col_sum` runs the loop itself
-for a single path, which numpy would sum pairwise, and a test pins it
-byte for byte.  Each step drops the rows past the widest path's count,
-but not rows ``0..k`` that a ``rank k`` or ``name k`` rule reads; no
-value moves, as a dropped row holds 0.0, noise is consumed by count
-rather than by row, and a failed path keeps its count.  The array a
-block ends with is its result's ``final_caps``; :func:`run_paths` joins
-the blocks' arrays into one ``(rows, n_paths)`` array, padding the
-shorter ones with 0.0 rows, so ``final_caps[:final_n[p], p]`` are the
-caps of path ``p`` in order and the rest of its column is 0.0.
+and the slots past a path's company count held at exactly 0.0, so a sum
+over companies is a reduction over axis 0 (:func:`_col_sum`).  Each
+step drops the rows past the widest path's count, but not rows ``0..k``
+that a ``rank k`` or ``name k`` rule reads; no value moves, as a dropped
+row holds 0.0, noise is consumed by count rather than by row, and a
+failed path keeps its count.  The array a block ends with is its
+result's ``final_caps``; :func:`run_paths` joins the blocks' arrays into
+one ``(rows, n_paths)`` array, padding the shorter ones with 0.0 rows,
+so ``final_caps[:final_n[p], p]`` are the caps of path ``p`` in order
+and the rest of its column is 0.0.
 
 Events are resolved on lists of Python floats in both engines (see
 :mod:`splitmerge.events`), by the one resolver :func:`_resolve_boundary`, which
@@ -85,12 +75,12 @@ in the same order:
   audit ``np.spacing``.
 
 Each pass of the resolver takes one left-to-right total ``C`` and one
-``max(x)``, and a split fires when ``max(x)/C >= 1 - delta``, the batch
-engine's flag test below.  Its company is ``caps.index(max(x))``: a
-weight at or above ``1 - delta > 1/2`` is unique, so this is the company
-:func:`~splitmerge.events.detect_split` picks.  Every split and real
-merger is audited with ``math.fsum`` on the lists the event functions
-returned, the total cap and each rule's weights.
+``max(x)``, and a split fires when ``max(x)/C >= 1 - delta``, at
+``caps.index(max(x))``: a weight at or above ``1 - delta > 1/2`` is
+unique, so this is the company :func:`~splitmerge.events.detect_split`
+picks.  Every split and real merger is audited with ``math.fsum`` on
+the lists the event functions returned, the total cap and each rule's
+weights.
 
 Per step, an alive path draws from its streams as
 :mod:`splitmerge.streams` lists them, its clock uniform even on steps
@@ -112,45 +102,47 @@ The gather reads cells past a path's count, which zero coefficients
 cancel, so every cell is finite: rows start at 0.0, and a failed path's
 stale cells are never refilled.
 
-Boundary semantics at each step boundary, in order:
+Boundary semantics: both engines run one loop over the boundaries
+``step = 0 .. last``.  Each iteration of the batch engine calls these
+phases of a block (:class:`_Block`) in order; ``reference_path`` takes
+the same steps in one plain loop and draws as it goes.
 
-1. diffusion update with ranks frozen over the step;
-2. portfolio wealth and measure-change accumulators update off the
-   diffusion returns;
-3. split resolution: while the top weight is >= 1 - delta, the top
-   company splits (a cascade may fire several splits at one boundary);
-4. merger resolution: if the clock rang this step *and* no split fired
-   at this boundary, a uniformly drawn non-top pair merges (splits
-   take precedence on ties); a merger whose combined weight would
-   immediately re-trigger a split is suppressed and logged;
-5. a path whose company count reaches ``n_max`` is stopped and flagged
+1. ``resolve`` the boundary at ``t = step * dt``: while the top weight
+   is >= 1 - delta, the top company splits (a cascade may fire several
+   splits at one boundary); then, if the clock rang this step *and* no
+   split fired at this boundary, a uniformly drawn non-top pair merges
+   (splits take precedence on ties); a merger whose combined weight
+   would immediately re-trigger a split is suppressed and logged.  A
+   path whose company count reaches ``n_max`` is stopped and flagged
    (status 1), mirroring the theoretical possibility of explosion in
-   the number of companies.
+   the number of companies;
+2. ``record`` the top weight and the series row; stop at ``last``;
+3. ``refill`` the noise and clock buffers that cannot serve the step;
+4. ``diffuse`` with ranks frozen over the step;
+5. ``account`` for portfolio wealth and the measure-change accumulators
+   off the diffusion returns;
+6. ``check`` the status codes;
+7. ``flag`` the paths that split or whose clock rang.
 
-Both engines run one loop over the boundaries ``step = 0 .. last``.
-Each iteration resolves the boundary at ``t = step * dt`` (steps 3-5),
-records the top weight, writes the series row, stops at ``last`` and
-otherwise diffuses (steps 1-2) into the next boundary.  Step 0 is the
-entry boundary, where a starting market at or above the threshold
-splits before any diffusion: its clock is silent, so no merger fires
-there, and its top weight is sampled only if it split.
+Step 0 is the entry boundary, where a starting market at or above the
+threshold splits before any diffusion: its clock is silent, so no
+merger fires there, and its top weight is sampled only if it split.
 
 Each of these decisions has one definition.  The batch engine flags a
 path for resolution, at entry and after every step, with the resolver's
-own split test, ``max(x)/C >= 1 - delta``, which is exact rather than a
-filter: ``C`` is the resolver's left-to-right total (the padded +0.0
-slots leave a positive total unchanged), and a correctly rounded
-division by one positive ``C`` is monotone, so ``max(x)/C`` is bit for
-bit the ``max(x_i/C)`` that :func:`~splitmerge.events.detect_split`
-compares.  A flagged path therefore always splits.  In both engines the
-clock flag is the step's uniform alone, and the resolver alone gives a
-split precedence over the clock: it skips the merger once a split fired.
-:func:`_resolve_boundary` builds the rule weights it transfers from the
-caps it is given and renames them with the event functions that rename
-the caps.  The top weight after a boundary, ``max(x)/C``, is measured
-once: by the batch step, or else by the resolver's last pass, which
-returns it.  One :func:`_series_row` formats the series rows of both
-engines.
+own split test, which is exact rather than a filter: ``C`` is the
+resolver's left-to-right total (the padded +0.0 slots leave a positive
+total unchanged), and a correctly rounded division by one positive ``C``
+is monotone, so ``max(x)/C`` is bit for bit the ``max(x_i/C)`` that
+``detect_split`` compares.  A flagged path therefore always splits.  In
+both engines the clock flag is the step's uniform alone, and the
+resolver alone gives a split precedence over the clock: it skips the
+merger once a split fired.  :func:`_resolve_boundary` builds the rule
+weights it transfers from the caps it is given and renames them with the
+event functions that rename the caps.  The top weight after a boundary,
+``max(x)/C``, is measured once: by the batch step, or else by the
+resolver's last pass, which returns it.  One :func:`_series_row` formats
+the series rows of both engines.
 
 A valid run has one definition as well, :meth:`EngineRun.validate`:
 ``run_paths`` calls it, ``reference_path`` calls it on the run of its
@@ -760,7 +752,7 @@ class EngineRun:
         dt = self.params.dt
         if not self.horizon > 0.0:
             problems.append(f"horizon must be positive, got {self.horizon!r}")
-        elif dt > 0.0:
+        elif 0.0 < dt < math.inf:
             # the engines run round(horizon / dt) steps; a horizon that is
             # not a whole number of steps would be rounded silently
             ratio = self.horizon / dt
@@ -841,6 +833,214 @@ def _col_sum(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0, initial=0.0)
 
 
+@dataclass(slots=True)
+class _Block:
+    """Paths ``paths`` of a run between two boundaries: their state, and
+    one method per phase of a step, which :func:`_run_chunk` calls in
+    order (see "Boundary semantics")."""
+
+    run: EngineRun
+    tables: StepTables
+    paths: range
+    put_rows: Callable[[list[str]], None]
+    emit: Callable[[EventRecord], None] | None  # None: no record is built
+    last: int = field(init=False)
+    caps: np.ndarray = field(init=False)  # (slots, paths), company-major
+    n: np.ndarray = field(init=False)
+    max_n: np.ndarray = field(init=False)
+    status: np.ndarray = field(init=False)
+    act: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)  # (rules, paths) wealth
+    m_acc: np.ndarray = field(init=False)
+    qv_acc: np.ndarray = field(init=False)
+    instr: Instrumentation = field(init=False, default_factory=Instrumentation)
+    ngens: list = field(init=False)
+    cgens: list = field(init=False)  # empty for a silent clock
+    egens: list = field(init=False)  # built at a path's first event
+    nbuf: np.ndarray = field(init=False)  # noise rows, each read from npos[p]
+    npos: np.ndarray = field(init=False)
+    noise_row: np.ndarray = field(init=False)  # the flat cell (p, 0) of nbuf
+    ubuf: np.ndarray = field(init=False)  # clock rows, all read at column upos
+    upos: int = field(init=False)
+    k_floor: int = field(init=False)  # a `rank k`/`name k` rule reads row k
+    mu1: np.ndarray = field(init=False)  # the top weight after the boundary
+    split_flag: np.ndarray = field(init=False)
+    ring: np.ndarray = field(init=False)
+    # the step's diffusion, which `account` and `check` read
+    all_act: bool = field(init=False)
+    ths_z: np.ndarray = field(init=False)  # theta * sqrt(dt) * z, per slot
+    order: np.ndarray | None = field(init=False)
+    new_caps: np.ndarray = field(init=False)
+    r: np.ndarray = field(init=False)
+    underflow: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        run, paths = self.run, self.paths
+        caps0 = np.asarray(run.initial_caps, dtype=np.float64)
+        n0, p_cnt = len(caps0), len(paths)
+        self.last = int(round(run.horizon / run.params.dt))
+        self.caps = np.repeat(caps0[:, None], p_cnt, 1)
+        self.n = np.full(p_cnt, n0, dtype=np.int64)
+        self.max_n = np.full(p_cnt, n0, dtype=np.int64)
+        self.status = np.zeros(p_cnt, dtype=np.int8)
+        self.act = np.ones(p_cnt, dtype=bool)
+        self.v = np.ones((len(run.rules), p_cnt))
+        self.m_acc, self.qv_acc = np.zeros(p_cnt), np.zeros(p_cnt)
+        self.ngens = [path_generator(run.seed, p, NOISE) for p in paths]
+        clocked = bool(self.tables.pstep.any())
+        self.cgens = [path_generator(run.seed, p, CLOCK) for p in paths if clocked]
+        self.egens = [None] * p_cnt
+        nw = max(min(NOISE_STEPS * n0, N_MAX_LIMIT), run.params.n_max)
+        self.nbuf = np.zeros((p_cnt, nw))
+        self.npos = np.full(p_cnt, nw, dtype=np.int64)
+        self.noise_row = np.arange(p_cnt) * nw
+        self.ubuf = np.zeros((p_cnt, min(CLOCK_BUF, self.last) if clocked else 0))
+        self.upos = self.ubuf.shape[1]  # spent, so the first step fills it
+        self.k_floor = max((rl.k + 1 for rl in run.rules
+                            if rl.kind in ("rank", "name")), default=0)
+        # the entry boundary: the step's own split test, and a silent clock
+        self.mu1 = self.caps.max(axis=0) / _col_sum(self.caps)
+        self.split_flag = self.mu1 >= 1.0 - run.params.delta
+        self.ring = np.zeros(p_cnt, dtype=bool)
+
+    def fail(self, p, code: int) -> None:  # p: a path, or a mask of paths
+        self.status[p] = code
+        self.act[p] = False
+        self.npos[p] = 0
+
+    def alive(self, x, other):  # `x` on alive paths, `other` on the rest
+        return x if self.all_act else np.where(self.act, x, other)
+
+    def resolve(self, t: float) -> None:
+        """Resolve the boundary at ``t`` of each flagged path, in order."""
+        todo = np.nonzero(self.split_flag | self.ring)[0]
+        if not todo.size:
+            return
+        run, egens = self.run, self.egens
+        done: list[list[float]] = []
+        for p, caps_p, n_p, rang in zip(
+            todo.tolist(), self.caps[:, todo].T.tolist(),
+            self.n[todo].tolist(), self.ring[todo].tolist(),
+        ):
+            del caps_p[n_p:]
+            if egens[p] is None:
+                egens[p] = path_generator(run.seed, self.paths[p], EVENTS)
+            caps_p, exploded, _, mu_p = _resolve_boundary(
+                caps_p, t, self.paths[p], run.params, egens[p], rang, run.rules,
+                self.instr, self.emit,
+            )
+            if exploded:  # failed, so its top weight is never read
+                self.fail(p, 1)
+            done.append(caps_p)
+            self.mu1[p] = mu_p
+        n_new = np.array([len(c) for c in done])
+        rows = max(len(self.caps), int(n_new.max()))
+        if rows > len(self.caps):
+            self.caps = np.pad(self.caps, ((0, rows - len(self.caps)), (0, 0)))
+        self.caps[:, todo] = np.array([c + [0.0] * (rows - len(c)) for c in done]).T
+        self.n[todo] = n_new
+        self.max_n[todo] = np.maximum(self.max_n[todo], n_new)
+
+    def record(self, step: int, t: float) -> None:
+        """Sample the top weight, and put a stride step's series rows."""
+        sampled = self.act if step else self.act & self.split_flag
+        if sampled.any():
+            self.instr.max_sample_weight = max(
+                self.instr.max_sample_weight, float(self.mu1[sampled].max())
+            )
+        run = self.run
+        if run.stride > 0 and (step % run.stride == 0 or step == self.last):
+            zz = np.exp(-self.m_acc - 0.5 * self.qv_acc)
+            # the market and portfolio value columns: two rules' wealth, or 1.0
+            cols = run.series_cols
+            vm, vp = np.ones((2, len(zz))) if cols is None else self.v[list(cols)]
+            n, mu1, paths = self.n, self.mu1, self.paths
+            self.put_rows([
+                _series_row(paths[p], t, n[p], mu1[p], vm[p], vp[p], zz[p])
+                for p in np.nonzero(self.status == 0)[0].tolist()
+            ])
+
+    def refill(self, step: int) -> None:
+        """Drop the rows past the widest path, and refill the spent buffers."""
+        act, nbuf, npos = self.act, self.nbuf, self.npos
+        self.all_act = bool(act.all())
+        self.caps = self.caps[: max(int(self.n.max()), self.k_floor)]
+        nw = nbuf.shape[1]
+        need = np.nonzero(act & (npos + len(self.caps) > nw))[0]
+        for p, pos in zip(need.tolist(), npos[need].tolist()):
+            row = nbuf[p]
+            row[: nw - pos] = row[pos:]
+            self.ngens[p].standard_normal(out=row[nw - pos :])
+        npos[need] = 0
+        if self.cgens and self.upos == self.ubuf.shape[1]:
+            fill = self.ubuf[:, : min(CLOCK_BUF, self.last - step)]
+            for p in np.nonzero(act)[0].tolist():
+                self.cgens[p].random(out=fill[p])
+            self.upos = 0
+
+    def diffuse(self) -> None:
+        """Gather the step's normals, step the caps and take their returns."""
+        caps, n = self.caps, self.n
+        rows = np.arange(len(caps), dtype=np.int64)[:, None]
+        z = self.nbuf.reshape(-1).take((self.noise_row + self.npos) + rows)
+        self.npos = self.npos + self.alive(n, 0)
+        new_caps, self.order, cell = rank_step(caps, n, self.tables, z)
+        self.ths_z = self.tables.ths.reshape(-1).take(cell) * z
+        self.new_caps = new_caps = self.alive(new_caps, caps)
+        pos = caps > 0.0
+        self.r = np.ones(caps.shape)
+        np.divide(new_caps, caps, out=self.r, where=pos)
+        self.r -= 1.0
+        # as in euler_step, a company whose cap falls to 0.0 fails the path
+        self.underflow = (pos & ~(new_caps > 0.0)).any(axis=0)
+
+    def account(self) -> None:
+        """Update each rule's wealth, at the weights before the step, and
+        the measure-change accumulators; then take the new caps."""
+        caps, r, n = self.caps, self.r, self.n
+        rules = self.run.rules
+        if rules:
+            c_pre = _col_sum(caps)
+        for idx, rl in enumerate(rules):
+            if rl.kind == "cash":
+                continue
+            if rl.kind == "market":
+                acc = _col_sum((caps / c_pre) * r)
+            elif rl.kind == "equal":
+                # padded slots have r exactly 0.0, so no masking is needed
+                acc = _col_sum((1.0 / n) * r)
+            elif rl.kind == "rank":
+                slot = _rank_slot(caps, rl.k) if self.order is None else self.order[rl.k]
+                acc = r[slot, np.arange(len(n))]
+            else:  # name
+                acc = r[rl.k]
+            self.v[idx] = self.v[idx] * self.alive(1.0 + acc, 1.0)
+        self.m_acc = self.m_acc + self.alive(_col_sum(self.ths_z), 0.0)
+        self.qv_acc = self.qv_acc + self.alive(self.tables.qrow[n], 0.0)
+        self.caps = self.new_caps
+
+    def check(self) -> None:
+        """Fail the paths that left the range, in the order of "Status codes"."""
+        act, caps = self.act, self.caps
+        c_tot = _col_sum(caps)
+        x_max = caps.max(axis=0)
+        cap_out = self.underflow | (x_max == np.inf)
+        broke = act & ~cap_out & ~(self.v > 0.0).all(axis=0)
+        bad = act & ~broke & (cap_out | ~(np.isfinite(c_tot) & (c_tot > 0.0)))
+        self.fail(broke, 3)
+        self.fail(bad, 2)
+        self.mu1 = x_max / c_tot  # the top weight; nan on failed paths
+
+    def flag(self) -> None:
+        """Flag the paths that split, by detect_split's own test, or whose
+        clock rang; a failed path's stale clock row is masked by `act`."""
+        act = self.act
+        self.split_flag = act & (self.mu1 >= 1.0 - self.run.params.delta)
+        if self.cgens:
+            self.ring = act & (self.ubuf[:, self.upos] < self.tables.pstep[self.n])
+            self.upos += 1
+
+
 # A cap or total that leaves (0, inf) fails its path by status code, and
 # the inf and nan its column then holds are masked by `act`: numpy's
 # overflow and invalid warnings on them are noise (as in reference_path).
@@ -851,234 +1051,34 @@ def _run_chunk(
     """Simulate paths ``start .. stop - 1``, one block of :func:`run_paths`.
 
     ``out``, when given, is the block's consumer: ``out.rows(rows)`` takes
-    each stride step's series rows and ``out.event(rec)`` each record, as
-    the block makes them, and the result then holds neither.
+    each stride step's series rows and ``out.event(rec)`` each record, and
+    the result then holds neither.
     """
-    params = run.params
-    rules = run.rules
-    n_rules = len(rules)
-    dt = params.dt
-    last = int(round(run.horizon / dt))
-    p_cnt = stop - start
-    n0 = len(run.initial_caps)
-
-    # company-major: caps[k, p] is slot k of path p; the slots from
-    # n_arr[p] up are padding and hold exactly 0.0
-    caps = np.repeat(np.asarray(run.initial_caps, dtype=np.float64)[:, None], p_cnt, 1)
-    n_arr = np.full(p_cnt, n0, dtype=np.int64)
-    max_n = np.full(p_cnt, n0, dtype=np.int64)
-    status = np.zeros(p_cnt, dtype=np.int8)
-    act = np.ones(p_cnt, dtype=bool)
-    v = np.ones((n_rules, p_cnt))
-    m_acc = np.zeros(p_cnt)
-    qv_acc = np.zeros(p_cnt)
-
-    ngens = [path_generator(run.seed, p, NOISE) for p in range(start, stop)]
-    # a silent clock never rings: it builds no stream and draws nothing
-    clocked = bool(tables.pstep.any())
-    cgens = ([path_generator(run.seed, p, CLOCK) for p in range(start, stop)]
-             if clocked else [])
-    egens: list[np.random.Generator | None] = [None] * p_cnt
-    # one path-major noise row per path; no step reads more than n_max
-    # cells of a row, so nw >= n_max cells always serve it.  Zeros, not
-    # empty: the gather reads cells past a path's count, which zero
-    # coefficients must cancel, so every cell must be finite
-    nw = max(min(NOISE_STEPS * n0, N_MAX_LIMIT), params.n_max)
-    nbuf = np.zeros((p_cnt, nw))
-    npos = np.full(p_cnt, nw, dtype=np.int64)
-    # path-major clock rows: every alive path reads one uniform per step
-    # from an empty start, so one column `upos` serves them all
-    ubuf = np.zeros((p_cnt, min(CLOCK_BUF, last) if clocked else 0))
-    upos = urows = 0
-
-    instr = Instrumentation()
-    # the block's consumer; by default its rows and records join the result
     series: list[str] = []
-    events_list: list[EventRecord] = []
-    put_rows, put_event = (
-        (series.extend, events_list.append) if out is None else (out.rows, out.event)
-    )
-    emit = put_event if run.collect_events else None
-
-    def _ev_gen(p: int) -> np.random.Generator:
-        g = egens[p]
-        if g is None:
-            g = path_generator(run.seed, start + p, EVENTS)
-            egens[p] = g
-        return g
-
-    def _fail(p, code: int) -> None:  # p: a path, or a mask of paths
-        status[p] = code
-        act[p] = False
-        npos[p] = 0
-
-    def _resolve_paths(
-        paths: np.ndarray, ring: np.ndarray, t: float
-    ) -> list[float]:
-        """Resolve the boundary at ``t`` of each path in ``paths``, in
-        order, the entry boundary (``t = 0``, no clock rang) included.
-
-        The columns are read into lists in one batch and written back in
-        one block.  Returns each path's top weight after the boundary.
-        """
-        nonlocal caps
-        cols = caps[:, paths].T.tolist()
-        done: list[list[float]] = []
-        mu: list[float] = []
-        for p, caps_p, n_p, rang in zip(
-            paths.tolist(), cols, n_arr[paths].tolist(), ring[paths].tolist()
-        ):
-            del caps_p[n_p:]
-            caps_p, exploded, _, mu_p = _resolve_boundary(
-                caps_p, t, start + p, params, _ev_gen(p), rang, rules, instr,
-                emit,
-            )
-            if exploded:
-                _fail(p, 1)
-            done.append(caps_p)
-            mu.append(mu_p)
-        n_new = np.array([len(c) for c in done])
-        if n_new.max() > len(caps):
-            caps = np.vstack([caps, np.zeros((n_new.max() - len(caps), p_cnt))])
-        block = [c + [0.0] * (len(caps) - len(c)) for c in done]
-        caps[:, paths] = np.array(block).T
-        n_arr[paths] = n_new
-        max_n[paths] = np.maximum(max_n[paths], n_new)
-        return mu
-
-    ar_rows = np.arange(p_cnt)
-    # a `rank k` or `name k` rule reads row k whatever the paths' counts
-    k_floor = max((rl.k + 1 for rl in rules if rl.kind in ("rank", "name")), default=0)
-
-    def _alive(x, other):  # `x` on alive paths, `other` on the rest
-        return x if all_act else np.where(act, x, other)
-
-    # flat views: noise cell (p, i) is element p * nw + i
-    ths_flat = tables.ths.reshape(-1)
-    nflat = nbuf.reshape(-1)
-    noise_row = ar_rows * nw
-
-    # step 0 is the entry boundary, flagged by the step's own split test
-    # (see "Boundary semantics"), whose clock is silent
-    mu1 = caps.max(axis=0) / _col_sum(caps)
-    split_flag = mu1 >= 1.0 - params.delta
-    ring = np.zeros(p_cnt, dtype=bool)
+    events: list[EventRecord] = []
+    put_rows, put_event = (series.extend, events.append) if out is None else (
+        out.rows, out.event)
+    blk = _Block(run, tables, range(start, stop), put_rows,
+                 put_event if run.collect_events else None)
     step = 0
     while True:
-        t = float(step * dt)
-        todo = np.nonzero(split_flag | ring)[0]
-        if todo.size:
-            # caps changed on those paths (a path that exploded is
-            # failed, so its value is never read)
-            mu1[todo] = _resolve_paths(todo, ring, t)
-        # the top weight of every alive path; the entry boundary is
-        # sampled only where it split
-        sampled = act if step else act & split_flag
-        if sampled.any():
-            instr.max_sample_weight = max(
-                instr.max_sample_weight, float(mu1[sampled].max())
-            )
-        if run.stride > 0 and (step % run.stride == 0 or step == last):
-            zz = np.exp(-m_acc - 0.5 * qv_acc)
-            # the market and portfolio value columns: two rules' wealth, or 1.0
-            cols = run.series_cols
-            vm, vp = np.ones((2, p_cnt)) if cols is None else v[list(cols)]
-            put_rows([
-                _series_row(start + p, t, n_arr[p], mu1[p], vm[p], vp[p], zz[p])
-                for p in np.nonzero(status == 0)[0].tolist()
-            ])
-        if step == last:
+        t = float(step * run.params.dt)
+        blk.resolve(t)
+        blk.record(step, t)
+        if step == blk.last or not blk.act.any():
             break
-
-        all_act = act.all()
-        if not all_act and not act.any():
-            break
-        k_n = max(int(n_arr.max()), k_floor)
-        caps = caps[:k_n]  # the rows past the widest path hold 0.0
-        ar_k = np.arange(k_n, dtype=np.int64)[:, None]
-
-        # refill the noise rows that cannot serve this step, keeping their
-        # unread values; the clock rows of every alive path run out together
-        need = np.nonzero(act & (npos + k_n > nw))[0]
-        for p, pos in zip(need.tolist(), npos[need].tolist()):
-            row = nbuf[p]
-            left = nw - pos
-            row[:left] = row[pos:]
-            ngens[p].standard_normal(out=row[left:])
-        npos[need] = 0
-        if clocked and upos == urows:
-            # a prefix of each stream: nothing past the horizon is drawn
-            urows = min(CLOCK_BUF, last - step)
-            for p in np.nonzero(act)[0].tolist():
-                cgens[p].random(out=ubuf[p, :urows])
-            upos = 0
-
-        z = nflat.take((noise_row + npos) + ar_k)
-        npos = npos + _alive(n_arr, 0)
-        new_caps, order, cell = rank_step(caps, n_arr, tables, z)
-        ths = ths_flat.take(cell)
-        new_caps = _alive(new_caps, caps)
-
-        pos = caps > 0.0
-        r = np.ones((k_n, p_cnt))
-        np.divide(new_caps, caps, out=r, where=pos)
-        r -= 1.0
-        # as in euler_step, a company whose cap falls to 0.0 fails the path
-        # (an infinite cap shows in x_max below)
-        underflow = (pos & ~(new_caps > 0.0)).any(axis=0)
-
+        blk.refill(step)
+        blk.diffuse()
         step += 1
-
-        # wealth updates off the diffusion returns (pre-event weights)
-        if n_rules:
-            c_pre = _col_sum(caps)
-        for idx, rl in enumerate(rules):
-            if rl.kind == "cash":
-                continue
-            if rl.kind == "market":
-                acc = _col_sum((caps / c_pre) * r)
-            elif rl.kind == "equal":
-                # padded slots have r exactly 0.0, so no masking is needed
-                acc = _col_sum((1.0 / n_arr) * r)
-            elif rl.kind == "rank":
-                slot = _rank_slot(caps, rl.k) if order is None else order[rl.k]
-                acc = r[slot, ar_rows]
-            else:  # name
-                acc = r[rl.k]
-            v[idx] = v[idx] * _alive(1.0 + acc, 1.0)
-
-        # measure-change accumulators
-        m_acc = m_acc + _alive(_col_sum(ths * z), 0.0)
-        qv_acc = qv_acc + _alive(tables.qrow[n_arr], 0.0)
-
-        caps = new_caps
-        c_tot = _col_sum(caps)
-        x_max = caps.max(axis=0)
-
-        # the reference's order within a step: a cap out of range gives
-        # status 2, else a rule's wealth that is not > 0 gives status 3,
-        # else a total out of range gives status 2
-        cap_out = underflow | (x_max == np.inf)
-        broke = act & ~cap_out & ~(v > 0.0).all(axis=0)
-        bad = act & ~broke & (cap_out | ~(np.isfinite(c_tot) & (c_tot > 0.0)))
-        _fail(broke, 3)
-        _fail(bad, 2)
-
-        # detect_split's own test, bit for bit (see "Boundary semantics")
-        mu1 = x_max / c_tot    # nan on failed paths; masked by `act`
-        split_flag = act & (mu1 >= 1.0 - params.delta)
-
-        # a failed path's stale row is masked by `act`; where the path
-        # also splits, the resolver skips the merger, as in the reference
-        if clocked:
-            ring = act & (ubuf[:, upos] < tables.pstep[n_arr])
-            upos += 1
-
+        blk.account()
+        blk.check()
+        blk.flag()
     return EngineResult(
-        final_wealth=v, final_log_z=-m_acc - 0.5 * qv_acc, final_qv=qv_acc,
-        final_n=n_arr, max_n=max_n, final_total=_col_sum(caps), final_caps=caps,
+        final_wealth=blk.v, final_log_z=-blk.m_acc - 0.5 * blk.qv_acc,
+        final_qv=blk.qv_acc, final_n=blk.n, max_n=blk.max_n,
+        final_total=_col_sum(blk.caps), final_caps=blk.caps,
         initial_total=float(total_cap(np.asarray(run.initial_caps, dtype=np.float64))),
-        status=status, instr=instr, series=series, events=events_list,
+        status=blk.status, instr=blk.instr, series=series, events=events,
     )
 
 

@@ -263,8 +263,8 @@ class ModelParams:
                 f"N = n_max = {self.n_max} (clock_c = {self.clock_c:g}, "
                 f"clock_alpha = {self.clock_alpha:g})"
             )
-        if not self.dt > 0.0:
-            problems.append(f"time step dt must be > 0, got {self.dt:g}")
+        if not 0.0 < self.dt < math.inf:
+            problems.append(f"time step dt must be > 0 and finite, got {self.dt:g}")
         if self.theta_mode not in THETA_MODES:
             problems.append(
                 f"theta_mode must be one of {THETA_MODES}, got {self.theta_mode!r}"

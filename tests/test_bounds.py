@@ -1,9 +1,12 @@
 """Closed-form bounds, their Monte Carlo estimators, and tail summaries."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from splitmerge.bounds import (
     DoubleJumpStat,
@@ -24,10 +27,14 @@ from splitmerge.bounds import (
     tail_of_max_count,
     wilson_interval,
 )
-from splitmerge import engine
-from splitmerge.engine import CHUNK, EngineRun, StepTables, rank_step, run_paths
+from splitmerge import bounds, engine
+from splitmerge.dynamics import euler_step, total_cap
+from splitmerge.engine import (
+    CHUNK, EngineRun, StepTables, map_blocks, rank_step, run_paths,
+)
 from splitmerge.events import EventRecord, clock_rate
 from splitmerge.params import ModelParams, RankTable
+from splitmerge.streams import PROBE, path_generator
 
 
 def make_params(**kw):
@@ -299,6 +306,121 @@ class TestSplitRaceEstimator:
         assert (order is None) is tables.flat
 
 
+def _race_replay(params, caps0, lam, seed, max_steps, start, stop):
+    """``bounds._race_hits`` on paths ``start .. stop - 1``, path by path:
+    the same ``PROBE`` draws, in path-major order over the paths still
+    racing, with ``euler_step`` and ``max / total_cap`` per path."""
+    gen = path_generator(seed, start // bounds.CHUNK, PROBE)
+    clocks = [math.inf] * (stop - start)
+    if lam > 0.0:
+        clocks = [np.ceil(gen.exponential(1.0 / lam) / params.dt) for _ in clocks]
+    racing = [(caps0, eta) for eta in clocks]
+    hits = step = 0
+    while racing and (max_steps is None or step < max_steps):
+        step += 1
+        still = []
+        for caps, eta in racing:
+            caps = euler_step(caps, params, gen.standard_normal(len(caps)))
+            if max(caps) / total_cap(caps) >= 1.0 - params.delta and step <= eta:
+                hits += 1
+            elif step < eta:
+                still.append((caps, eta))
+        racing = still
+    return hits
+
+
+def _walk_replay(x, y, sigma_bar, lam, dt, seed, start, stop):
+    """``bounds._rbm_hits`` on paths ``start .. stop - 1``, path by path:
+    the same ``PROBE`` draws, then scalar numpy arithmetic per walk."""
+    sd = sigma_bar * math.sqrt(2.0 * dt)
+    var_step = 2.0 * sigma_bar * sigma_bar * dt
+    pkill = -math.expm1(-lam * dt)
+    gen = path_generator(seed, start // bounds.CHUNK, PROBE)
+    walks = [np.float64(x)] * (stop - start)
+    hits = 0
+    while walks:
+        k = len(walks)
+        still = []
+        for b, z, u_kill, u_bridge in zip(
+            walks, gen.standard_normal(k), gen.random(k), gen.random(k)
+        ):
+            b_new = b + sd * z
+            with np.errstate(over="ignore"):
+                p_up = np.exp(-2.0 * (y - b) * (y - b_new) / var_step)
+                p_dn = np.exp(-2.0 * (y + b) * (y + b_new) / var_step)
+                p_cross = 1.0 - (1.0 - p_up) * (1.0 - p_dn)
+            if abs(b_new) >= y or u_bridge < p_cross:
+                hits += 1
+            elif u_kill >= pkill:
+                still.append(b_new)
+        walks = still
+    return hits
+
+
+# a kill or clock chance of 1-20% a step keeps a drawn grid short
+KILL = st.sampled_from([0.01, 0.05, 0.2])
+DT = st.sampled_from([1e-3, 0.01, 0.05])
+
+
+class TestProbeReplay:
+    """Each block of the two probes scores the hits that a scalar replay
+    of its draws scores.  With CHUNK at 1-3 the blocks hold 1-3 paths,
+    so a count that differs points at the paths that differ."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n0=st.integers(2, 10), tie=st.booleans(), data=st.data(),
+        drift=st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 3.0)),
+        vol=st.tuples(st.floats(0.1, 3.0), st.floats(-0.09, 3.0)),
+        delta=st.floats(0.01, 0.16), dt=DT, kill=st.none() | KILL,
+        max_steps=st.none() | st.integers(1, 100), seed=st.integers(0, 2**64 - 1),
+        n_paths=st.integers(1, 40), chunk=st.integers(1, 3),
+    )
+    def test_race_blocks_match_their_replay(
+        self, n0, tie, data, drift, vol, delta, dt, kill, max_steps, seed,
+        n_paths, chunk,
+    ):
+        # from PACKED_SORT_ROWS rows up the packed sort ranks, and tied caps
+        # make it fall back to the argsort
+        params = make_params(
+            drift=RankTable(*drift), vol=RankTable(*vol), delta=delta, dt=dt
+        )
+        assume(params.validate() == [])
+        caps = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n0, max_size=n0))
+        caps0 = np.ceil(caps) if tie else np.array(caps)
+        lam = 0.0 if kill is None else kill / dt
+        if lam == 0.0 and max_steps is None:
+            max_steps = 100
+        args = (params, caps0, lam, seed, max_steps)
+        with mock.patch.object(bounds, "CHUNK", chunk), \
+                mock.patch.object(engine, "CHUNK", chunk):
+            got = map_blocks(
+                bounds._race_hits, n_paths, 1, params, StepTables.build(params),
+                caps0, lam, seed, max_steps,
+            )
+            want = [_race_replay(*args, a, min(a + chunk, n_paths))
+                    for a in range(0, n_paths, chunk)]
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        share=st.floats(0.0, 0.99), y=st.sampled_from([0.5, 1.0, 2.0]),
+        sigma_bar=st.floats(0.2, 3.0), kill=KILL, dt=DT,
+        seed=st.integers(0, 2**64 - 1), n_paths=st.integers(1, 40),
+        chunk=st.integers(1, 3),
+    )
+    def test_walk_blocks_match_their_replay(
+        self, share, y, sigma_bar, kill, dt, seed, n_paths, chunk
+    ):
+        args = (share * y, y, sigma_bar, kill / dt, dt, seed)
+        with mock.patch.object(bounds, "CHUNK", chunk), \
+                mock.patch.object(engine, "CHUNK", chunk):
+            got = map_blocks(bounds._rbm_hits, n_paths, 1, *args)
+            want = [_walk_replay(*args, a, min(a + chunk, n_paths))
+                    for a in range(0, n_paths, chunk)]
+        assert got == want
+
+
 class TestDoubleJumpBound:
     def test_frozen_value(self):
         # delta = 0.1, delta0 = 0.2, sigma = 1, lam = 1: 2 * 8/9
@@ -332,16 +454,18 @@ class TestDoubleJumpBound:
 
 
 def _nan_cases():
-    """Each bound and probe with one float argument set to nan."""
+    """Each bound and probe with one float argument set to nan, and the
+    probes with an infinite scale or step, which would divide inf by inf."""
     params = make_params()
     caps0 = np.array([1.0, 1.0])
+    rbm = (0.2, 1.0, 1.0, 4.0, 10, 1e-3, 0)
     calls = [
         (split_before_clock_bound, (0.5, 0.1, 1.0, 4.0), (0, 1, 2, 3)),
         (rbm_hit_before_exp, (0.2, 1.0, 1.0, 4.0), (0, 1, 2, 3)),
         (double_jump_bound, (0.1, 0.5, 1.0, 4.0), (0, 1, 2, 3)),
         (double_jump_bound_ratio_form, (0.1, 0.5, 1.0, 4.0), (0, 1, 2, 3)),
         (rate_function, (2.0,), (0,)),
-        (simulate_rbm_hit, (0.2, 1.0, 1.0, 4.0, 10, 1e-3, 0), (0, 1, 2, 3, 5)),
+        (simulate_rbm_hit, rbm, (0, 1, 2, 3, 5)),
         (estimate_split_before_clock, (params, caps0, 4.0, 10, 0, 50), (2,)),
         (explosion_bound_terms, (4, 1e4, 1.0, params), (1, 2)),
     ]
@@ -350,6 +474,14 @@ def _nan_cases():
             bad = list(args)
             bad[k] = math.nan
             yield pytest.param(fn, bad, id=f"{fn.__name__}-{k}")
+    for k in (2, 5):
+        bad = list(rbm)
+        bad[k] = math.inf
+        yield pytest.param(simulate_rbm_hit, bad, id=f"simulate_rbm_hit-{k}-inf")
+    yield pytest.param(
+        estimate_split_before_clock, (make_params(dt=math.inf), caps0, 4.0, 10, 0, 50),
+        id="estimate_split_before_clock-dt-inf",
+    )
 
 
 @pytest.mark.parametrize("fn, args", _nan_cases())

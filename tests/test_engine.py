@@ -967,11 +967,12 @@ def _sometimes(draw, valid, invalid):
 
 
 @st.composite
-def twin_runs(draw):
+def twin_runs(draw, n0s=st.integers(2, 9), steps=st.integers(1, 40)):
     """Runs from the box the twin contract must hold on, straddling the
     edges of validity: every draw is either rejected by ``validate`` or
-    runs to its end in both engines, which then agree."""
-    n0 = draw(st.integers(2, 9))
+    runs to its end in both engines, which then agree.  ``n0s`` and
+    ``steps`` draw the starting company count and the horizon in steps."""
+    n0 = draw(n0s)
     n_max = max(3, n0 + _sometimes(draw, draw(st.integers(1, 8)), 0))
     dt = draw(st.sampled_from([1e-3, 0.01, 0.05]))
     # a drift of 2e4 moves a cap by e**20 in a step of 1e-3: caps overflow
@@ -1034,10 +1035,10 @@ def twin_runs(draw):
     )
     col = st.integers(0, _sometimes(draw, len(rules) - 1, len(rules)))
     cols = draw(st.none() | st.tuples(col, col)) if rules else None
-    steps = draw(st.integers(1, 40))
+    n_steps = draw(steps)
     return EngineRun(
         params=params, initial_caps=np.array(caps),
-        horizon=steps * dt * _sometimes(draw, 1.0, 1.5),
+        horizon=n_steps * dt * _sometimes(draw, 1.0, 1.5),
         n_paths=_sometimes(draw, draw(st.integers(1, 4)), draw(st.integers(-2, 0))),
         seed=_sometimes(draw, draw(st.integers(0, 2**64 - 1)), 2**64),
         rules=rules, stride=draw(st.integers(0, 12)), series_cols=cols,
@@ -1411,6 +1412,20 @@ class TestTwinFuzz:
     @settings(max_examples=2000, deadline=None)
     @given(twin_runs())
     def test_engines_agree_at_length(self, run):
+        self._check(run)
+
+    # markets of 10-100 companies, which the packed sort ranks from
+    # PACKED_SORT_ROWS rows up, from caps tied in one draw of two, where it
+    # falls back to the argsort; horizons past CLOCK_BUF steps refill the
+    # clock rows, and wide rows refill the noise every few steps
+    @pytest.mark.slow
+    @settings(max_examples=150, deadline=None)
+    @given(twin_runs(n0s=st.integers(engine.PACKED_SORT_ROWS + 2, 100),
+                     steps=st.integers(engine.CLOCK_BUF + 1, 300)),
+           st.booleans())
+    def test_engines_agree_at_scale(self, run, tied):
+        if tied:
+            run = replace(run, initial_caps=np.ceil(run.initial_caps))
         self._check(run)
 
     # a path's output does not depend on CHUNK, so blocks of 1-3 paths

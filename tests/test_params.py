@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from splitmerge.engine import StepTables
+from splitmerge.cli import main
+from splitmerge.engine import EngineRun, StepTables
 from splitmerge.params import MAX_DRAWS, N_MAX_LIMIT, ModelParams, RankTable, SplitDist
 
 
@@ -152,6 +153,25 @@ class TestModelParams:
     def test_nan_clock_parameter_is_rejected(self, field, problem):
         # a nan constant would silence every merger clock (u < nan is false)
         assert make_params(**{field: np.nan}).validate() == [problem]
+
+    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, 0.0])
+    def test_non_finite_or_nonpositive_dt_is_rejected(self, dt):
+        problem = f"time step dt must be > 0 and finite, got {dt:g}"
+        assert make_params(dt=dt).validate() == [problem]
+        # a run names dt alone: its horizon is not compared with steps of it
+        run = EngineRun(
+            params=make_params(dt=dt), initial_caps=np.ones(3), horizon=1.0,
+            n_paths=1, seed=0,
+        )
+        assert run.validate() == [problem]
+
+    def test_infinite_dt_in_a_config_exits_two_naming_dt(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[model]\ndt = inf\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "time step dt must be > 0 and finite, got inf" in err
+        assert "whole number of steps" not in err
 
     def test_problems_are_collected(self):
         msgs = make_params(delta=0.3, eps0=0.9, clock_c=-2.0).validate()
