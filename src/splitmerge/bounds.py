@@ -22,21 +22,21 @@ same probability by simulation, so the bounds can be verified rather
 than trusted (``estimate_split_before_clock``, ``simulate_rbm_hit``,
 ``estimate_double_jump``, ``tail_of_max_count``).  Each gives the same
 result at any worker count, and a nan argument fails its checks.  The
-engine-driven ones read only the engine's result (``max_n``, or the
-events it collects).  The two probes count hits per block of
-:func:`~splitmerge.engine.map_blocks`, the engine's own partition of the
-paths, drawing from one ``PROBE`` generator per block, and sum the
-counts in block order.
+engine-driven ones read only the engine's result: ``max_n``, or the
+counts that a :class:`DoubleJumpScorer` kept for each block.  The two
+probes count hits per block of :func:`~splitmerge.engine.map_blocks`,
+the engine's own partition of the paths, drawing from one ``PROBE``
+generator per block, and sum the counts in block order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from . import engine
 from .engine import (
     CHUNK, EngineRun, StepTables, _col_sum, caps_problems, map_blocks, rank_step,
     run_paths,
@@ -178,6 +178,8 @@ def estimate_split_before_clock(
         raise ValueError("lam must be nonnegative")
     if lam == 0.0 and max_steps is None:
         raise ValueError("lam == 0 requires max_steps")
+    if max_steps is not None and not (max_steps >= 1 and max_steps % 1 == 0):
+        raise ValueError(f"max_steps must be a whole number >= 1, got {max_steps!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     args = (params, StepTables.build(params), caps0, lam, seed, max_steps)
@@ -356,43 +358,61 @@ class DoubleJumpStat:
         self.censored += other.censored
 
 
-def score_double_jumps(
-    events, horizon: float, params: ModelParams
-) -> dict[int, DoubleJumpStat]:
-    """Score consecutive-split races in an engine's event log.
+class DoubleJumpScorer:
+    """Scores consecutive-split races record by record: a block's
+    consumer in :func:`~splitmerge.engine.run_paths`, or a whole log's.
 
     A segment opens when a path enters level N (one of
     :data:`DOUBLE_JUMP_LEVELS`) via a split no later than
     ``horizon - DOUBLE_JUMP_MARGIN / lambda_N``; it closes at that
     path's next event: another split scores a double jump, a merger or
-    a suppressed merger means the clock won.  Segments still open at the
-    end of the log are censored and excluded (the margin keeps them
-    rare).  Paths may interleave in ``events``, but each path's records
-    must be in time order, as :attr:`EngineResult.events` holds them.
+    a suppressed merger means the clock won.  Segments still open at
+    :meth:`close` are censored and excluded (the margin keeps them
+    rare).  Paths may interleave, but each path's records must come in
+    time order, as :attr:`EngineResult.events` holds them.
     """
-    stats = {n: DoubleJumpStat(level=n) for n in DOUBLE_JUMP_LEVELS}
-    latest = {}
-    for n in DOUBLE_JUMP_LEVELS:
-        lam = clock_rate(n, params)
-        # a silent clock races no split, so its level opens no segment
-        latest[n] = horizon - DOUBLE_JUMP_MARGIN / lam if lam > 0.0 else -math.inf
-    open_level: dict[int, int] = {}  # path -> level of its open segment
-    for rec in events:
-        lvl = open_level.pop(rec.path, None)
+
+    def __init__(self, horizon: float, params: ModelParams, *block) -> None:
+        # the block's bounds go unread: scoring is per path
+        self.stats = {n: DoubleJumpStat(level=n) for n in DOUBLE_JUMP_LEVELS}
+        self.latest = {}
+        for n in DOUBLE_JUMP_LEVELS:
+            lam = clock_rate(n, params)
+            # a silent clock races no split, so its level opens no segment
+            self.latest[n] = (
+                horizon - DOUBLE_JUMP_MARGIN / lam if lam > 0.0 else -math.inf
+            )
+        self.open_level: dict[int, int] = {}  # path -> level of its open segment
+
+    def event(self, rec) -> None:
+        lvl = self.open_level.pop(rec.path, None)
         if lvl is not None:
-            st = stats[lvl]
+            st = self.stats[lvl]
             st.segments += 1
             if rec.kind == "split":
                 st.doubles += 1
         if (
             rec.kind == "split"
-            and rec.n_after in stats
-            and rec.t <= latest[rec.n_after]
+            and rec.n_after in self.stats
+            and rec.t <= self.latest[rec.n_after]
         ):
-            open_level[rec.path] = rec.n_after
-    for lvl in open_level.values():
-        stats[lvl].censored += 1
-    return stats
+            self.open_level[rec.path] = rec.n_after
+
+    def close(self) -> dict[int, DoubleJumpStat]:
+        for lvl in self.open_level.values():
+            self.stats[lvl].censored += 1
+        return self.stats
+
+
+def score_double_jumps(
+    events, horizon: float, params: ModelParams
+) -> dict[int, DoubleJumpStat]:
+    """Score consecutive-split races in an engine's event log (see
+    :class:`DoubleJumpScorer`)."""
+    scorer = DoubleJumpScorer(horizon, params)
+    for rec in events:
+        scorer.event(rec)
+    return scorer.close()
 
 
 def estimate_double_jump(
@@ -405,33 +425,23 @@ def estimate_double_jump(
 ) -> dict[int, DoubleJumpStat]:
     """Run the engine and score its consecutive-split frequencies.
 
-    Each block of paths is scored where it runs, and only its counts
-    come back.  Scoring is per path and the blocks partition the paths,
-    so the counts, added in block order, are those of the whole log.
+    Each block is scored where it runs and sends back its counts, not
+    its records.  Scoring is per path and the blocks partition the
+    paths, so the counts, added in block order, are the whole log's.
     """
-    run = EngineRun(
-        params=params, initial_caps=np.asarray(initial_caps, dtype=np.float64),
-        horizon=horizon, n_paths=n_paths, seed=seed, workers=workers,
-        collect_events=True,
-    ).require_valid()
-    tables = StepTables.build(params)
-    stats, *rest = map_blocks(_double_jump_block, n_paths, workers, run, tables)
+    res = run_paths(
+        EngineRun(
+            params=params, initial_caps=np.asarray(initial_caps, dtype=np.float64),
+            horizon=horizon, n_paths=n_paths, seed=seed, workers=workers,
+            collect_events=True,
+        ),
+        partial(DoubleJumpScorer, horizon, params),
+    )
+    stats, *rest = res.parts
     for part in rest:
         for n, st in part.items():
             stats[n].merge(st)
     return stats
-
-
-def _double_jump_block(
-    run: EngineRun, tables: StepTables, start: int, stop: int
-) -> dict[int, DoubleJumpStat]:
-    """The scores of paths ``start .. stop - 1``, one block of the engine.
-
-    ``engine._run_chunk`` is read from the module at call time, as
-    ``engine._run_block`` reads it, so a rebound ``_run_chunk`` runs here too.
-    """
-    events = engine._run_chunk(run, tables, start, stop).events
-    return score_double_jumps(events, run.horizon, run.params)
 
 
 # ---------------------------------------------------------------------------

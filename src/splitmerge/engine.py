@@ -38,8 +38,8 @@ changes which process touches which block.  The split-race and walk
 probes of :mod:`splitmerge.bounds` count their hits on the same blocks.
 A block hands its series rows and event records to a consumer as it
 makes them: by default its result, which ``run_paths`` joins in block
-order, or, with a ``sink``, its own consumer where the block runs
-(``simulate`` streams them to disk), and none goes back to the parent.
+order, or a ``sink``'s consumer, closed where the block ran, whose kept
+value alone comes back, in block order (:attr:`EngineResult.parts`).
 
 Every sum over companies is the left-to-right accumulation
 ``((0 + x_1) + x_2) + ...`` in company order, in both engines.  The
@@ -149,8 +149,10 @@ A valid run has one definition as well, :meth:`EngineRun.validate`:
 one path (``n_paths = path + 1``), and :mod:`splitmerge.config` reports
 its problems with the file's own, so the two engines and a config file
 reject exactly the same inputs.  Validation makes the horizon a whole
-number of steps, at least one, so both engines take
-``int(round(horizon / dt))`` steps and rounding changes nothing.
+number of steps, at least one and below 2**52, so both engines take
+``int(round(horizon / dt))`` steps and rounding changes nothing:
+``horizon / dt`` must lie within 1e-9 relative, and within a quarter
+step, of that count.
 
 Status codes: 0 ok, 1 company-count explosion, 2 a cap or the total
 capitalization left ``(0, inf)`` (overflow or underflow), 3 portfolio
@@ -752,13 +754,22 @@ class EngineRun:
         dt = self.params.dt
         if not self.horizon > 0.0:
             problems.append(f"horizon must be positive, got {self.horizon!r}")
+        elif not math.isfinite(self.horizon):
+            problems.append(f"horizon must be finite, got {self.horizon!r}")
         elif 0.0 < dt < math.inf:
             # the engines run round(horizon / dt) steps; a horizon that is
-            # not a whole number of steps would be rounded silently
+            # not a whole number of steps would be rounded silently.  From
+            # 2**52 up every float is whole, so no fraction of a step shows,
+            # and below it the slack stays under half a step
             ratio = self.horizon / dt
-            if not math.isfinite(ratio):
-                problems.append(f"horizon must be finite, got {self.horizon!r}")
-            elif round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
+            if not ratio < 2.0**52:
+                problems.append(
+                    f"horizon = {self.horizon!r} is {ratio:.6g} steps of "
+                    f"dt = {dt!r}; a run takes fewer than 2**52 steps"
+                )
+            elif round(ratio) < 1 or abs(ratio - round(ratio)) > min(
+                1e-9 * ratio, 0.25
+            ):
                 problems.append(
                     f"horizon = {self.horizon!r} is not a whole number of "
                     f"steps of dt = {dt!r}; it would round to "
@@ -810,6 +821,7 @@ class EngineResult:
     instr: Instrumentation
     series: list[str] = field(default_factory=list)
     events: list[EventRecord] = field(default_factory=list)
+    parts: list = field(default_factory=list)  # per block, what its consumer kept
 
     @property
     def ok(self) -> np.ndarray:
@@ -842,7 +854,7 @@ class _Block:
     run: EngineRun
     tables: StepTables
     paths: range
-    put_rows: Callable[[list[str]], None]
+    put_rows: Callable[[list[str]], None] | None  # None: stride 0, no row
     emit: Callable[[EventRecord], None] | None  # None: no record is built
     last: int = field(init=False)
     caps: np.ndarray = field(init=False)  # (slots, paths), company-major
@@ -1051,13 +1063,13 @@ def _run_chunk(
     """Simulate paths ``start .. stop - 1``, one block of :func:`run_paths`.
 
     ``out``, when given, is the block's consumer: ``out.rows(rows)`` takes
-    each stride step's series rows and ``out.event(rec)`` each record, and
-    the result then holds neither.
+    each stride step's series rows (read only when ``run.stride > 0``) and
+    ``out.event(rec)`` each record, and the result then holds neither.
     """
     series: list[str] = []
     events: list[EventRecord] = []
     put_rows, put_event = (series.extend, events.append) if out is None else (
-        out.rows, out.event)
+        out.rows if run.stride > 0 else None, out.event)
     blk = _Block(run, tables, range(start, stop), put_rows,
                  put_event if run.collect_events else None)
     step = 0
@@ -1112,8 +1124,13 @@ def _run_block(run: EngineRun, tables: StepTables, sink, start: int, stop: int):
     # `_run_chunk` when called, which a tracer may rebind to a wrapper
     if sink is None:
         return _run_chunk(run, tables, start, stop)
-    with sink(start, stop) as out:
-        return _run_chunk(run, tables, start, stop, out)
+    out = sink(start, stop)
+    try:
+        res = _run_chunk(run, tables, start, stop, out)
+    finally:
+        kept = out.close()  # also when the block fails
+    res.parts = [kept]
+    return res
 
 
 def run_paths(run: EngineRun, sink: Callable | None = None) -> EngineResult:
@@ -1122,8 +1139,9 @@ def run_paths(run: EngineRun, sink: Callable | None = None) -> EngineResult:
     Output is byte-identical for any ``workers`` value: the blocks of
     :func:`map_blocks` are fixed by :data:`CHUNK` and joined here in
     order.  A picklable ``sink(start, stop)`` opens a block's consumer
-    (a context manager, see :func:`_run_chunk`) in the process that runs
-    the block, and the result then holds no rows or records.
+    (see :func:`_run_chunk`) where the block runs, and closes it there,
+    also when the block fails; ``parts`` holds what each ``close()``
+    returned, in block order, and the result no rows or records.
     """
     run.require_valid()
     tables = StepTables.build(run.params)
@@ -1143,4 +1161,5 @@ def run_paths(run: EngineRun, sink: Callable | None = None) -> EngineResult:
         res.instr.merge(blk.instr)
         res.series += blk.series
         res.events += blk.events
+        res.parts += blk.parts
     return res

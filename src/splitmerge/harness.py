@@ -82,44 +82,32 @@ class RunReport:
 # output writers
 
 
-def write_series_csv(
-    path: str, series: Iterable[str] = (), parts: Iterable[str] = ()
-) -> None:
-    """The header, then the ``series`` rows, then each part file's bytes
-    in the order given."""
-    with open(path, "w", newline="") as fh:
-        fh.write(SERIES_HEADER + "\n")
-        for row in series:
-            fh.write(row + "\n")
-        _append(fh, parts)
+def write_series_csv(path: str, parts: Iterable[str]) -> None:
+    """The header, then each part file's bytes in the order given."""
+    _join(path, SERIES_HEADER + "\n", parts)
 
 
-def write_events_jsonl(
-    path: str, events: Iterable[EventRecord] = (), parts: Iterable[str] = ()
-) -> None:
-    """One JSON line per record of ``events``, then each part file's bytes
-    in the order given."""
-    with open(path, "w", newline="") as fh:
-        for rec in events:
-            fh.write(rec.to_json() + "\n")
-        _append(fh, parts)
+def write_events_jsonl(path: str, parts: Iterable[str]) -> None:
+    """Each part file's bytes in the order given."""
+    _join(path, "", parts)
 
 
-def _append(fh, parts: Iterable[str]) -> None:
-    fh.flush()
-    for name in parts:
-        with open(name, "rb") as part:
-            shutil.copyfileobj(part, fh.buffer)
+def _join(path: str, head: str, parts: Iterable[str]) -> None:
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        for name in parts:
+            with open(name, "rb") as part:
+                shutil.copyfileobj(part, fh)
 
 
 class BlockFiles:
     """The consumer of one block of :func:`run_paths` for ``simulate``:
     the block's series rows and event records go to the part files
     ``<start>.csv`` and ``<start>.jsonl`` in ``folder`` as the block makes
-    them.  The names sort in block order."""
+    them, and :meth:`close` returns the two names."""
 
     def __init__(self, folder: str, start: int, stop: int) -> None:
-        name = os.path.join(folder, f"{start:019d}")
+        name = os.path.join(folder, str(start))
         self._series = open(name + ".csv", "w", newline="")
         self._events = open(name + ".jsonl", "w", newline="")
 
@@ -129,12 +117,10 @@ class BlockFiles:
     def event(self, rec: EventRecord) -> None:
         self._events.write(rec.to_json() + "\n")
 
-    def __enter__(self) -> "BlockFiles":
-        return self
-
-    def __exit__(self, *exc) -> None:
+    def close(self) -> tuple[str, str]:
         self._series.close()
         self._events.close()
+        return self._series.name, self._events.name
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +600,11 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
     file holds one JSON object per line.  The output directory is made
     before the run, so a path that cannot be one fails before any work.
     Each block streams its rows and records to part files in a folder
-    under ``out_dir`` (see :class:`BlockFiles`), which are joined in block
-    order and removed, also when the run fails, so memory stays at one
-    block's whatever the path count; the result then holds no rows or
-    records.  Without ``out_dir`` the run formats no rows (stride 0).
+    under ``out_dir`` (see :class:`BlockFiles`), whose names come back in
+    ``res.parts`` in block order; they are joined in that order and
+    removed, also when the run fails, so memory stays at one block's
+    whatever the path count; the result then holds no rows or records.
+    Without ``out_dir`` the run formats no rows (stride 0).
     """
     if out_dir is None:
         # nothing is written, so no series row is formatted
@@ -629,18 +616,10 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
             res = run_paths(
                 cfg.engine_run(collect_events=True), partial(BlockFiles, folder)
             )
-            names = sorted(os.listdir(folder))
-            parts = {
-                ext: [os.path.join(folder, n) for n in names if n.endswith(ext)]
-                for ext in (".csv", ".jsonl")
-            }
+            series, events = zip(*res.parts)
             if cfg.run.stride > 0:
-                write_series_csv(
-                    os.path.join(out_dir, "series.csv"), parts=parts[".csv"]
-                )
-            write_events_jsonl(
-                os.path.join(out_dir, "events.jsonl"), parts=parts[".jsonl"]
-            )
+                write_series_csv(os.path.join(out_dir, "series.csv"), series)
+            write_events_jsonl(os.path.join(out_dir, "events.jsonl"), events)
         finally:
             shutil.rmtree(folder)
     summary = {

@@ -454,8 +454,9 @@ class TestDoubleJumpBound:
 
 
 def _nan_cases():
-    """Each bound and probe with one float argument set to nan, and the
-    probes with an infinite scale or step, which would divide inf by inf."""
+    """Each bound and probe with one float argument set to nan, the probes
+    with an infinite scale or step, which would divide inf by inf, and the
+    split race capped at fewer than one step."""
     params = make_params()
     caps0 = np.array([1.0, 1.0])
     rbm = (0.2, 1.0, 1.0, 4.0, 10, 1e-3, 0)
@@ -466,7 +467,7 @@ def _nan_cases():
         (double_jump_bound_ratio_form, (0.1, 0.5, 1.0, 4.0), (0, 1, 2, 3)),
         (rate_function, (2.0,), (0,)),
         (simulate_rbm_hit, rbm, (0, 1, 2, 3, 5)),
-        (estimate_split_before_clock, (params, caps0, 4.0, 10, 0, 50), (2,)),
+        (estimate_split_before_clock, (params, caps0, 4.0, 10, 0, 50), (2, 5)),
         (explosion_bound_terms, (4, 1e4, 1.0, params), (1, 2)),
     ]
     for fn, args, slots in calls:
@@ -482,6 +483,11 @@ def _nan_cases():
         estimate_split_before_clock, (make_params(dt=math.inf), caps0, 4.0, 10, 0, 50),
         id="estimate_split_before_clock-dt-inf",
     )
+    for lam, steps in ((0.0, 0), (4.0, -1)):
+        yield pytest.param(
+            estimate_split_before_clock, (params, caps0, lam, 10, 0, steps),
+            id=f"estimate_split_before_clock-max_steps-{steps}",
+        )
 
 
 @pytest.mark.parametrize("fn, args", _nan_cases())
@@ -568,9 +574,9 @@ class TestDoubleJumpScore:
         blocks = []
         run_chunk = engine._run_chunk
 
-        def counting(run, tables, start, stop):
+        def counting(run, tables, start, stop, out=None):
             blocks.append((start, stop))
-            return run_chunk(run, tables, start, stop)
+            return run_chunk(run, tables, start, stop, out)
 
         monkeypatch.setattr(engine, "_run_chunk", counting)
         stats = estimate_double_jump(params, caps0, 0.3, CHUNK + 100, 43)

@@ -284,6 +284,9 @@ class TestFlags:
             # split-race draws from the base seed + 2
             (["verify", "--seed", str(2**64 - 1), "--only", "split-race"],
              "--seed must be below 2**64 - 3 for the selected checks"),
+            # 1e30 steps would run until killed
+            (["simulate", "--dt", "1e-30", "--paths", "2"],
+             "horizon = 1.0 is 1e+30 steps of dt = 1e-30"),
         ],
     )
     def test_bad_flag_exits_two_naming_the_problem(

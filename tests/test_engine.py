@@ -736,6 +736,64 @@ class TestDeterminism:
             assert getattr(a.instr, name) == getattr(b.instr, name), name
 
 
+class _Keeper:
+    """A block consumer that keeps its block's bounds, rows and records;
+    at module level, so a pool can pickle it by name."""
+
+    def __init__(self, start, stop):
+        self.kept = ((start, stop), [], [])
+
+    def rows(self, rows):
+        self.kept[1].extend(rows)
+
+    def event(self, rec):
+        self.kept[2].append(rec.to_json())
+
+    def close(self):
+        return self.kept
+
+
+class TestBlockConsumers:
+    RUN = EngineRun(
+        params=make_params(), initial_caps=np.array([14.0, 0.5, 0.5, 0.5]),
+        horizon=0.05, n_paths=30, seed=11, rules=RULES, stride=10,
+        series_cols=(0, 1), collect_events=True,
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parts_come_back_in_block_order(self, monkeypatch, workers):
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        whole = run_paths(self.RUN)
+        res = run_paths(replace(self.RUN, workers=workers), _Keeper)
+        assert whole.parts == []
+        assert res.series == [] and res.events == []
+        blocks, rows, events = zip(*res.parts)
+        assert blocks == ((0, 7), (7, 14), (14, 21), (21, 28), (28, 30))
+        assert sum(rows, []) == whole.series
+        assert sum(events, []) == [rec.to_json() for rec in whole.events]
+        assert res.final_caps.tobytes() == whole.final_caps.tobytes()
+
+    def test_a_consumer_is_closed_when_its_block_raises(self, monkeypatch):
+        closed = []
+        run_chunk = engine._run_chunk
+
+        class Consumer(_Keeper):
+            def close(self):
+                closed.append(self.kept[0])
+
+        def second_block_fails(run, tables, start, stop, out=None):
+            res = run_chunk(run, tables, start, stop, out)
+            if start:
+                raise RuntimeError("block failed")
+            return res
+
+        monkeypatch.setattr(engine, "CHUNK", 20)
+        monkeypatch.setattr(engine, "_run_chunk", second_block_fails)
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_paths(self.RUN, Consumer)
+        assert closed == [(0, 20), (20, 30)]
+
+
 class TestTwinMismatches:
     """The comparator names the path and the field of every difference."""
 
@@ -1109,6 +1167,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="would round to 0 steps"):
             reference_path(params, caps0, 0.0004, 0, 0)
 
+    def test_whole_horizon_at_a_large_step_count_is_valid(self):
+        # 1e9 steps of 1e-3: validated, not run
+        run = EngineRun(
+            params=make_params(), initial_caps=np.ones(3), horizon=1e6,
+            n_paths=1, seed=0,
+        )
+        assert run.validate() == []
+
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError):
             run_paths(
@@ -1121,7 +1187,8 @@ class TestValidation:
 
     # each row: the EngineRun fields that differ from a valid run, the
     # config file that states the same run (None where a file cannot),
-    # and the problem every front end must name; dt is 1e-3 throughout
+    # and the problem every front end must name; dt is 1e-3 unless a row
+    # says otherwise
     @pytest.mark.parametrize(
         "fields, cfg_text, problem",
         [
@@ -1129,6 +1196,16 @@ class TestValidation:
              "would round to 2 steps"),
             ({"horizon": 0.0004}, "[run]\nhorizon = 0.0004\n",
              "would round to 0 steps"),
+            # 1e9 + 0.5 steps: past the old slack of 1e-9 relative
+            ({"horizon": 1000000.0005}, "[run]\nhorizon = 1000000.0005\n",
+             "would round to 1000000000 steps"),
+            # horizon / dt overflows, and 1e30 steps would never end
+            ({"horizon": 1e10, "params": make_params(dt=1e-300)},
+             "[model]\ndt = 1e-300\n[run]\nhorizon = 1e10\n",
+             "horizon = 10000000000.0 is inf steps of dt = 1e-300"),
+            ({"horizon": 1.0, "params": make_params(dt=1e-30)},
+             "[model]\ndt = 1e-30\n[run]\nhorizon = 1\n",
+             "horizon = 1.0 is 1e+30 steps of dt = 1e-30"),
             ({"workers": 0}, "[run]\nworkers = 0\n",
              "workers must be at least 1"),
             ({"stride": -1}, "[run]\nstride = -1\n",
@@ -1151,7 +1228,8 @@ class TestValidation:
              None, "vol override row for N=3 has length 2"),
         ],
         ids=[
-            "horizon-1.5-steps", "horizon-0.4-steps", "workers-0",
+            "horizon-1.5-steps", "horizon-0.4-steps", "horizon-half-a-step-of-1e9",
+            "steps-overflow", "steps-1e30", "workers-0",
             "stride-negative", "seed-negative", "seed-past-64-bits",
             "cap-negative", "caps-at-n_max", "name-7-of-3",
             "series_cols-outside-rules", "clock-rate-overflow",

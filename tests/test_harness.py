@@ -74,8 +74,10 @@ class TestReport:
 
 class TestWriters:
     def test_series_csv(self, tmp_path):
+        part = tmp_path / "0.csv"
+        part.write_text("0,0.0,3,0.5,1.0,1.0,1.0\n")
         p = tmp_path / "series.csv"
-        write_series_csv(str(p), ["0,0.0,3,0.5,1.0,1.0,1.0"])
+        write_series_csv(str(p), [str(part)])
         lines = p.read_text().splitlines()
         assert lines[0] == SERIES_HEADER
         assert lines[1].startswith("0,0.0,3,")
@@ -87,7 +89,9 @@ class TestWriters:
             path=0, t=0.25, kind="split", i=1, j=None, xi=0.6,
             n_before=3, n_after=4,
         )
-        write_events_jsonl(str(p), [rec, rec])
+        part = tmp_path / "0.jsonl"
+        part.write_text(rec.to_json() + "\n")
+        write_events_jsonl(str(p), [str(part), str(part)])
         lines = p.read_text().splitlines()
         assert len(lines) == 2
         obj = json.loads(lines[0])
@@ -263,13 +267,16 @@ class TestSimulateRun:
         cfg = self.cfg(tmp_path, f"portfolio = equal\nworkers = {workers}\n")
         simulate_run(cfg, str(tmp_path / "out"))
         res = run_paths(cfg.engine_run(collect_events=True))
-        write_series_csv(str(tmp_path / "series.csv"), res.series)
-        write_events_jsonl(str(tmp_path / "events.jsonl"), res.events)
-        for name in ("series.csv", "events.jsonl"):
+        want = {
+            "series.csv": [SERIES_HEADER, *res.series],
+            "events.jsonl": [rec.to_json() for rec in res.events],
+        }
+        for name, lines in want.items():
             got = (tmp_path / "out" / name).read_bytes()
-            assert got == (tmp_path / name).read_bytes(), name
+            assert got == "".join(f"{x}\n" for x in lines).encode(), name
 
-    def test_a_failed_block_leaves_no_files(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_block_leaves_no_files(self, tmp_path, monkeypatch, workers):
         run_chunk = engine._run_chunk
 
         def second_block_fails(run, tables, start, stop, out=None):
@@ -280,8 +287,9 @@ class TestSimulateRun:
         monkeypatch.setattr(engine, "CHUNK", 32)
         monkeypatch.setattr(engine, "_run_chunk", second_block_fails)
         out = tmp_path / "out"
+        cfg = self.cfg(tmp_path, f"workers = {workers}\n")
         with pytest.raises(RuntimeError, match="block failed"):
-            simulate_run(self.cfg(tmp_path), str(out))
+            simulate_run(cfg, str(out))
         assert os.listdir(out) == []
 
     def test_memory_does_not_grow_with_the_blocks(self, tmp_path, monkeypatch):
