@@ -21,12 +21,13 @@ Each closed form ships with a Monte Carlo estimator that measures the
 same probability by simulation, so the bounds can be verified rather
 than trusted (``estimate_split_before_clock``, ``simulate_rbm_hit``,
 ``estimate_double_jump``, ``tail_of_max_count``).  Each gives the same
-result at any worker count, and a nan argument fails its checks.  The
-engine-driven ones read only the engine's result: ``max_n``, or the
-counts that a :class:`DoubleJumpScorer` kept for each block.  The two
-probes count hits per block of :func:`~splitmerge.engine.map_blocks`,
-the engine's own partition of the paths, drawing from one ``PROBE``
-generator per block, and sum the counts in block order.
+result at any worker count, and a nan argument, or a count or seed that
+is not an integer, fails its checks.  The engine-driven ones read only
+the engine's result: ``max_n``, or the counts that a
+:class:`DoubleJumpScorer` kept for each block.  The two probes count
+hits per block of :func:`~splitmerge.engine.map_blocks`, the engine's
+own partition of the paths, drawing from one ``PROBE`` generator per
+block, and sum the counts in block order.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from functools import partial
 import numpy as np
 
 from .engine import (
-    CHUNK, EngineRun, StepTables, _col_sum, caps_problems, map_blocks, rank_step,
-    run_paths,
+    CHUNK, EngineRun, StepTables, _col_sum, caps_problems, integer_problems,
+    map_blocks, rank_step, run_paths,
 )
 from .events import clock_rate
 from .params import ModelParams
@@ -180,6 +181,8 @@ def estimate_split_before_clock(
         raise ValueError("lam == 0 requires max_steps")
     if max_steps is not None and not (max_steps >= 1 and max_steps % 1 == 0):
         raise ValueError(f"max_steps must be a whole number >= 1, got {max_steps!r}")
+    for problem in integer_problems(n_paths=n_paths, seed=seed, workers=workers):
+        raise ValueError(problem)
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     args = (params, StepTables.build(params), caps0, lam, seed, max_steps)
@@ -251,6 +254,8 @@ def simulate_rbm_hit(
         raise ValueError("sigma_bar and dt must be positive and finite")
     if not lam > 0.0:
         raise ValueError("lam must be positive")
+    for problem in integer_problems(n_paths=n_paths, seed=seed, workers=workers):
+        raise ValueError(problem)
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     hits = map_blocks(_rbm_hits, n_paths, workers, x, y, sigma_bar, lam, dt, seed)
@@ -359,8 +364,8 @@ class DoubleJumpStat:
 
 
 class DoubleJumpScorer:
-    """Scores consecutive-split races record by record: a block's
-    consumer in :func:`~splitmerge.engine.run_paths`, or a whole log's.
+    """Scores consecutive-split races record by record, as a block's
+    consumer in :func:`~splitmerge.engine.run_paths`.
 
     A segment opens when a path enters level N (one of
     :data:`DOUBLE_JUMP_LEVELS`) via a split no later than
@@ -402,17 +407,6 @@ class DoubleJumpScorer:
         for lvl in self.open_level.values():
             self.stats[lvl].censored += 1
         return self.stats
-
-
-def score_double_jumps(
-    events, horizon: float, params: ModelParams
-) -> dict[int, DoubleJumpStat]:
-    """Score consecutive-split races in an engine's event log (see
-    :class:`DoubleJumpScorer`)."""
-    scorer = DoubleJumpScorer(horizon, params)
-    for rec in events:
-        scorer.event(rec)
-    return scorer.close()
 
 
 def estimate_double_jump(

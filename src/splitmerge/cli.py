@@ -76,7 +76,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = [s.strip() for s in args.only.split(",")] if args.only else ALL_CHECKS
+    # an empty --only, or one of commas, selects no check
+    checks = ALL_CHECKS if args.only is None else [
+        name for s in args.only.split(",") if (name := s.strip())]
     try:
         if args.seed < 0 or args.workers < 1 or not 0.0 < args.scale < math.inf:
             raise ValueError(

@@ -27,7 +27,7 @@ minimal valid file is empty::
     paths = 1000
     seed = 7
     workers = 1
-    stride = 0             ; 0 = no CSV series
+    stride = 0             ; 0 = a series.csv of the header alone
     portfolio = market     ; cash | market | equal | rank:K | name:K (1-based)
 
 The file is UTF-8 INI.  Values are literal, with no ``%`` interpolation,

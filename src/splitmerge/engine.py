@@ -36,10 +36,10 @@ whatever ``workers`` is and returns the blocks' results in order, so
 the worker count can never change a single output byte; it only
 changes which process touches which block.  The split-race and walk
 probes of :mod:`splitmerge.bounds` count their hits on the same blocks.
-A block hands its series rows and event records to a consumer as it
-makes them: by default its result, which ``run_paths`` joins in block
-order, or a ``sink``'s consumer, closed where the block ran, whose kept
-value alone comes back, in block order (:attr:`EngineResult.parts`).
+Each block hands its series rows and event records to one consumer,
+opened and closed where the block runs; only what it kept comes back,
+in block order (:attr:`EngineResult.parts`).  Without a ``sink`` the
+consumer is a :class:`Collect`, whose lists fill the result instead.
 
 Every sum over companies is the left-to-right accumulation
 ``((0 + x_1) + x_2) + ...`` in company order, in both engines.  The
@@ -148,11 +148,14 @@ A valid run has one definition as well, :meth:`EngineRun.validate`:
 ``run_paths`` calls it, ``reference_path`` calls it on the run of its
 one path (``n_paths = path + 1``), and :mod:`splitmerge.config` reports
 its problems with the file's own, so the two engines and a config file
-reject exactly the same inputs.  Validation makes the horizon a whole
-number of steps, at least one and below 2**52, so both engines take
-``int(round(horizon / dt))`` steps and rounding changes nothing:
-``horizon / dt`` must lie within 1e-9 relative, and within a quarter
-step, of that count.
+reject exactly the same inputs.  A count or seed (``n_paths``, ``seed``,
+``workers``, ``stride``) must be an integer, a Python ``int`` or a numpy
+integer (:func:`integer_problems`, which the probes of
+:mod:`splitmerge.bounds` apply to theirs too).  Validation makes the
+horizon a whole number of steps, at least one and below 2**52, so both
+engines take ``int(round(horizon / dt))`` steps and rounding changes
+nothing: ``horizon / dt`` must lie within 1e-9 relative, and within a
+quarter step, of that count.
 
 Status codes: 0 ok, 1 company-count explosion, 2 a cap or the total
 capitalization left ``(0, inf)`` (overflow or underflow), 3 portfolio
@@ -718,6 +721,14 @@ def caps_problems(initial_caps, n_max: int) -> list[str]:
     return []
 
 
+def integer_problems(**counts) -> list[str]:
+    """One problem, naming its field, for each count or seed of ``counts``
+    that is not an integer (a Python ``int`` or a numpy integer)."""
+    return [f"{name} must be an integer, got {value!r}"
+            for name, value in counts.items()
+            if not isinstance(value, (int, np.integer))]
+
+
 @dataclass(frozen=True)
 class EngineRun:
     """Specification of a simulation run.
@@ -725,8 +736,8 @@ class EngineRun:
     ``rules`` are evaluated on every path in one pass.  ``stride > 0``
     collects CSV series rows every ``stride`` steps; ``series_cols``
     picks which two rules fill the market / portfolio value columns.
-    ``collect_events`` gathers every EventRecord into the result, or
-    hands it to the block's consumer: block by block, and within a block
+    ``collect_events`` hands every EventRecord to the block's consumer
+    (by default into the result): block by block, and within a block
     step by step in path order, so each path's records are in time order
     and the list is the same at any worker count.  Without it no record
     is built.
@@ -775,6 +786,8 @@ class EngineRun:
                     f"steps of dt = {dt!r}; it would round to "
                     f"{round(ratio)} steps"
                 )
+        problems += integer_problems(n_paths=self.n_paths, seed=self.seed,
+                                     workers=self.workers, stride=self.stride)
         if self.n_paths <= 0:
             problems.append(f"n_paths must be positive, got {self.n_paths}")
         if self.seed < 0:
@@ -1058,20 +1071,17 @@ class _Block:
 # overflow and invalid warnings on them are noise (as in reference_path).
 @np.errstate(over="ignore", invalid="ignore")
 def _run_chunk(
-    run: EngineRun, tables: StepTables, start: int, stop: int, out=None
+    run: EngineRun, tables: StepTables, start: int, stop: int, out
 ) -> EngineResult:
     """Simulate paths ``start .. stop - 1``, one block of :func:`run_paths`.
 
-    ``out``, when given, is the block's consumer: ``out.rows(rows)`` takes
-    each stride step's series rows (read only when ``run.stride > 0``) and
-    ``out.event(rec)`` each record, and the result then holds neither.
+    ``out`` is the block's consumer: ``out.rows(rows)``, read only when
+    ``run.stride > 0``, takes each stride step's series rows, and
+    ``out.event(rec)``, read only when ``run.collect_events``, each record.
     """
-    series: list[str] = []
-    events: list[EventRecord] = []
-    put_rows, put_event = (series.extend, events.append) if out is None else (
-        out.rows if run.stride > 0 else None, out.event)
-    blk = _Block(run, tables, range(start, stop), put_rows,
-                 put_event if run.collect_events else None)
+    blk = _Block(run, tables, range(start, stop),
+                 out.rows if run.stride > 0 else None,
+                 out.event if run.collect_events else None)
     step = 0
     while True:
         t = float(step * run.params.dt)
@@ -1090,7 +1100,7 @@ def _run_chunk(
         final_qv=blk.qv_acc, final_n=blk.n, max_n=blk.max_n,
         final_total=_col_sum(blk.caps), final_caps=blk.caps,
         initial_total=float(total_cap(np.asarray(run.initial_caps, dtype=np.float64))),
-        status=blk.status, instr=blk.instr, series=series, events=events,
+        status=blk.status, instr=blk.instr,
     )
 
 
@@ -1119,18 +1129,27 @@ def map_blocks(fn: Callable, n_paths: int, workers: int, *args) -> list:
     return list(map(fn, *fixed, starts, stops))
 
 
+class Collect:
+    """The consumer of a block of a :func:`run_paths` without a sink:
+    :meth:`close` returns the block's series rows and event records."""
+
+    def __init__(self, start: int, stop: int) -> None:
+        self.kept: tuple[list[str], list[EventRecord]] = ([], [])
+        self.rows, self.event = self.kept[0].extend, self.kept[1].append
+
+    def close(self) -> tuple[list[str], list[EventRecord]]:
+        return self.kept
+
+
 def _run_block(run: EngineRun, tables: StepTables, sink, start: int, stop: int):
     # the pool pickles this function by name, and it looks up the global
     # `_run_chunk` when called, which a tracer may rebind to a wrapper
-    if sink is None:
-        return _run_chunk(run, tables, start, stop)
     out = sink(start, stop)
     try:
         res = _run_chunk(run, tables, start, stop, out)
     finally:
         kept = out.close()  # also when the block fails
-    res.parts = [kept]
-    return res
+    return res, kept
 
 
 def run_paths(run: EngineRun, sink: Callable | None = None) -> EngineResult:
@@ -1141,11 +1160,13 @@ def run_paths(run: EngineRun, sink: Callable | None = None) -> EngineResult:
     order.  A picklable ``sink(start, stop)`` opens a block's consumer
     (see :func:`_run_chunk`) where the block runs, and closes it there,
     also when the block fails; ``parts`` holds what each ``close()``
-    returned, in block order, and the result no rows or records.
+    returned, in block order.  Without a sink, each block's
+    :class:`Collect` fills ``series`` and ``events`` instead, in block order.
     """
     run.require_valid()
     tables = StepTables.build(run.params)
-    blocks = map_blocks(_run_block, run.n_paths, run.workers, run, tables, sink)
+    blocks, kept = zip(*map_blocks(_run_block, run.n_paths, run.workers, run,
+                                   tables, Collect if sink is None else sink))
     res, *rest = blocks
     if rest:
         for name in ("final_wealth", "final_log_z", "final_qv", "final_n",
@@ -1159,7 +1180,10 @@ def run_paths(run: EngineRun, sink: Callable | None = None) -> EngineResult:
         res.final_caps = caps
     for blk in rest:
         res.instr.merge(blk.instr)
-        res.series += blk.series
-        res.events += blk.events
-        res.parts += blk.parts
+    if sink is None:
+        for rows, records in kept:
+            res.series += rows
+            res.events += records
+    else:
+        res.parts = list(kept)
     return res

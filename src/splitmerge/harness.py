@@ -596,9 +596,10 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
     """Run the configured simulation, optionally writing output files.
 
     Returns the engine result and a summary dict.  The CSV series
-    columns are (market portfolio, configured portfolio); the events
-    file holds one JSON object per line.  The output directory is made
-    before the run, so a path that cannot be one fails before any work.
+    columns are (market portfolio, configured portfolio), and at stride 0
+    it holds only its header; the events file holds one JSON object per
+    line.  The output directory is made before the run, so a path that
+    cannot be one fails before any work.
     Each block streams its rows and records to part files in a folder
     under ``out_dir`` (see :class:`BlockFiles`), whose names come back in
     ``res.parts`` in block order; they are joined in that order and
@@ -617,8 +618,7 @@ def simulate_run(cfg, out_dir: str | None = None) -> tuple[EngineResult, dict]:
                 cfg.engine_run(collect_events=True), partial(BlockFiles, folder)
             )
             series, events = zip(*res.parts)
-            if cfg.run.stride > 0:
-                write_series_csv(os.path.join(out_dir, "series.csv"), series)
+            write_series_csv(os.path.join(out_dir, "series.csv"), series)
             write_events_jsonl(os.path.join(out_dir, "events.jsonl"), events)
         finally:
             shutil.rmtree(folder)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitmerge.bounds import (
+    DoubleJumpScorer,
     DoubleJumpStat,
     ExplosionBound,
     TailCurve,
@@ -21,7 +22,6 @@ from splitmerge.bounds import (
     explosion_bound_terms,
     rate_function,
     rbm_hit_before_exp,
-    score_double_jumps,
     simulate_rbm_hit,
     split_before_clock_bound,
     tail_of_max_count,
@@ -454,20 +454,22 @@ class TestDoubleJumpBound:
 
 
 def _nan_cases():
-    """Each bound and probe with one float argument set to nan, the probes
-    with an infinite scale or step, which would divide inf by inf, and the
-    split race capped at fewer than one step."""
+    """Each bound and probe with one float argument, or a probe's count or
+    seed, set to nan, the probes with a count or seed that is not an
+    integer or with an infinite scale or step, which would divide inf by
+    inf, and the split race capped at fewer than one step."""
     params = make_params()
     caps0 = np.array([1.0, 1.0])
-    rbm = (0.2, 1.0, 1.0, 4.0, 10, 1e-3, 0)
+    rbm = (0.2, 1.0, 1.0, 4.0, 10, 1e-3, 0, 1)
+    race = (params, caps0, 4.0, 10, 0, 50, 1)
     calls = [
         (split_before_clock_bound, (0.5, 0.1, 1.0, 4.0), (0, 1, 2, 3)),
         (rbm_hit_before_exp, (0.2, 1.0, 1.0, 4.0), (0, 1, 2, 3)),
         (double_jump_bound, (0.1, 0.5, 1.0, 4.0), (0, 1, 2, 3)),
         (double_jump_bound_ratio_form, (0.1, 0.5, 1.0, 4.0), (0, 1, 2, 3)),
         (rate_function, (2.0,), (0,)),
-        (simulate_rbm_hit, rbm, (0, 1, 2, 3, 5)),
-        (estimate_split_before_clock, (params, caps0, 4.0, 10, 0, 50), (2, 5)),
+        (simulate_rbm_hit, rbm, (0, 1, 2, 3, 4, 5, 6, 7)),
+        (estimate_split_before_clock, race, (2, 3, 4, 5, 6)),
         (explosion_bound_terms, (4, 1e4, 1.0, params), (1, 2)),
     ]
     for fn, args, slots in calls:
@@ -475,6 +477,13 @@ def _nan_cases():
             bad = list(args)
             bad[k] = math.nan
             yield pytest.param(fn, bad, id=f"{fn.__name__}-{k}")
+    for fn, args, n_k, seed_k in (
+        (simulate_rbm_hit, rbm, 4, 6), (estimate_split_before_clock, race, 3, 4)
+    ):
+        for k, value in ((n_k, 8.0), (seed_k, 3.5)):
+            bad = list(args)
+            bad[k] = value
+            yield pytest.param(fn, bad, id=f"{fn.__name__}-{k}-{value}")
     for k in (2, 5):
         bad = list(rbm)
         bad[k] = math.inf
@@ -497,6 +506,12 @@ def test_nan_argument_is_rejected(fn, args):
 
 
 class TestDoubleJumpScore:
+    def score(self, events, horizon, params):
+        scorer = DoubleJumpScorer(horizon, params)
+        for rec in events:
+            scorer.event(rec)
+        return scorer.close()
+
     def rec(self, path, t, kind, n_after):
         return EventRecord(
             path=path, t=t, kind=kind, i=0, j=None, xi=None,
@@ -516,7 +531,7 @@ class TestDoubleJumpScore:
             self.rec(2, 9.0, "split", 3),          # too close to the end
             self.rec(3, 5.0, "split", 3),          # opens, never closes
         ]
-        stats = score_double_jumps(events, 10.0, params)[3]
+        stats = self.score(events, 10.0, params)[3]
         assert stats.segments == 3
         assert stats.doubles == 1
         assert stats.censored == 1
@@ -527,7 +542,7 @@ class TestDoubleJumpScore:
         # lambda_N = 0: the latest entry time is -inf, not horizon - 10 / 0
         params = make_params(clock_c=0.0)
         events = [self.rec(0, 0.0, "split", 3), self.rec(0, 1.0, "split", 4)]
-        for st in score_double_jumps(events, 10.0, params).values():
+        for st in self.score(events, 10.0, params).values():
             assert (st.segments, st.doubles, st.censored) == (0, 0, 0)
             assert math.isnan(st.phat)
         stats = estimate_double_jump(
@@ -574,7 +589,7 @@ class TestDoubleJumpScore:
         blocks = []
         run_chunk = engine._run_chunk
 
-        def counting(run, tables, start, stop, out=None):
+        def counting(run, tables, start, stop, out):
             blocks.append((start, stop))
             return run_chunk(run, tables, start, stop, out)
 
@@ -585,7 +600,7 @@ class TestDoubleJumpScore:
             params=params, initial_caps=caps0, horizon=0.3,
             n_paths=CHUNK + 100, seed=43, collect_events=True,
         ))
-        assert stats == score_double_jumps(whole.events, 0.3, params)
+        assert stats == self.score(whole.events, 0.3, params)
 
 
 class TestRateFunction:

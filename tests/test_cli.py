@@ -287,11 +287,18 @@ class TestFlags:
             # 1e30 steps would run until killed
             (["simulate", "--dt", "1e-30", "--paths", "2"],
              "horizon = 1.0 is 1e+30 steps of dt = 1e-30"),
+            # an empty selection is no selection, not every check
+            (["verify", "--only", ""], "no check selected"),
+            (["verify", "--only", ","], "no check selected"),
         ],
     )
     def test_bad_flag_exits_two_naming_the_problem(
-        self, argv, problem, capsys, tmp_path
+        self, argv, problem, capsys, tmp_path, monkeypatch
     ):
+        def verify_all(*args):  # a bad flag must exit before any check runs
+            raise AssertionError("verify_all ran")
+
+        monkeypatch.setattr(cli, "verify_all", verify_all)
         typo = write_cfg(tmp_path, "[model]\ndetla = 0.2\n[run]\npaht = 5\n")
         argv = [typo if arg == TYPO else arg for arg in argv]
         try:

@@ -401,7 +401,7 @@ def test_block_memory_follows_what_it_reads():
     tables = StepTables.build(run.params)
     tracemalloc.start()
     try:
-        engine._run_chunk(run, tables, 0, 1024)
+        engine._run_chunk(run, tables, 0, 1024, engine.Collect(0, 1024))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -763,7 +763,7 @@ class TestBlockConsumers:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parts_come_back_in_block_order(self, monkeypatch, workers):
         monkeypatch.setattr(engine, "CHUNK", 7)
-        whole = run_paths(self.RUN)
+        whole = run_paths(replace(self.RUN, workers=workers))
         res = run_paths(replace(self.RUN, workers=workers), _Keeper)
         assert whole.parts == []
         assert res.series == [] and res.events == []
@@ -781,7 +781,7 @@ class TestBlockConsumers:
             def close(self):
                 closed.append(self.kept[0])
 
-        def second_block_fails(run, tables, start, stop, out=None):
+        def second_block_fails(run, tables, start, stop, out):
             res = run_chunk(run, tables, start, stop, out)
             if start:
                 raise RuntimeError("block failed")
@@ -1226,6 +1226,12 @@ class TestValidation:
             ({"params": make_params(
                 vol=RankTable(1.0, 0.0, overrides={3: (1.0, 2.0)}))},
              None, "vol override row for N=3 has length 2"),
+            # a count or seed is an integer, never truncated or rounded
+            ({"n_paths": 4.0}, None, "n_paths must be an integer, got 4.0"),
+            ({"seed": 5.5}, None, "seed must be an integer, got 5.5"),
+            ({"seed": math.nan}, None, "seed must be an integer, got nan"),
+            ({"workers": 2.5}, None, "workers must be an integer, got 2.5"),
+            ({"stride": 2.5}, None, "stride must be an integer, got 2.5"),
         ],
         ids=[
             "horizon-1.5-steps", "horizon-0.4-steps", "horizon-half-a-step-of-1e9",
@@ -1233,7 +1239,8 @@ class TestValidation:
             "stride-negative", "seed-negative", "seed-past-64-bits",
             "cap-negative", "caps-at-n_max", "name-7-of-3",
             "series_cols-outside-rules", "clock-rate-overflow",
-            "override-row-short",
+            "override-row-short", "n_paths-float", "seed-fraction",
+            "seed-nan", "workers-fraction", "stride-fraction",
         ],
     )
     def test_invalid_run_rejected_everywhere(
@@ -1247,11 +1254,13 @@ class TestValidation:
         assert any(problem in p for p in run.validate())
         with pytest.raises(ValueError, match=re.escape(problem)):
             run_paths(run)
-        # reference_path takes every field but workers
+        # reference_path takes every field but workers, n_paths as its
+        # last path + 1
         if "workers" not in fields:
             with pytest.raises(ValueError, match=re.escape(problem)):
                 reference_path(
-                    run.params, run.initial_caps, run.horizon, run.seed, 0,
+                    run.params, run.initial_caps, run.horizon, run.seed,
+                    run.n_paths - 1,
                     rules=run.rules, stride=run.stride,
                     series_cols=run.series_cols,
                 )

@@ -244,10 +244,15 @@ class TestSimulateRun:
 
     def test_out_holds_exactly_the_three_files(self, tmp_path):
         out = tmp_path / "out"
-        simulate_run(self.cfg(tmp_path, "portfolio = equal\n"), str(out))
-        assert sorted(os.listdir(out)) == [
-            "events.jsonl", "series.csv", "summary.json"
-        ]
+        cfg = self.cfg(tmp_path, "portfolio = equal\n")
+        # a stride-0 run over a run with rows rewrites series.csv as the
+        # header alone
+        for stride in (100, 0):
+            simulate_run(replace(cfg, run=replace(cfg.run, stride=stride)), str(out))
+            assert sorted(os.listdir(out)) == [
+                "events.jsonl", "series.csv", "summary.json"
+            ]
+        assert (out / "series.csv").read_text() == SERIES_HEADER + "\n"
 
     def test_summary_does_not_depend_on_the_output(self, tmp_path):
         cfg = self.cfg(tmp_path, "portfolio = equal\n")
@@ -279,7 +284,7 @@ class TestSimulateRun:
     def test_a_failed_block_leaves_no_files(self, tmp_path, monkeypatch, workers):
         run_chunk = engine._run_chunk
 
-        def second_block_fails(run, tables, start, stop, out=None):
+        def second_block_fails(run, tables, start, stop, out):
             if start:
                 raise RuntimeError("block failed")
             return run_chunk(run, tables, start, stop, out)
