@@ -22,12 +22,12 @@ same probability by simulation, so the bounds can be verified rather
 than trusted (``estimate_split_before_clock``, ``simulate_rbm_hit``,
 ``estimate_double_jump``, ``tail_of_max_count``).  Each gives the same
 result at any worker count, and a nan argument, or a count or seed that
-is not an integer, fails its checks.  The engine-driven ones read only
-the engine's result: ``max_n``, or the counts that a
-:class:`DoubleJumpScorer` kept for each block.  The two probes count
-hits per block of :func:`~splitmerge.engine.map_blocks`, the engine's
-own partition of the paths, drawing from one ``PROBE`` generator per
-block, and sum the counts in block order.
+breaks :func:`~splitmerge.engine.count_problems`, fails its checks.  The
+engine-driven ones read only the engine's result: ``max_n``, or the counts
+that a :class:`DoubleJumpScorer` kept for each block.  The two probes run
+through one ``_probe``, the one place that keys ``PROBE`` by block: it
+counts hits per block of :func:`~splitmerge.engine.map_blocks`, the
+engine's own partition of the paths, and sums them in block order.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .engine import (
-    CHUNK, EngineRun, StepTables, _col_sum, caps_problems, integer_problems,
+    CHUNK, EngineRun, StepTables, _col_sum, caps_problems, count_problems,
     map_blocks, rank_step, run_paths,
 )
 from .events import clock_rate
@@ -181,27 +181,36 @@ def estimate_split_before_clock(
         raise ValueError("lam == 0 requires max_steps")
     if max_steps is not None and not (max_steps >= 1 and max_steps % 1 == 0):
         raise ValueError(f"max_steps must be a whole number >= 1, got {max_steps!r}")
-    for problem in integer_problems(n_paths=n_paths, seed=seed, workers=workers):
+    return _probe(_race_hits, n_paths, seed, workers, params,
+                  StepTables.build(params), caps0, lam, max_steps)
+
+
+def _probe(hits, n_paths: int, seed: int, workers: int, *args) -> TailEstimate:
+    """The one runner of both probes: ``hits(gen, m, *args)`` counts the hits
+    among the ``m`` paths of each block of :func:`map_blocks`, drawn from the
+    block's own ``PROBE`` generator, and the counts are summed in block order."""
+    for problem in count_problems(n_paths=n_paths, seed=seed, workers=workers):
         raise ValueError(problem)
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    args = (params, StepTables.build(params), caps0, lam, seed, max_steps)
-    hits = map_blocks(_race_hits, n_paths, workers, *args)
-    return TailEstimate.from_counts(sum(hits), n_paths)
+    counts = map_blocks(_probe_block, n_paths, workers, hits, seed, *args)
+    return TailEstimate.from_counts(sum(counts), n_paths)
+
+
+def _probe_block(hits, seed: int, *args) -> int:
+    """``hits`` on one block; ``args`` ends with its ``start, stop``."""
+    *args, start, stop = args
+    return hits(path_generator(seed, start // CHUNK, PROBE), stop - start, *args)
 
 
 def _race_hits(
-    params: ModelParams, tables: StepTables, caps0: np.ndarray, lam: float,
-    seed: int, max_steps: int | None, start: int, stop: int,
+    gen: np.random.Generator, m: int, params: ModelParams, tables: StepTables,
+    caps0: np.ndarray, lam: float, max_steps: int | None,
 ) -> int:
-    """Split-race hits among paths ``start .. stop - 1``, one block, which
-    draws from its own ``PROBE`` generator.  Clock steps stay floats (``inf``
-    with no clock): an int64 cast wraps 2**63 steps or more negative."""
-    m = stop - start
+    """Split-race hits among ``m`` paths drawing from ``gen``.  Clock steps
+    stay floats (``inf`` with no clock): an int64 cast wraps 2**63 steps or
+    more negative."""
     n = len(caps0)
     dt = params.dt
     thr = 1.0 - params.delta
-    gen = path_generator(seed, start // CHUNK, PROBE)
     eta_steps = np.full(m, np.inf)  # no clock
     if lam > 0.0:
         eta_steps = np.ceil(gen.exponential(scale=1.0 / lam, size=m) / dt)
@@ -254,25 +263,18 @@ def simulate_rbm_hit(
         raise ValueError("sigma_bar and dt must be positive and finite")
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    for problem in integer_problems(n_paths=n_paths, seed=seed, workers=workers):
-        raise ValueError(problem)
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    hits = map_blocks(_rbm_hits, n_paths, workers, x, y, sigma_bar, lam, dt, seed)
-    return TailEstimate.from_counts(sum(hits), n_paths)
+    return _probe(_rbm_hits, n_paths, seed, workers, x, y, sigma_bar, lam, dt)
 
 
 def _rbm_hits(
-    x: float, y: float, sigma_bar: float, lam: float, dt: float, seed: int,
-    start: int, stop: int,
+    gen: np.random.Generator, m: int, x: float, y: float, sigma_bar: float,
+    lam: float, dt: float,
 ) -> int:
-    """Walk-oracle hits among paths ``start .. stop - 1``, one block, which
-    draws from its own ``PROBE`` generator."""
+    """Walk-oracle hits among ``m`` walks drawing from ``gen``."""
     sd = sigma_bar * math.sqrt(2.0 * dt)
     var_step = 2.0 * sigma_bar * sigma_bar * dt
     pkill = -math.expm1(-lam * dt)
-    gen = path_generator(seed, start // CHUNK, PROBE)
-    b = np.full(stop - start, float(x))
+    b = np.full(m, float(x))
     hits = 0
     while b.size:
         z = gen.standard_normal(b.size)
@@ -329,13 +331,11 @@ def double_jump_bound(
 def double_jump_bound_ratio_form(
     delta: float, delta0: float, sigma_bar: float, lam: float
 ) -> float:
-    """Same bound written as the lemma's ratio power; must agree with
-    :func:`double_jump_bound` to roundoff (an algebraic identity), and
-    rejects the same arguments."""
-    floor = _post_split_floor(delta, delta0, sigma_bar)
-    if not lam >= 0.0:
-        raise ValueError("lam must be nonnegative")
-    return 2.0 * (floor / (1.0 - delta)) ** (math.sqrt(lam) / sigma_bar)
+    """Same bound written as the lemma's ratio power: the race bound started
+    from the top weight right after a split.  Must agree with
+    :func:`double_jump_bound` to roundoff, and rejects the same arguments."""
+    _post_split_floor(delta, delta0, sigma_bar)  # the checks of both forms
+    return split_before_clock_bound(1.0 - delta0, delta, sigma_bar, lam)
 
 
 @dataclass

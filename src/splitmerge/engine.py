@@ -149,8 +149,8 @@ A valid run has one definition as well, :meth:`EngineRun.validate`:
 one path (``n_paths = path + 1``), and :mod:`splitmerge.config` reports
 its problems with the file's own, so the two engines and a config file
 reject exactly the same inputs.  A count or seed (``n_paths``, ``seed``,
-``workers``, ``stride``) must be an integer, a Python ``int`` or a numpy
-integer (:func:`integer_problems`, which the probes of
+``workers``, ``stride``) must be a Python ``int`` or a numpy integer in its
+range (:func:`count_problems`, one problem a field, which the probes of
 :mod:`splitmerge.bounds` apply to theirs too).  Validation makes the
 horizon a whole number of steps, at least one and below 2**52, so both
 engines take ``int(round(horizon / dt))`` steps and rounding changes
@@ -189,6 +189,8 @@ from .portfolio import PortfolioRule, WealthError, wealth_step
 from .streams import CLOCK, EVENTS, NOISE, SEED_LIMIT, path_generator
 
 CHUNK = 4096        # paths per block; part of the determinism contract
+# the lowest value of a count and its rule; a seed or stride is nonnegative
+_COUNT_FLOORS = {"n_paths": (1, "be positive"), "workers": (1, "be at least 1")}
 
 # Buffered normals per path, in steps of the starting market: a row holds
 # NOISE_STEPS * n0 cells, at most N_MAX_LIMIT and at least n_max.  A refill
@@ -721,12 +723,20 @@ def caps_problems(initial_caps, n_max: int) -> list[str]:
     return []
 
 
-def integer_problems(**counts) -> list[str]:
+def count_problems(**counts) -> list[str]:
     """One problem, naming its field, for each count or seed of ``counts``
-    that is not an integer (a Python ``int`` or a numpy integer)."""
-    return [f"{name} must be an integer, got {value!r}"
-            for name, value in counts.items()
-            if not isinstance(value, (int, np.integer))]
+    that is not an integer (a Python ``int`` or a numpy integer), or else
+    lies out of its range; a seed is one 64-bit key word."""
+    problems = []
+    for name, value in counts.items():
+        floor, rule = _COUNT_FLOORS.get(name, (0, "be nonnegative"))
+        if not isinstance(value, (int, np.integer)):
+            problems.append(f"{name} must be an integer, got {value!r}")
+        elif value < floor:
+            problems.append(f"{name} must {rule}, got {value}")
+        elif name == "seed" and value >= SEED_LIMIT:
+            problems.append(f"seed must be below 2**64, got {value}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -786,18 +796,8 @@ class EngineRun:
                     f"steps of dt = {dt!r}; it would round to "
                     f"{round(ratio)} steps"
                 )
-        problems += integer_problems(n_paths=self.n_paths, seed=self.seed,
-                                     workers=self.workers, stride=self.stride)
-        if self.n_paths <= 0:
-            problems.append(f"n_paths must be positive, got {self.n_paths}")
-        if self.seed < 0:
-            problems.append(f"seed must be nonnegative, got {self.seed}")
-        elif self.seed >= SEED_LIMIT:
-            problems.append(f"seed must be below 2**64, got {self.seed}")
-        if self.workers < 1:
-            problems.append(f"workers must be at least 1, got {self.workers}")
-        if self.stride < 0:
-            problems.append(f"stride must be nonnegative, got {self.stride}")
+        problems += count_problems(n_paths=self.n_paths, seed=self.seed,
+                                   workers=self.workers, stride=self.stride)
         for rl in self.rules:
             if rl.kind in ("rank", "name") and rl.k >= n0:
                 problems.append(

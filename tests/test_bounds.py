@@ -395,8 +395,8 @@ class TestProbeReplay:
         with mock.patch.object(bounds, "CHUNK", chunk), \
                 mock.patch.object(engine, "CHUNK", chunk):
             got = map_blocks(
-                bounds._race_hits, n_paths, 1, params, StepTables.build(params),
-                caps0, lam, seed, max_steps,
+                bounds._probe_block, n_paths, 1, bounds._race_hits, seed, params,
+                StepTables.build(params), caps0, lam, max_steps,
             )
             want = [_race_replay(*args, a, min(a + chunk, n_paths))
                     for a in range(0, n_paths, chunk)]
@@ -412,11 +412,12 @@ class TestProbeReplay:
     def test_walk_blocks_match_their_replay(
         self, share, y, sigma_bar, kill, dt, seed, n_paths, chunk
     ):
-        args = (share * y, y, sigma_bar, kill / dt, dt, seed)
+        args = (share * y, y, sigma_bar, kill / dt, dt)
         with mock.patch.object(bounds, "CHUNK", chunk), \
                 mock.patch.object(engine, "CHUNK", chunk):
-            got = map_blocks(bounds._rbm_hits, n_paths, 1, *args)
-            want = [_walk_replay(*args, a, min(a + chunk, n_paths))
+            got = map_blocks(bounds._probe_block, n_paths, 1, bounds._rbm_hits,
+                             seed, *args)
+            want = [_walk_replay(*args, seed, a, min(a + chunk, n_paths))
                     for a in range(0, n_paths, chunk)]
         assert got == want
 
@@ -457,7 +458,8 @@ def _nan_cases():
     """Each bound and probe with one float argument, or a probe's count or
     seed, set to nan, the probes with a count or seed that is not an
     integer or with an infinite scale or step, which would divide inf by
-    inf, and the split race capped at fewer than one step."""
+    inf, the split race capped at fewer than one step, and the probes with
+    a worker count below 1 or a seed outside 0 .. 2**64 - 1."""
     params = make_params()
     caps0 = np.array([1.0, 1.0])
     rbm = (0.2, 1.0, 1.0, 4.0, 10, 1e-3, 0, 1)
@@ -497,10 +499,22 @@ def _nan_cases():
             estimate_split_before_clock, (params, caps0, lam, 10, 0, steps),
             id=f"estimate_split_before_clock-max_steps-{steps}",
         )
+    for fn, args, seed_k, workers_k in (
+        (simulate_rbm_hit, rbm, 6, 7), (estimate_split_before_clock, race, 4, 6)
+    ):
+        for k, value in ((workers_k, 0), (workers_k, -3), (seed_k, -1),
+                         (seed_k, 2**64)):
+            bad = list(args)
+            bad[k] = value
+            yield pytest.param(fn, bad, id=f"{fn.__name__}-{k}-{value}")
 
 
 @pytest.mark.parametrize("fn, args", _nan_cases())
-def test_nan_argument_is_rejected(fn, args):
+def test_nan_argument_is_rejected(fn, args, monkeypatch):
+    def map_blocks(*args):  # a bad argument must raise before any block runs
+        raise AssertionError("map_blocks ran")
+
+    monkeypatch.setattr(bounds, "map_blocks", map_blocks)
     with pytest.raises(ValueError):
         fn(*args)
 

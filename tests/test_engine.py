@@ -1232,6 +1232,9 @@ class TestValidation:
             ({"seed": math.nan}, None, "seed must be an integer, got nan"),
             ({"workers": 2.5}, None, "workers must be an integer, got 2.5"),
             ({"stride": 2.5}, None, "stride must be an integer, got 2.5"),
+            # a value that is not a number is listed, not compared
+            ({"seed": "7"}, None, "seed must be an integer, got '7'"),
+            ({"workers": None}, None, "workers must be an integer, got None"),
         ],
         ids=[
             "horizon-1.5-steps", "horizon-0.4-steps", "horizon-half-a-step-of-1e9",
@@ -1240,7 +1243,8 @@ class TestValidation:
             "cap-negative", "caps-at-n_max", "name-7-of-3",
             "series_cols-outside-rules", "clock-rate-overflow",
             "override-row-short", "n_paths-float", "seed-fraction",
-            "seed-nan", "workers-fraction", "stride-fraction",
+            "seed-nan", "workers-fraction", "stride-fraction", "seed-string",
+            "workers-none",
         ],
     )
     def test_invalid_run_rejected_everywhere(
@@ -1273,6 +1277,14 @@ class TestValidation:
         assert any(problem in p for p in ei.value.problems)
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert problem in capsys.readouterr().err
+
+    def test_a_count_that_is_not_an_integer_is_one_problem(self):
+        # no range check runs on a value that failed the integer rule
+        run = EngineRun(
+            params=make_params(), initial_caps=np.ones(3), horizon=0.01,
+            n_paths=2, seed=-1.5,
+        )
+        assert run.validate() == ["seed must be an integer, got -1.5"]
 
 
 class TestCheckCaps:
